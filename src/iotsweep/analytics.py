@@ -23,6 +23,7 @@ negligible; ``discretize`` enforces that gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -356,6 +357,13 @@ def t_quantile(prob: float, df: int) -> float:
         raise ParameterError("prob must lie strictly in (0, 1)")
     if df < 1:
         raise ParameterError("degrees of freedom must be >= 1")
+    return _t_quantile(prob, df)
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(prob: float, df: int) -> float:
+    """t_quantile after validation; every summary row of a run shares one
+    (prob, df), so the 200-step bisection runs once per pair."""
     if prob == 0.5:
         return 0.0
     tail = 2.0 * min(prob, 1.0 - prob)  # two-sided tail mass for |T| > t

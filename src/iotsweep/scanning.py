@@ -21,6 +21,15 @@ Algorithms build on each other:
   sequential_passive_scan
                         baseline: finish one protocol's passive scan before
                         starting the next
+
+Passive scans, multiprotocol scans and each sequential phase are one
+round-robin over channel groups (a passive channel is a group of one), run
+by ``Scanner._rotate``. The environment's quiet time (``quiet_until``) is a
+time before which nothing can be delivered: it may be early, never late. A
+window that ends at or before it is only stepped (clock, retune, group
+index and budget check), so an hour-scale device costs a few queried
+windows per emission instead of one query per simulated second, and every
+output is the same as when each window is queried.
 """
 
 from __future__ import annotations
@@ -197,17 +206,10 @@ class Scanner:
         """
         if not ch_list:
             raise ParameterError("passive scan needs a non-empty channel list")
-        found: set[DeviceAddress] = set()
-        t_start = self.env.clock
-        i = 0
-        while self.env.clock - t_start <= scan_time_s:
-            found |= self.listen(ch_list[i], dwell_time_s)
-            if self.sdr.retune_latency_s:
-                self.env.advance(self.sdr.retune_latency_s)
-            i = (i + 1) % len(ch_list)
-            if until_complete is not None and self.log.covers(until_complete):
-                break
-        return found
+        return self._rotate(
+            [(ch,) for ch in ch_list], dwell_time_s, scan_time_s, self.env.clock,
+            stop_after=until_complete,
+        )
 
     def probe_channels(
         self, ch_list: Sequence[Channel], dwell_time_s: float
@@ -260,17 +262,9 @@ class Scanner:
         the groups with parallel listens. Single-channel groups make this
         behave exactly like a passive scan."""
         groups = plan_channel_groups(ch_list, self.sdr.instantaneous_bandwidth_hz)
-        found: set[DeviceAddress] = set()
-        t_start = self.env.clock
-        i = 0
-        while self.env.clock - t_start <= scan_time_s:
-            found |= self.listen_in_parallel(groups[i], dwell_time_s)
-            if self.sdr.retune_latency_s:
-                self.env.advance(self.sdr.retune_latency_s)
-            i = (i + 1) % len(groups)
-            if until_complete is not None and self.log.covers(until_complete):
-                break
-        return found
+        return self._rotate(
+            groups, dwell_time_s, scan_time_s, self.env.clock, stop_after=until_complete
+        )
 
     def active_multiprotocol_scan(
         self,
@@ -317,12 +311,58 @@ class Scanner:
         for phase in phases:
             audible = self.env.device_names_on(phase)
             targets = audible if until_complete is None else audible & until_complete
-            i = 0
-            while self.env.clock - t_start <= scan_time_s:
-                if self.log.covers(targets):
-                    break
-                found |= self.listen(phase[i], dwell_time_s)
-                if self.sdr.retune_latency_s:
-                    self.env.advance(self.sdr.retune_latency_s)
-                i = (i + 1) % len(phase)
+            found |= self._rotate(
+                [(ch,) for ch in phase], dwell_time_s, scan_time_s, t_start,
+                stop_before=targets,
+            )
+        return found
+
+    def _rotate(
+        self,
+        groups: Sequence[Sequence[Channel]],
+        dwell_time_s: float,
+        scan_time_s: float,
+        t_start: float,
+        *,
+        stop_before: frozenset[str] | None = None,
+        stop_after: frozenset[str] | None = None,
+    ) -> set[DeviceAddress]:
+        """The one round-robin every scan runs: listen to ``groups`` in turn,
+        one dwell each plus a retune, while at most ``scan_time_s`` has
+        passed since ``t_start``. The scan stops once the log covers
+        ``stop_before`` (checked before a window) or ``stop_after`` (checked
+        after one).
+
+        A window that ends at or before the environment's quiet time can hear
+        nothing, so it is only stepped: clock, retune and group index, with
+        no environment call. Its edges come from the same float operations
+        as a queried window's (``t1 = t0 + dwell``, then ``+ retune``), so
+        the walk and every recorded time are the same as when each window is
+        queried. The log only grows in queried windows, so the stop checks
+        are re-evaluated only after those.
+        """
+        env, log = self.env, self.log
+        retune = self.sdr.retune_latency_s
+        n_groups = len(groups)
+        found: set[DeviceAddress] = set()
+
+        def covered(targets):
+            return targets is not None and log.covers(targets)
+
+        done_before, done_after = covered(stop_before), covered(stop_after)
+        quiet = env.quiet_until()
+        clock = env.clock
+        i = 0
+        while clock - t_start <= scan_time_s and not done_before:
+            t1 = clock + dwell_time_s
+            if t1 > quiet:
+                env.clock = clock
+                found |= self.listen_in_parallel(groups[i], dwell_time_s)
+                quiet = env.quiet_until()
+                done_before, done_after = covered(stop_before), covered(stop_after)
+            clock = t1 + retune
+            i = (i + 1) % n_groups
+            if done_after:
+                break
+        env.clock = clock
         return found

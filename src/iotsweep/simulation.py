@@ -16,6 +16,7 @@ comparable on identical traffic.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -258,9 +259,13 @@ class SimDevice:
             self._emit_index += 1
             self._next_time = t + self._draw_gap()
 
-    def prune_before(self, t: float) -> None:
+    def prune_before(self, t: float) -> float:
+        """Drop pending emissions before ``t``; returns the earliest time
+        this device can still emit at (its first pending emission, else its
+        next ungenerated one)."""
         if self.pending and self.pending[0].time_s < t:
             self.pending = [e for e in self.pending if e.time_s >= t]
+        return self.pending[0].time_s if self.pending else self._next_time
 
 
 class Environment:
@@ -319,6 +324,9 @@ class Environment:
                 self._by_channel.setdefault(ch, []).append(dev)
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
+        self._devices_quiet_until = min(
+            (dev._next_time for dev in self.devices), default=math.inf
+        )
 
     # -- queries ------------------------------------------------------------
 
@@ -367,10 +375,28 @@ class Environment:
                 out.append(em)
             # responses before t0 or on unmonitored channels are simply missed
         self.clock = t1
-        for dev in self.devices:
-            dev.prune_before(t1)
+        self._devices_quiet_until = min(
+            [dev.prune_before(t1) for dev in self.devices], default=math.inf
+        )
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
+
+    def quiet_until(self) -> float:
+        """Earliest time at which anything could still be delivered.
+
+        No window that ends at or before this time can hear an emission, so a
+        scanner may step over it without a query. The value may be early (a
+        device whose channel went unheard keeps its past emission time until
+        a window catches it up) but is never late: it is the minimum over
+        each device's next pending or ungenerated emission and the earliest
+        scheduled probe response. Generating or pruning emissions can only
+        raise a device's own minimum, so the per-device part computed by the
+        last window stays a lower bound; the response heap is read here, so
+        probes scheduled since then count.
+        """
+        if self._pending_responses:
+            return min(self._devices_quiet_until, self._pending_responses[0][0])
+        return self._devices_quiet_until
 
     def advance(self, duration_s: float) -> None:
         """Move the clock forward without listening (retune cost)."""

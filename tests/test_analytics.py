@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from iotsweep import analytics
 from iotsweep.analytics import (
     ProbabilityVector,
     continuous_min_check,
@@ -202,6 +203,14 @@ class TestTQuantile:
     def test_symmetry_and_median(self):
         assert t_quantile(0.5, 7) == 0.0
         assert t_quantile(0.025, 9) == pytest.approx(-t_quantile(0.975, 9), abs=1e-12)
+
+    def test_cache_keeps_values_and_validation(self):
+        first = t_quantile(0.975, 9)
+        assert t_quantile(0.975, 9) == first == analytics._t_quantile.__wrapped__(0.975, 9)
+        with pytest.raises(ParameterError):
+            t_quantile(1.0, 9)
+        with pytest.raises(ParameterError):
+            t_quantile(0.975, 0)
 
 
 class TestSummarize:
