@@ -17,14 +17,13 @@ from .channels import (
 )
 from .frames import decode, encode, extract_address
 from .simulation import DeviceSpec, EmitterKind, Environment, Role, build_environment
-from .scanning import DiscoveryLog, Scanner, ScanParams, SdrConfig, find_channels_in_range
+from .scanning import DiscoveryLog, Scanner, SdrConfig, find_channels_in_range
 from .analytics import (
     OrderStatSummary,
     ProbabilityVector,
     TrafficStats,
     continuous_min_check,
     discretize,
-    expected_order_statistic,
     expected_order_statistics,
     mc_order_statistic,
     summarize,

@@ -4,13 +4,19 @@ The model treats scanning as repeated draws from a categorical distribution:
 each timestep of length ``delta_t`` either hears device i (probability p_i)
 or hears nobody (the null outcome, probability p0). Discovering n of N
 devices is then collecting n distinct coupon types under non-uniform coupon
-probabilities, and the expected draw count has an exact inclusion-exclusion
-form:
+probabilities.
 
-    E[draws to n of N] = sum_{h=0}^{n-1} R(N,n,h) * T_h
-    R(N,n,h)           = (-1)^(n-1-h) * C(N-h-1, N-n)
-    T_h                = sum over all size-h device subsets J of
-                         1 / (1 - p0 - sum_{j in J} p_j)
+The expected draw count is computed exactly through Poissonization
+(Flajolet, Gardy & Thimonier 1992; Boneh & Hofri 1997). Let draws arrive
+at rate 1; device i is then first heard at an independent Exp(p_i) time,
+and by Wald's identity
+
+    E[draws to n of N] = integral_0^inf Pr(fewer than n devices heard by t) dt
+
+The probability is a Poisson-binomial tail over q_i(t) = 1 - exp(-p_i t),
+built for all n at once by adding one device at a time, and the integral
+runs over log t with composite Gauss-Legendre panels. Every term is
+positive, so nothing cancels, and N has no cap.
 
 Seconds are draws times delta_t.
 
@@ -30,16 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DegenerateVectorError,
-    DeltaTooCoarseError,
-    ParameterError,
-)
-
-#: Exhaustive subset enumeration above this many devices is unreasonable
-#: (2^24 subsets is already ~17M terms).
-SUBSET_ENUMERATION_CAP = 24
+from .errors import DegenerateVectorError, DeltaTooCoarseError, ParameterError
 
 DEFAULT_DELTA_T_S = 0.1
 DEFAULT_MULTI_ARRIVAL_GATE = 0.01
@@ -168,79 +165,55 @@ def discretize(
 # ---------------------------------------------------------------------------
 # Exact order-statistic expectation
 
-def _subsets_by_size(values: Sequence[float]) -> list[np.ndarray]:
-    """All subset sums of ``values`` grouped by subset size."""
-    buckets: list[list[float]] = [[0.0]]
-    for v in values:
-        extended: list[list[float]] = [[] for _ in range(len(buckets) + 1)]
-        for size, bucket in enumerate(buckets):
-            extended[size].extend(bucket)
-            extended[size + 1].extend(s + v for s in bucket)
-        buckets = extended
-    return [np.asarray(bucket, dtype=float) for bucket in buckets]
+#: Gauss-Legendre nodes per quadrature panel, and the panel width in log t.
+#: 32 nodes per unit of log t hold the uniform coupon collector at N=200 to
+#: a few ulps; at N=500 the error is still below 1e-12.
+_PANEL_NODES = 32
+_PANEL_WIDTH = 1.0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
+#: The integral starts at t_lo = _HEAD_MASS / sum(p). Fewer than n devices
+#: are heard before t_lo except with probability below sum(p) t, so taking
+#: [0, t_lo] as exactly t_lo is off by at most _HEAD_MASS**2 / 2 relative.
+_HEAD_MASS = 1e-8
 
-def _reciprocal_sums_by_size(pv: ProbabilityVector) -> np.ndarray:
-    """T_h = sum over size-h subsets J of 1/(1 - p0 - P_J), for h = 0..N-1.
-
-    Split-and-combine keeps the enumeration at two lists of 2^(N/2) subset
-    sums instead of one list of 2^N.
-    """
-    n = pv.n_devices
-    caught_mass = 1.0 - pv.p0  # total probability of hearing anything
-    half_a = _subsets_by_size(pv.p[: n // 2])
-    half_b = _subsets_by_size(pv.p[n // 2 :])
-    t = np.zeros(n)
-    for ha, sums_a in enumerate(half_a):
-        for hb, sums_b in enumerate(half_b):
-            h = ha + hb
-            if h >= n:  # the full set never appears in the formula
-                continue
-            denom = caught_mass - sums_a[:, None] - sums_b[None, :]
-            if np.any(denom <= 0.0):
-                raise DegenerateVectorError(
-                    "some size-%d subset already carries all transmit probability "
-                    "(denominator <= 0); the remaining devices can never be drawn" % h
-                )
-            t[h] += float(np.sum(1.0 / denom))
-    return t
-
-
-def _check_pv_size(pv: ProbabilityVector) -> None:
-    if pv.n_devices > SUBSET_ENUMERATION_CAP:
-        raise CapacityError(
-            f"exact enumeration capped at N={SUBSET_ENUMERATION_CAP} devices, "
-            f"got {pv.n_devices}"
-        )
+#: The integral ends at t_hi = (ln N + _TAIL_EXPONENT) / min(p). Past it the
+#: integrand is below N exp(-min(p) t), so the tail left out is below
+#: exp(-_TAIL_EXPONENT) / min(p), a fraction exp(-_TAIL_EXPONENT) of
+#: E[draws to N] >= 1 / min(p); rows n < N have far thinner tails.
+_TAIL_EXPONENT = 42.0
 
 
 def expected_order_statistics(pv: ProbabilityVector) -> list[float]:
     """Expected time (seconds) to discover n devices, for every n = 1..N."""
-    _check_pv_size(pv)
-    n_dev = pv.n_devices
-    t = _reciprocal_sums_by_size(pv)
-    out = []
-    for n in range(1, n_dev + 1):
-        terms = [
-            (-1.0) ** (n - 1 - h) * math.comb(n_dev - h - 1, n_dev - n) * t[h]
-            for h in range(n)
-        ]
-        out.append(math.fsum(terms) * pv.delta_t_s)
-    return out
+    p = np.asarray(pv.p, dtype=float)
+    if np.any(p <= 0.0):
+        raise DegenerateVectorError(
+            "every device needs a positive transmit probability; a device "
+            "with p_i <= 0 is never drawn"
+        )
+    n_dev = p.size
+    t_lo = _HEAD_MASS / p.sum()
+    u_lo = math.log(t_lo)
+    u_hi = math.log((math.log(n_dev) + _TAIL_EXPONENT) / p.min())
+    panels = math.ceil((u_hi - u_lo) / _PANEL_WIDTH)
+    half = 0.5 * _PANEL_WIDTH
+    u = u_lo + _PANEL_WIDTH * np.arange(panels)[:, None] + half * (_GL_NODES + 1.0)
+    t = np.exp(u.ravel())
+    weights = np.tile(half * _GL_WEIGHTS, panels) * t  # dt = t du
 
-
-def expected_order_statistic(pv: ProbabilityVector, n: int) -> float:
-    """Expected time (seconds) until n of the N devices have been seen."""
-    _check_pv_size(pv)
-    if not 1 <= n <= pv.n_devices:
-        raise ParameterError(f"n must lie in 1..{pv.n_devices}, got {n}")
-    t = _reciprocal_sums_by_size(pv)
-    n_dev = pv.n_devices
-    terms = [
-        (-1.0) ** (n - 1 - h) * math.comb(n_dev - h - 1, n_dev - n) * t[h]
-        for h in range(n)
-    ]
-    return math.fsum(terms) * pv.delta_t_s
+    # heard[k] = Pr(exactly k devices heard by t) for k < N, one device at a time
+    heard = np.zeros((n_dev, t.size))
+    heard[0] = 1.0
+    for i, p_i in enumerate(p):
+        miss = np.exp(-p_i * t)
+        hit = -np.expm1(-p_i * t)
+        top = min(i + 1, n_dev - 1)
+        heard[1 : top + 1] = heard[1 : top + 1] * miss + heard[:top] * hit
+        heard[0] *= miss
+    fewer_than = np.cumsum(heard, axis=0)  # row n-1: Pr(fewer than n heard by t)
+    draws = t_lo + fewer_than @ weights
+    return (draws * pv.delta_t_s).tolist()
 
 
 def continuous_min_check(rates_per_s: Sequence[float]) -> float:
@@ -418,12 +391,14 @@ def summarize(
     that trial discovered (any order). Row n aggregates the n-th smallest
     time across trials. Trials that discovered fewer than n devices leave
     that order statistic undefined; such rows report a nonzero
-    ``censored_count`` and aggregate the remaining trials only.
+    ``censored_count`` and aggregate the remaining trials only. A row that
+    aggregates a single trial has that trial's time as its mean and NaN
+    spread and CI halfwidth.
     """
     per_trial = [sorted(t) for t in trials]
     m = len(per_trial)
-    if m < 2:
-        raise ParameterError(f"need at least 2 trials, got {m}")
+    if m < 1:
+        raise ParameterError("need at least 1 trial, got 0")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
     n_max = n_devices if n_devices is not None else max((len(t) for t in per_trial), default=0)

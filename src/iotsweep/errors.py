@@ -50,11 +50,7 @@ class ScenarioError(IotSweepError, ValueError):
 
 
 class DegenerateVectorError(IotSweepError, ValueError):
-    """Probability vector makes an order-statistic denominator non-positive."""
-
-
-class CapacityError(IotSweepError, ValueError):
-    """Device count exceeds the exhaustive-enumeration cap."""
+    """Probability vector gives some device no chance of being heard."""
 
 
 class DeltaTooCoarseError(IotSweepError, ValueError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import (
-    OrderStatRow,
-    OrderStatSummary,
-    discretize,
-    expected_order_statistics,
-    summarize,
-)
+from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
 from .errors import ScenarioError
 from .scanning import Scanner, plan_channel_groups
 from .scenario import Algorithm, ScenarioConfig
@@ -124,10 +117,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
         seen = sorted((t, name) for name, t in scanner.log.first_seen.items())
         records.append(TrialRecord(trial=trial, first_seen=tuple(seen)))
     times = [[t for t, _ in rec.first_seen] for rec in records]
-    if cfg.trials == 1:
-        summary = _single_trial_summary(times[0], len(cfg.devices), cfg.alpha)
-    else:
-        summary = summarize(times, alpha=cfg.alpha, n_devices=len(cfg.devices))
+    summary = summarize(times, alpha=cfg.alpha, n_devices=len(cfg.devices))
     result = ExperimentResult(
         config=cfg,
         trials=tuple(records),
@@ -141,18 +131,6 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
         (out / "summary.csv").write_text(summary_csv(result.summary))
         (out / "manifest.txt").write_text(manifest_text(cfg))
     return result
-
-
-def _single_trial_summary(times: list[float], n_devices: int, alpha: float) -> OrderStatSummary:
-    """One-trial degenerate summary: the mean is the observation, no spread."""
-    ordered = sorted(times)
-    rows = []
-    for n in range(1, n_devices + 1):
-        if n <= len(ordered):
-            rows.append(OrderStatRow(n, ordered[n - 1], math.nan, math.nan, 0))
-        else:
-            rows.append(OrderStatRow(n, math.nan, math.nan, math.nan, 1))
-    return OrderStatSummary(rows=tuple(rows), trial_count=1, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +204,12 @@ def compare(
     """Run the experiment and the model; check CI coverage row by row.
 
     Passes when the model expectation falls inside the measured confidence
-    interval for at least 75% of the rows that have a defined CI.
+    interval for at least 75% of the rows that have a defined CI. With
+    ``out_dir``, writes ``run_experiment``'s outputs plus model.csv and
+    compare.csv.
     """
-    result = run_experiment(cfg)
-    model = run_model(cfg, delta_t_s)
+    model = run_model(cfg, delta_t_s)  # refuses unmodelled scans before any trial runs
+    result = run_experiment(cfg, out_dir)
     expected = dict(model)
     rows: list[CompareRow] = []
     usable = in_ci_count = 0
@@ -251,12 +231,8 @@ def compare(
     )
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trials.csv").write_text(trials_csv(result))
-        (out / "summary.csv").write_text(summary_csv(result.summary))
         (out / "model.csv").write_text(model_csv(model))
         (out / "compare.csv").write_text(compare_csv(report))
-        (out / "manifest.txt").write_text(manifest_text(cfg))
     return report
 
 

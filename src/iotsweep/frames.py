@@ -427,16 +427,6 @@ def decode(protocol: Protocol, data: bytes, *, zwave_crc16: bool | None = None) 
     raise UnsupportedFrame(f"no decoder for protocol {protocol}")
 
 
-def frame_protocol(frame: Frame) -> Protocol:
-    if isinstance(frame, ZigbeeFrame):
-        return Protocol.ZIGBEE
-    if isinstance(frame, BleAdvPdu):
-        return Protocol.BLE_ADVERTISING
-    if isinstance(frame, LoRaFrame):
-        return Protocol.LORA
-    return Protocol.ZWAVE
-
-
 def extract_address(frame: Frame, *, lora_id_index: int = LORA_DEVICE_ID_INDEX) -> DeviceAddress | None:
     """The enumeration identity of a frame, or None for sourceless frames.
 

@@ -60,18 +60,6 @@ class SdrConfig:
             raise ParameterError("retune latency must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScanParams:
-    dwell_time_s: float
-    scan_time_s: float
-
-    def __post_init__(self):
-        if not 0 < self.dwell_time_s <= self.scan_time_s:
-            raise ParameterError(
-                f"need 0 < dwell ({self.dwell_time_s}) <= scan time ({self.scan_time_s})"
-            )
-
-
 @dataclass
 class DiscoveryLog:
     """First-seen timestamps per canonical device, plus every raw address."""

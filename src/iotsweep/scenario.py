@@ -62,7 +62,7 @@ from .channels import (
     zwave_channel,
 )
 from .errors import ScenarioError
-from .scanning import ScanParams, SdrConfig
+from .scanning import SdrConfig
 from .simulation import DeviceSpec, EmitterKind, Role, validate_device_spec
 
 DEFAULT_BANDWIDTH_HZ = 8_000_000
@@ -104,10 +104,6 @@ class ScenarioConfig:
         for phase in self.phases:
             scanned |= set(phase)
         return scanned
-
-    @property
-    def params(self) -> ScanParams:
-        return ScanParams(dwell_time_s=self.dwell_time_s, scan_time_s=self.scan_time_s)
 
 
 def _parse_hz(text: str) -> int:

@@ -17,7 +17,7 @@ import pytest
 from frame_random import random_ble, random_lora, random_zigbee, random_zwave
 from iotsweep.analytics import (
     ProbabilityVector,
-    expected_order_statistic,
+    expected_order_statistics,
     mc_order_statistic,
     summarize,
     t_quantile,
@@ -139,7 +139,7 @@ class TestCriterion6AnalyticsOracle:
             pv = ProbabilityVector(
                 p0=1.0 - float(p.sum()), p=tuple(float(x) for x in p), delta_t_s=1.0
             )
-            exact = expected_order_statistic(pv, n_dev)
+            exact = expected_order_statistics(pv)[n_dev - 1]
             mc = mc_order_statistic(pv, n_dev, episodes=1_000_000, seed=1000 + i)
             worst = max(worst, abs(mc - exact) / exact)
         ok = worst < 0.01
@@ -157,9 +157,9 @@ class TestCriterion6AnalyticsOracle:
             pv = ProbabilityVector(
                 p0=p0, p=((1 - p0) / 2, (1 - p0) / 2), delta_t_s=1.0
             )
-            errs.append(abs(expected_order_statistic(pv, 1) - 1.0 / (1.0 - p0)))
+            errs.append(abs(expected_order_statistics(pv)[0] - 1.0 / (1.0 - p0)))
         uniform2 = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=1.0)
-        errs.append(abs(expected_order_statistic(uniform2, 2) - 3.0))
+        errs.append(abs(expected_order_statistics(uniform2)[1] - 3.0))
         worst = max(errs)
         ok = worst < 1e-9
         report(

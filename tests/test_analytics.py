@@ -1,4 +1,7 @@
+import itertools
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from iotsweep.analytics import (
     ProbabilityVector,
     continuous_min_check,
     discretize,
-    expected_order_statistic,
     expected_order_statistics,
     mc_order_statistic,
     multi_arrival_prob,
@@ -16,12 +18,9 @@ from iotsweep.analytics import (
     t_quantile,
     traffic_stats,
 )
-from iotsweep.errors import (
-    CapacityError,
-    DegenerateVectorError,
-    DeltaTooCoarseError,
-    ParameterError,
-)
+from iotsweep.errors import DegenerateVectorError, DeltaTooCoarseError, ParameterError
+from iotsweep.experiment import device_channel_divisors, model_csv
+from iotsweep.scenario import load_bundled_scenario
 
 
 class TestTrafficStats:
@@ -83,14 +82,38 @@ class TestDiscretize:
         assert pv.p0 + math.fsum(pv.p) == pytest.approx(1.0, abs=1e-12)
 
 
+def inclusion_exclusion(pv: ProbabilityVector) -> list[Fraction]:
+    """Expected draws to n of N devices, n = 1..N, in exact rational arithmetic.
+
+    E[draws to n] = sum_{h<n} (-1)^(n-1-h) C(N-h-1, N-n) sum_{|J|=h} 1/(P - P_J),
+    with P the total transmit probability and P_J that of the devices in J.
+    Exponential in N; a reference for small vectors only.
+    """
+    p = [Fraction(q) for q in pv.p]
+    n_dev, total = len(p), sum(p)
+    t = [
+        sum(1 / (total - sum(p[j] for j in subset)) for subset in itertools.combinations(range(n_dev), h))
+        for h in range(n_dev)
+    ]
+    return [
+        Fraction(pv.delta_t_s)
+        * sum((-1) ** (n - 1 - h) * math.comb(n_dev - h - 1, n_dev - n) * t[h] for h in range(n))
+        for n in range(1, n_dev + 1)
+    ]
+
+
+def worst_relative_error(values, exact) -> float:
+    return max(abs(v - float(e)) / float(e) for v, e in zip(values, exact, strict=True))
+
+
 class TestExactExpectation:
     def test_single_device_null_coupon(self):
         pv = ProbabilityVector(p0=0.5, p=(0.5,), delta_t_s=1.0)
-        assert expected_order_statistic(pv, 1) == pytest.approx(2.0, abs=1e-9)
+        assert expected_order_statistics(pv)[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_uniform_two_coupon(self):
         pv = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=1.0)
-        assert expected_order_statistic(pv, 2) == pytest.approx(3.0, abs=1e-9)
+        assert expected_order_statistics(pv)[1] == pytest.approx(3.0, abs=1e-9)
 
     def test_classic_three_coupon(self):
         pv = ProbabilityVector(p0=0.0, p=(1 / 3, 1 / 3, 1 / 3), delta_t_s=1.0)
@@ -99,8 +122,8 @@ class TestExactExpectation:
     def test_seconds_scale_with_delta_t(self):
         a = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=1.0)
         b = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=0.1)
-        assert expected_order_statistic(a, 2) == pytest.approx(
-            10 * expected_order_statistic(b, 2)
+        assert expected_order_statistics(a)[1] == pytest.approx(
+            10 * expected_order_statistics(b)[1]
         )
 
     def test_monotone_in_n(self):
@@ -133,26 +156,44 @@ class TestExactExpectation:
         for a, b in zip(e1, e16):
             assert b == pytest.approx(16 * a, rel=1e-9)
 
+    def test_matches_exact_inclusion_exclusion(self):
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            raw = 10.0 ** rng.uniform(-4.0, 0.0, size=n)  # four decades
+            raw *= rng.uniform(0.05, 1.0) / raw.sum()
+            pv = ProbabilityVector(
+                p0=1 - float(raw.sum()), p=tuple(float(x) for x in raw), delta_t_s=1.0
+            )
+            worst = max(worst, worst_relative_error(expected_order_statistics(pv), inclusion_exclusion(pv)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("n_dev", [100, 200])
+    def test_uniform_closed_form_without_device_cap(self, n_dev):
+        p0 = 0.3
+        pv = ProbabilityVector(p0=p0, p=((1 - p0) / n_dev,) * n_dev, delta_t_s=1.0)
+        closed = np.cumsum([n_dev / ((n_dev - k) * (1 - p0)) for k in range(n_dev)])
+        assert worst_relative_error(expected_order_statistics(pv), closed) <= 1e-12
+
+    def test_golden_model_row_is_exact(self):
+        # the bundled scenario whose model.csv the cancelling subset sum got wrong
+        cfg = load_bundled_scenario("zwave-lora-passive")
+        rates = [1.0 / d.mean_interarrival_s for d in cfg.devices]
+        pv = discretize(rates, cfg.delta_t_s, device_channel_divisors(cfg))
+        exact = [float(e) for e in inclusion_exclusion(pv)]
+        golden = Path(__file__).with_name("golden") / cfg.name / "model.csv"
+        assert model_csv(list(enumerate(exact, start=1))) == golden.read_text()
+
     def test_degenerate_vector(self):
         pv = ProbabilityVector(p0=0.5, p=(0.5, 0.0), delta_t_s=1.0)
         with pytest.raises(DegenerateVectorError):
-            expected_order_statistic(pv, 2)
-
-    def test_capacity_cap(self):
-        n = 25
-        pv = ProbabilityVector(p0=0.0, p=(1.0 / n,) * n, delta_t_s=1.0)
-        with pytest.raises(CapacityError):
-            expected_order_statistic(pv, 1)
-
-    def test_n_range_checked(self):
-        pv = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=1.0)
-        with pytest.raises(ParameterError):
-            expected_order_statistic(pv, 3)
+            expected_order_statistics(pv)
 
     def test_small_delta_t_matches_continuous_first_discovery(self):
         rates = [1.0, 1.0]
         pv = discretize(rates, 1e-3, 1)
-        e1 = expected_order_statistic(pv, 1)
+        e1 = expected_order_statistics(pv)[0]
         cont = continuous_min_check(rates)
         assert abs(e1 - cont) / cont < 0.002
 
@@ -178,7 +219,7 @@ class TestMonteCarlo:
 
     def test_agrees_with_closed_form(self):
         pv = ProbabilityVector(p0=0.5, p=(0.2, 0.2, 0.1), delta_t_s=1.0)
-        exact = expected_order_statistic(pv, 3)
+        exact = expected_order_statistics(pv)[2]
         mc = mc_order_statistic(pv, 3, episodes=1_000_000, seed=9)
         assert abs(mc - exact) / exact < 0.005
 
@@ -244,6 +285,12 @@ class TestSummarize:
         assert s.rows[0].mean_s == pytest.approx(1.5)
         assert s.rows[1].mean_s == pytest.approx(4.5)
 
-    def test_needs_two_trials(self):
+    def test_single_trial_has_no_spread(self):
+        s = summarize([[3.0, 1.0]], n_devices=3)
+        assert [r.mean_s for r in s.rows[:2]] == [1.0, 3.0]
+        assert all(math.isnan(r.std_s) and math.isnan(r.ci_halfwidth_s) for r in s.rows)
+        assert math.isnan(s.rows[2].mean_s) and s.rows[2].censored_count == 1
+
+    def test_needs_a_trial(self):
         with pytest.raises(ParameterError):
-            summarize([[1.0]])
+            summarize([])

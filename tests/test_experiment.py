@@ -43,8 +43,8 @@ def one_device_cfg(**overrides):
 
 
 class TestRunExperiment:
-    def test_single_trial_summary_is_that_trial(self):
-        cfg = one_device_cfg(trials=2)  # summarize needs >= 2
+    def test_summary_mean_is_trial_mean(self):
+        cfg = one_device_cfg(trials=2)
         result = run_experiment(cfg)
         assert len(result.trials) == 2
         values = sorted(t.first_seen[0][0] for t in result.trials)
@@ -159,6 +159,15 @@ class TestCompare:
         ).read_text()
         assert (tmp_path / "a" / "model.csv").read_text().startswith("n,expected_time_s")
 
+    def test_shares_run_experiment_outputs(self, tmp_path):
+        cfg = one_device_cfg(trials=5, scan_time_s=400.0)
+        compare(cfg, out_dir=tmp_path / "compare")
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        for fname in ("trials.csv", "summary.csv", "manifest.txt"):
+            assert (tmp_path / "compare" / fname).read_bytes() == (
+                tmp_path / "run" / fname
+            ).read_bytes()
+
 
 class TestSingleTrial:
     def test_trials_one_summary_is_that_trial(self):
@@ -173,11 +182,6 @@ class TestSingleTrial:
 
 
 class TestConfigViews:
-    def test_params_property(self):
-        cfg = one_device_cfg()
-        assert cfg.params.dwell_time_s == cfg.dwell_time_s
-        assert cfg.params.scan_time_s == cfg.scan_time_s
-
     def test_sequential_model_unsupported(self):
         from iotsweep.scenario import load_bundled_scenario as load
 

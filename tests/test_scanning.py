@@ -18,7 +18,6 @@ from iotsweep.frames import beacon_request, encode
 from iotsweep.scanning import (
     Scanner,
     SdrConfig,
-    ScanParams,
     find_channels_in_range,
     plan_channel_groups,
 )
@@ -400,13 +399,6 @@ class TestSequentialPassive:
 
 
 class TestParams:
-    def test_scan_params_validation(self):
-        with pytest.raises(ParameterError):
-            ScanParams(dwell_time_s=0.0, scan_time_s=1.0)
-        with pytest.raises(ParameterError):
-            ScanParams(dwell_time_s=2.0, scan_time_s=1.0)
-        ScanParams(dwell_time_s=1.0, scan_time_s=1.0)
-
     def test_sdr_validation(self):
         with pytest.raises(ParameterError):
             SdrConfig(0)

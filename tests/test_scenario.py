@@ -156,6 +156,14 @@ end
         with pytest.raises(ScenarioError, match="trials"):
             parse_scenario(MINIMAL.replace("trials 3", "trials 0"))
 
+    def test_dwell_within_scan_time(self):
+        with pytest.raises(ScenarioError, match="dwell-time"):
+            parse_scenario(MINIMAL.replace("dwell-time 0.5", "dwell-time 0"))
+        with pytest.raises(ScenarioError, match="scan-time"):
+            parse_scenario(MINIMAL.replace("dwell-time 0.5\nscan-time 10", "dwell-time 2\nscan-time 1"))
+        cfg = parse_scenario(MINIMAL.replace("scan-time 10", "scan-time 0.5"))
+        assert cfg.dwell_time_s == cfg.scan_time_s == 0.5
+
 
 class TestBundled:
     def test_all_bundled_parse(self):
