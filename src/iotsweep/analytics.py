@@ -170,7 +170,6 @@ def discretize(
 #: a few ulps; at N=500 the error is still below 1e-12.
 _PANEL_NODES = 32
 _PANEL_WIDTH = 1.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 #: The integral starts at t_lo = _HEAD_MASS / sum(p). Fewer than n devices
 #: are heard before t_lo except with probability below sum(p) t, so taking
@@ -182,6 +181,13 @@ _HEAD_MASS = 1e-8
 #: exp(-_TAIL_EXPONENT) / min(p), a fraction exp(-_TAIL_EXPONENT) of
 #: E[draws to N] >= 1 / min(p); rows n < N have far thinner tails.
 _TAIL_EXPONENT = 42.0
+
+
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]. Built on first use, so a
+    process that only simulates never loads numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
 def expected_order_statistics(pv: ProbabilityVector) -> list[float]:
@@ -197,10 +203,11 @@ def expected_order_statistics(pv: ProbabilityVector) -> list[float]:
     u_lo = math.log(t_lo)
     u_hi = math.log((math.log(n_dev) + _TAIL_EXPONENT) / p.min())
     panels = math.ceil((u_hi - u_lo) / _PANEL_WIDTH)
+    nodes, node_weights = _panel_rule()
     half = 0.5 * _PANEL_WIDTH
-    u = u_lo + _PANEL_WIDTH * np.arange(panels)[:, None] + half * (_GL_NODES + 1.0)
+    u = u_lo + _PANEL_WIDTH * np.arange(panels)[:, None] + half * (nodes + 1.0)
     t = np.exp(u.ravel())
-    weights = np.tile(half * _GL_WEIGHTS, panels) * t  # dt = t du
+    weights = np.tile(half * node_weights, panels) * t  # dt = t du
 
     # heard[k] = Pr(exactly k devices heard by t) for k < N, one device at a time
     heard = np.zeros((n_dev, t.size))
