@@ -230,6 +230,15 @@ class TestMonteCarlo:
         b = mc_order_statistic(pv, 2, episodes=10_000, seed=42)
         assert a == b
 
+    def test_pinned_values(self):
+        """Exact results for fixed inputs: the RNG call order and the
+        arithmetic of the oracle are part of its contract."""
+        pv = ProbabilityVector(
+            p0=0.6, p=(0.12, 0.08, 0.06, 0.05, 0.04, 0.03, 0.015, 0.005), delta_t_s=0.5
+        )
+        assert mc_order_statistic(pv, 8, episodes=40_000, seed=2024) == 111.308975
+        assert mc_order_statistic(pv, 5, episodes=40_000, seed=2024) == 11.5345125
+
 
 class TestTQuantile:
     @pytest.mark.parametrize(
