@@ -321,9 +321,9 @@ class Scanner:
         ``stop_before`` (checked before a window) or ``stop_after`` (checked
         after one).
 
-        A window that ends at or before the environment's quiet time can hear
-        nothing, so it is only stepped: clock, retune and group index, with
-        no environment call. Its edges come from the same float operations
+        A window that ends at or before the quiet time of the rotation's
+        channels can hear nothing, so it is only stepped: clock, retune and
+        group index, with no environment call. Its edges come from the same float operations
         as a queried window's (``t1 = t0 + dwell``, then ``+ retune``), so
         the walk and every recorded time are the same as when each window is
         queried. The log only grows in queried windows, so the stop checks
@@ -333,12 +333,13 @@ class Scanner:
         retune = self.sdr.retune_latency_s
         n_groups = len(groups)
         found: set[DeviceAddress] = set()
+        scope = frozenset(ch for group in groups for ch in group)
 
         def covered(targets):
             return targets is not None and log.covers(targets)
 
         done_before, done_after = covered(stop_before), covered(stop_after)
-        quiet = env.quiet_until()
+        quiet = env.quiet_until(scope)
         clock = env.clock
         i = 0
         while clock - t_start <= scan_time_s and not done_before:
@@ -346,7 +347,7 @@ class Scanner:
             if t1 > quiet:
                 env.clock = clock
                 found |= self.listen_in_parallel(groups[i], dwell_time_s)
-                quiet = env.quiet_until()
+                quiet = env.quiet_until(scope)
                 done_before, done_after = covered(stop_before), covered(stop_after)
             clock = t1 + retune
             i = (i + 1) % n_groups

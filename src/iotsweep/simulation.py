@@ -6,11 +6,19 @@ is no airtime and no collision model: with dwell times far above frame
 durations for every protocol here, arrival counting is the behavior that
 matters, and per-frame loss (``loss_prob``) is the only impairment.
 
-Each device owns three RNG streams derived from (seed, trial, device, tag):
-emission times, loss coins, and probe behavior. Emission sequences therefore
-depend only on the scenario and seed, never on how the scanner queries the
+Each device owns up to three RNG streams derived from (seed, trial, device,
+tag): emission times, loss coins (only when ``loss_prob > 0``) and probe
+behavior (built on the first probe). Emission sequences therefore depend
+only on the scenario and seed, never on how the scanner queries the
 environment, which is what makes trials reproducible and scan algorithms
 comparable on identical traffic.
+
+A generated emission is a pending ``(time, channel, emission index)`` entry;
+its wire bytes are built from the index only when a listen window delivers
+it, so frames nobody hears are never encoded. A window generates, delivers
+and prunes only the devices on its channels; every other device keeps its
+cached earliest deliverable time, which can only have risen since, so the
+quiet time computed from those caches is early, never late.
 """
 
 from __future__ import annotations
@@ -143,41 +151,49 @@ class SimDevice:
     ):
         self.spec = spec
         self.name = spec.name
+        self._addresses = spec.all_addresses()
         self._loss_prob = loss_prob
         self._lora_id_index = lora_id_index
-        self._times = np.random.default_rng(
-            np.random.SeedSequence([seed, trial, index, _STREAM_TIMES])
-        )
-        self._loss = np.random.default_rng(
-            np.random.SeedSequence([seed, trial, index, _STREAM_LOSS])
-        )
-        self.probe_rng = np.random.default_rng(
-            np.random.SeedSequence([seed, trial, index, _STREAM_PROBE])
-        )
+        self._stream_key = [seed, trial, index]
+        self._times = self._stream(_STREAM_TIMES)
+        self._loss = self._stream(_STREAM_LOSS) if loss_prob > 0 else None
+        self._probe_rng: np.random.Generator | None = None
         self._gap_buffer: list[float] = []
         self._emit_index = 0
         if spec.emitter is EmitterKind.PERIODIC:
             self._next_time = float(self._times.uniform(0.0, spec.mean_interarrival_s))
         else:
             self._next_time = self._draw_gap()
-        self.pending: list[Emission] = []  # generated, observable, time-sorted
+        # generated, not lost, time-sorted (time, channel, emission index)
+        self.pending: list[tuple[float, Channel, int]] = []
+        # earliest time this device can still be delivered at, as of its last
+        # prune; a lower bound until the next one
+        self.quiet = self._next_time
+
+    def _stream(self, tag: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(self._stream_key + [tag]))
+
+    @property
+    def probe_rng(self) -> np.random.Generator:
+        if self._probe_rng is None:
+            self._probe_rng = self._stream(_STREAM_PROBE)
+        return self._probe_rng
 
     def _draw_gap(self) -> float:
         if self.spec.emitter is EmitterKind.PERIODIC:
             return self.spec.mean_interarrival_s
         if not self._gap_buffer:
             gaps = self._times.exponential(self.spec.mean_interarrival_s, size=_EXP_CHUNK)
-            self._gap_buffer = list(gaps[::-1])
+            self._gap_buffer = gaps[::-1].tolist()
         gap = self._gap_buffer.pop()
         return gap if gap > 0.0 else 1e-12  # keep event times strictly increasing
 
-    def _emission_addr(self) -> DeviceAddress:
-        addrs = self.spec.all_addresses()
-        return addrs[self._emit_index % len(addrs)]
-
-    def _build_frame(self) -> bytes:
-        seq = self._emit_index & 0xFF
-        addr = self._emission_addr()
+    def _build_frame(self, emit_index: int) -> bytes:
+        """Wire bytes of emission ``emit_index``: its sequence byte is the
+        index's low byte, and the address rotates through canonical plus
+        aliases."""
+        seq = emit_index & 0xFF
+        addr = self._addresses[emit_index % len(self._addresses)]
         spec = self.spec
         if spec.protocol is Protocol.ZIGBEE:
             pan = spec.address.pan_id if isinstance(spec.address, ZigbeeShort) else 0xFFFF
@@ -248,24 +264,33 @@ class SimDevice:
         return frames.encode_zigbee(f)
 
     def generate_until(self, t_end: float) -> None:
-        """Extend the pending emission list so it covers times < t_end."""
-        while self._next_time < t_end:
-            t = self._next_time
-            frame = self._build_frame()
-            for ch in self.spec.channels:
-                lost = self._loss_prob > 0 and bool(self._loss.random() < self._loss_prob)
-                if not lost:
-                    self.pending.append(Emission(t, ch, frame, self.name))
-            self._emit_index += 1
-            self._next_time = t + self._draw_gap()
+        """Extend the pending emission list so it covers times < t_end.
 
-    def prune_before(self, t: float) -> float:
-        """Drop pending emissions before ``t``; returns the earliest time
-        this device can still emit at (its first pending emission, else its
-        next ungenerated one)."""
-        if self.pending and self.pending[0].time_s < t:
-            self.pending = [e for e in self.pending if e.time_s >= t]
-        return self.pending[0].time_s if self.pending else self._next_time
+        One loss coin per channel per emission, in channel order, whether or
+        not any window will listen there."""
+        pending, channels = self.pending, self.spec.channels
+        loss, loss_prob = self._loss, self._loss_prob
+        t, idx = self._next_time, self._emit_index
+        while t < t_end:
+            for ch in channels:
+                if loss is None or not loss.random() < loss_prob:
+                    pending.append((t, ch, idx))
+            idx += 1
+            t = t + self._draw_gap()
+        self._next_time, self._emit_index = t, idx
+
+    def prune_before(self, t: float) -> None:
+        """Drop pending emissions before ``t`` and refresh ``quiet``: the
+        first pending emission, else the next ungenerated one."""
+        pending = self.pending
+        if pending and pending[0][0] < t:
+            pending = self.pending = [e for e in pending if e[0] >= t]
+        self.quiet = pending[0][0] if pending else self._next_time
+
+    def emission(self, entry: tuple[float, Channel, int]) -> Emission:
+        """Encode one pending entry."""
+        t, ch, idx = entry
+        return Emission(t, ch, self._build_frame(idx), self.name)
 
 
 class Environment:
@@ -318,15 +343,15 @@ class Environment:
             )
             for i, spec in enumerate(devices)
         ]
-        self._by_channel: dict[Channel, list[SimDevice]] = {}
+        # channel -> (device, the device's own Channel object, which its
+        # pending entries carry and can be matched by identity)
+        self._by_channel: dict[Channel, list[tuple[SimDevice, Channel]]] = {}
         for dev in self.devices:
             for ch in dev.spec.channels:
-                self._by_channel.setdefault(ch, []).append(dev)
+                self._by_channel.setdefault(ch, []).append((dev, ch))
+        self._scopes: dict[frozenset[Channel], tuple[SimDevice, ...]] = {}
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
-        self._devices_quiet_until = min(
-            (dev._next_time for dev in self.devices), default=math.inf
-        )
 
     # -- queries ------------------------------------------------------------
 
@@ -335,10 +360,15 @@ class Environment:
         return self.address_table[addr]
 
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
-        chans = set(channels)
-        return frozenset(
-            dev.name for dev in self.devices if chans & set(dev.spec.channels)
-        )
+        return frozenset(dev.name for dev in self._devices_on(frozenset(channels)))
+
+    def _devices_on(self, channels: frozenset[Channel]) -> tuple[SimDevice, ...]:
+        devices = self._scopes.get(channels)
+        if devices is None:
+            devices = self._scopes[channels] = tuple(
+                dev for dev in self.devices if not channels.isdisjoint(dev.spec.channels)
+            )
+        return devices
 
     def emissions_in(self, channel: Channel, t0: float, t1: float) -> list[Emission]:
         """Deliverable emissions on ``channel`` in [t0, t1); advances the clock to t1."""
@@ -350,7 +380,8 @@ class Environment:
         """Union of per-channel receptions over one shared window [t0, t1).
 
         Exactly equivalent to listening to every channel in the set at once;
-        the clock advances once, to t1.
+        the clock advances once, to t1. Only the devices on these channels
+        are generated, encoded and pruned.
         """
         if t0 > t1:
             raise SimulationError(f"window reversed: [{t0}, {t1})")
@@ -360,43 +391,45 @@ class Environment:
             )
         wanted = set(channels)
         out: list[Emission] = []
-        touched: set[int] = set()
+        touched: list[SimDevice] = []  # a device on two wanted channels twice
         for ch in wanted:
-            for dev in self._by_channel.get(ch, ()):
-                if id(dev) not in touched:
+            for dev, own in self._by_channel.get(ch, ()):
+                if dev._next_time < t1:
                     dev.generate_until(t1)
-                    touched.add(id(dev))
-                for em in dev.pending:
-                    if em.channel == ch and t0 <= em.time_s < t1:
-                        out.append(em)
+                touched.append(dev)
+                for entry in dev.pending:
+                    if entry[1] is own and t0 <= entry[0] < t1:
+                        out.append(dev.emission(entry))
         while self._pending_responses and self._pending_responses[0][0] < t1:
             t, _, em = heapq.heappop(self._pending_responses)
             if t >= t0 and em.channel in wanted:
                 out.append(em)
             # responses before t0 or on unmonitored channels are simply missed
         self.clock = t1
-        self._devices_quiet_until = min(
-            [dev.prune_before(t1) for dev in self.devices], default=math.inf
-        )
+        for dev in touched:
+            dev.prune_before(t1)
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
 
-    def quiet_until(self) -> float:
-        """Earliest time at which anything could still be delivered.
+    def quiet_until(self, channels: Iterable[Channel] | None = None) -> float:
+        """Earliest time at which anything could still be delivered on
+        ``channels`` (default: every channel).
 
-        No window that ends at or before this time can hear an emission, so a
-        scanner may step over it without a query. The value may be early (a
-        device whose channel went unheard keeps its past emission time until
-        a window catches it up) but is never late: it is the minimum over
-        each device's next pending or ungenerated emission and the earliest
-        scheduled probe response. Generating or pruning emissions can only
-        raise a device's own minimum, so the per-device part computed by the
-        last window stays a lower bound; the response heap is read here, so
-        probes scheduled since then count.
+        No window on those channels that ends at or before this time can
+        hear an emission, so a scanner may step over it without a query. The
+        value may be early (a device keeps the time cached by the last window
+        on its channels until another one catches it up) but is never late:
+        it is the minimum over each of those devices' next pending or
+        ungenerated emission and the earliest scheduled probe response on
+        any channel. Generating or pruning emissions can only raise a
+        device's own minimum, so each cached value stays a lower bound; the
+        response heap is read here, so probes scheduled since then count.
         """
+        devices = self.devices if channels is None else self._devices_on(frozenset(channels))
+        quiet = min([dev.quiet for dev in devices], default=math.inf)
         if self._pending_responses:
-            return min(self._devices_quiet_until, self._pending_responses[0][0])
-        return self._devices_quiet_until
+            return min(quiet, self._pending_responses[0][0])
+        return quiet
 
     def advance(self, duration_s: float) -> None:
         """Move the clock forward without listening (retune cost)."""
@@ -423,7 +456,7 @@ class Environment:
         if t < self.clock - 1e-9:
             raise SimulationError("cannot probe in the past")
         scheduled: list[Emission] = []
-        for dev in self._by_channel.get(channel, ()):
+        for dev, _ in self._by_channel.get(channel, ()):
             if not dev.spec.probe_responder():
                 continue
             delay = float(dev.probe_rng.uniform(0.0, self.probe_response_delay_max_s))
@@ -449,7 +482,7 @@ class Environment:
         everything: list[Emission] = []
         for dev in self.devices:
             dev.generate_until(horizon_s)
-            everything.extend(em for em in dev.pending if em.time_s < horizon_s)
+            everything.extend(dev.emission(e) for e in dev.pending if e[0] < horizon_s)
         everything.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return iter(everything)
 

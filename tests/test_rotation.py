@@ -72,9 +72,10 @@ class NaiveScanner(Scanner):
 
 ALL = sort_channels(ZIGBEE + list(BLE) + list(SUB_GHZ))
 
-# (scan, whether it rotates over channels that hear every device). A device
-# whose channel the rotation never visits keeps its past emission time as
-# the quiet time, so only those rotations skip most windows.
+# (scan, whether it steps over most windows). Each rotation asks for the
+# quiet time of its own channels, so a device on a channel it never visits
+# does not hold the quiet time in the past. The active scan's probe answers
+# land after its probe windows, so it has no passive phase to skip in.
 SCANS = {
     "passive": (lambda s, stop: s.passive_scan(ALL, 1.0, 3000.0, until_complete=stop), True),
     "multiprotocol": (
@@ -82,13 +83,13 @@ SCANS = {
     "sequential": (
         lambda s, stop: s.sequential_passive_scan(
             [ALL[:4], ALL[4:]], 1.0, 6000.0, until_complete=stop),
-        False,
+        True,
     ),
     "active": (lambda s, stop: s.active_scan(ZIGBEE, 1.0, 3000.0, until_complete=stop), False),
     "active-multiprotocol": (
         lambda s, stop: s.active_multiprotocol_scan(
             list(SUB_GHZ), ZIGBEE, 1.0, 3000.0, until_complete=stop),
-        False,
+        True,
     ),
 }
 
@@ -127,6 +128,18 @@ def test_fast_forward_matches_naive_loop(scan, seed, stop):
     assert fast_queries <= naive_queries
     if hears_all:
         assert fast_queries < naive_queries / 3  # most windows were only stepped
+
+
+@pytest.mark.parametrize("scan", ["sequential", "active-multiprotocol"])
+def test_quiet_time_is_scoped_to_the_rotation(scan):
+    """Devices outside a rotation's channels do not pin its quiet time: with
+    one quiet time over every channel, seed 3 queried 4,105 of 4,616
+    sequential windows and 2,290 of 2,310 active-multiprotocol ones."""
+    do_scan, _ = SCANS[scan]
+    *_, queries, _ = run(Scanner, do_scan, 3, None)
+    *_, naive_queries, _ = run(NaiveScanner, do_scan, 3, None)
+    assert naive_queries == {"sequential": 4616, "active-multiprotocol": 2310}[scan]
+    assert queries < naive_queries / 10
 
 
 def test_late_probe_response_is_heard():

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from iotsweep import experiment, frames
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -13,9 +16,11 @@ from iotsweep.channels import (
 )
 from iotsweep.errors import ScenarioError, SimulationError, UnsupportedProbe
 from iotsweep.frames import decode, extract_address
+from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
 from iotsweep.simulation import (
     DeviceSpec,
     EmitterKind,
+    Environment,
     Role,
     build_environment,
 )
@@ -338,3 +343,29 @@ class TestLoraIdIndexWiring:
         addr = extract_address(frame, lora_id_index=4)
         assert addr == LoRaId(0x1324, 0x42)
         assert env.resolve(addr) == "odd"
+
+
+class TestLazyEncoding:
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_scan_encodes_only_delivered_frames(self, name, monkeypatch):
+        """Spontaneous frames are encoded when a window delivers them, never
+        before; a probe response is encoded when it is scheduled."""
+        counts = Counter()
+
+        def counted(key, fn, size=len):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                counts[key] += size(result)
+                return result
+            return wrapper
+
+        for encoder in ("encode_zigbee", "encode_ble", "encode_lora", "encode_zwave"):
+            fn = getattr(frames, encoder)
+            monkeypatch.setattr(frames, encoder, counted("encoded", fn, size=lambda _: 1))
+        window, probe = Environment.emissions_in_parallel, Environment.inject_probe
+        monkeypatch.setattr(Environment, "emissions_in_parallel", counted("delivered", window))
+        monkeypatch.setattr(Environment, "inject_probe", counted("responses", probe))
+        cfg = dataclasses.replace(load_bundled_scenario(name), trials=2, loss_prob=0.2)
+        experiment.run_experiment(cfg)
+        assert counts["delivered"] > 0
+        assert counts["encoded"] <= counts["delivered"] + counts["responses"]
