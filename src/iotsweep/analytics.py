@@ -252,20 +252,27 @@ def mc_order_statistic(
     if not 1 <= n <= pv.n_devices:
         raise ParameterError(f"n must lie in 1..{pv.n_devices}, got {n}")
     rng = np.random.default_rng(seed)
-    p = np.asarray(pv.p, dtype=float)
     n_dev = pv.n_devices
-    collected = np.zeros((episodes, n_dev), dtype=bool)
+    # Buffers reused across steps; column-major, so the running sum over
+    # devices adds whole columns. An episode's heard devices have mass 0.
+    fresh = np.empty((episodes, n_dev), order="F")
+    fresh[:] = pv.p
+    fresh_mass = np.empty_like(fresh)
+    below = np.empty_like(fresh, dtype=bool)
+    rows = np.arange(episodes)
     draws = np.zeros(episodes, dtype=float)
     for _ in range(n):
-        fresh_mass = np.where(collected, 0.0, p).cumsum(axis=1)
+        np.cumsum(fresh, axis=1, out=fresh_mass)
         live = fresh_mass[:, -1]  # probability a draw hears a new device
         if np.any(live <= 0.0):
             raise DegenerateVectorError("zero probability of hearing a new device")
         draws += rng.geometric(live)
-        u = rng.random(episodes) * live
-        idx = (fresh_mass < u[:, None]).sum(axis=1)
-        idx = np.minimum(idx, n_dev - 1)
-        collected[np.arange(episodes), idx] = True
+        u = rng.random(episodes)
+        u *= live
+        np.less(fresh_mass, u[:, None], out=below)
+        idx = np.count_nonzero(below, axis=1)
+        np.minimum(idx, n_dev - 1, out=idx)
+        fresh[rows, idx] = 0.0
     return float(draws.mean()) * pv.delta_t_s
 
 
