@@ -24,12 +24,14 @@ Algorithms build on each other:
 
 Passive scans, multiprotocol scans and each sequential phase are one
 round-robin over channel groups (a passive channel is a group of one), run
-by ``Scanner._rotate``. The environment's quiet time (``quiet_until``) is a
-time before which nothing can be delivered: it may be early, never late. A
-window that ends at or before it is only stepped (clock, retune, group
-index and budget check), so an hour-scale device costs a few queried
-windows per emission instead of one query per simulated second, and every
-output is the same as when each window is queried.
+by ``Scanner._rotate``. The quiet time of the rotation's channels
+(``Environment.quiet_until``) is a time before which nothing can be
+delivered on them: it may be early, never late. A window that ends at or
+before it is only stepped (clock, retune, group index and budget check), so
+an hour-scale device costs a few queried windows per emission instead of
+one query per simulated second, a device on a channel the rotation never
+visits costs nothing, and every output is the same as when each window is
+queried.
 """
 
 from __future__ import annotations
@@ -323,10 +325,10 @@ class Scanner:
 
         A window that ends at or before the quiet time of the rotation's
         channels can hear nothing, so it is only stepped: clock, retune and
-        group index, with no environment call. Its edges come from the same float operations
-        as a queried window's (``t1 = t0 + dwell``, then ``+ retune``), so
-        the walk and every recorded time are the same as when each window is
-        queried. The log only grows in queried windows, so the stop checks
+        group index, with no environment call. Its edges come from the same
+        float operations as a queried window's (``t1 = t0 + dwell``, then
+        ``+ retune``), so the walk and every recorded time are the same as
+        when each window is queried. The log only grows in queried windows, so the stop checks
         are re-evaluated only after those.
         """
         env, log = self.env, self.log

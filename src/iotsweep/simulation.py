@@ -391,7 +391,7 @@ class Environment:
             )
         wanted = set(channels)
         out: list[Emission] = []
-        touched: list[SimDevice] = []  # a device on two wanted channels twice
+        touched: list[SimDevice] = []  # may repeat a device; pruning twice is harmless
         for ch in wanted:
             for dev, own in self._by_channel.get(ch, ()):
                 if dev._next_time < t1:
@@ -411,9 +411,9 @@ class Environment:
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
 
-    def quiet_until(self, channels: Iterable[Channel] | None = None) -> float:
+    def quiet_until(self, channels: Iterable[Channel]) -> float:
         """Earliest time at which anything could still be delivered on
-        ``channels`` (default: every channel).
+        ``channels``.
 
         No window on those channels that ends at or before this time can
         hear an emission, so a scanner may step over it without a query. The
@@ -425,8 +425,7 @@ class Environment:
         device's own minimum, so each cached value stays a lower bound; the
         response heap is read here, so probes scheduled since then count.
         """
-        devices = self.devices if channels is None else self._devices_on(frozenset(channels))
-        quiet = min([dev.quiet for dev in devices], default=math.inf)
+        quiet = min([dev.quiet for dev in self._devices_on(frozenset(channels))], default=math.inf)
         if self._pending_responses:
             return min(quiet, self._pending_responses[0][0])
         return quiet
