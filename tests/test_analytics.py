@@ -205,6 +205,24 @@ class TestContinuousMinCheck:
         assert continuous_min_check([1.0, 1.0]) == 0.5
 
 
+def mc_reference(pv: ProbabilityVector, n: int, episodes: int, seed: int) -> float:
+    """The Monte Carlo oracle written with fresh arrays each step: the same
+    RNG calls and arithmetic as ``mc_order_statistic``, so results match it
+    exactly."""
+    rng = np.random.default_rng(seed)
+    p = np.asarray(pv.p, dtype=float)
+    collected = np.zeros((episodes, len(p)), dtype=bool)
+    draws = np.zeros(episodes, dtype=float)
+    for _ in range(n):
+        fresh_mass = np.where(collected, 0.0, p).cumsum(axis=1)
+        live = fresh_mass[:, -1]
+        draws += rng.geometric(live)
+        u = rng.random(episodes) * live
+        idx = np.minimum((fresh_mass < u[:, None]).sum(axis=1), len(p) - 1)
+        collected[np.arange(episodes), idx] = True
+    return float(draws.mean()) * pv.delta_t_s
+
+
 class TestMonteCarlo:
     def test_matches_uniform_two_coupon(self):
         pv = ProbabilityVector(p0=0.0, p=(0.5, 0.5), delta_t_s=1.0)
@@ -238,6 +256,16 @@ class TestMonteCarlo:
         )
         assert mc_order_statistic(pv, 8, episodes=40_000, seed=2024) == 111.308975
         assert mc_order_statistic(pv, 5, episodes=40_000, seed=2024) == 11.5345125
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        n_dev = int(rng.integers(1, 10))
+        raw = rng.random(n_dev) * 10.0 ** rng.uniform(-3, 0, n_dev)
+        p0 = float(rng.uniform(0.0, 0.9))
+        pv = ProbabilityVector(p0=p0, p=tuple(raw / raw.sum() * (1 - p0)), delta_t_s=0.1)
+        for n in (1, n_dev):
+            assert mc_order_statistic(pv, n, 3000, seed) == mc_reference(pv, n, 3000, seed)
 
 
 class TestTQuantile:
