@@ -77,14 +77,12 @@ def traffic_stats(interarrivals_s: Sequence[float]) -> TrafficStats:
 class ProbabilityVector:
     """Per-timestep transmit probabilities (p0, p_1..p_N).
 
-    Normalized: p0 + sum(p) == 1. ``channel_count_divisor`` records the C
-    (scalar, or one value per device) that was applied to the raw rates.
+    Normalized: p0 + sum(p) == 1.
     """
 
     p0: float
     p: tuple[float, ...]
     delta_t_s: float
-    channel_count_divisor: float | tuple[float, ...] = 1
 
     def __post_init__(self):
         if len(self.p) < 1:
@@ -153,13 +151,7 @@ def discretize(
         (lam * delta_t_s) * math.exp(-lam * delta_t_s) / c
         for lam, c in zip(rates_per_s, divisors)
     )
-    scalar = isinstance(channel_count, (int, float))
-    return ProbabilityVector(
-        p0=1.0 - math.fsum(p),
-        p=p,
-        delta_t_s=delta_t_s,
-        channel_count_divisor=float(channel_count) if scalar else tuple(divisors),
-    )
+    return ProbabilityVector(p0=1.0 - math.fsum(p), p=p, delta_t_s=delta_t_s)
 
 
 # ---------------------------------------------------------------------------

@@ -88,16 +88,12 @@ def _run_algorithm(cfg: ScenarioConfig, scanner: Scanner, targets: frozenset[str
     if cfg.algorithm is Algorithm.PASSIVE:
         scanner.passive_scan(cfg.channels, dwell, scan, until_complete=targets)
     elif cfg.algorithm is Algorithm.ACTIVE:
-        scanner.active_scan(
-            cfg.channels, dwell, scan,
-            probe_dwell_time_s=cfg.probe_dwell_time_s, until_complete=targets,
-        )
+        scanner.active_scan(cfg.channels, dwell, scan, until_complete=targets)
     elif cfg.algorithm is Algorithm.MULTIPROTOCOL:
         scanner.multiprotocol_scan(cfg.channels, dwell, scan, until_complete=targets)
     elif cfg.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL:
         scanner.active_multiprotocol_scan(
-            cfg.channels, cfg.probe_channels, dwell, scan,
-            probe_dwell_time_s=cfg.probe_dwell_time_s, until_complete=targets,
+            cfg.channels, cfg.probe_channels, dwell, scan, until_complete=targets
         )
     elif cfg.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
         scanner.sequential_passive_scan(cfg.phases, dwell, scan, until_complete=targets)

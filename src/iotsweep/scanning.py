@@ -46,13 +46,14 @@ from .errors import ParameterError
 from .simulation import Environment
 
 DEFAULT_PROBE_DWELL_S = 0.2
+DEFAULT_BANDWIDTH_HZ = 8_000_000
 
 
 @dataclass(frozen=True)
 class SdrConfig:
     """Receiver model: how much spectrum fits at once, and the hop cost."""
 
-    instantaneous_bandwidth_hz: int
+    instantaneous_bandwidth_hz: int = DEFAULT_BANDWIDTH_HZ
     retune_latency_s: float = 0.0
 
     def __post_init__(self):
@@ -224,15 +225,13 @@ class Scanner:
         dwell_time_s: float,
         scan_time_s: float,
         *,
-        probe_dwell_time_s: float | None = None,
         until_complete: frozenset[str] | None = None,
     ) -> set[DeviceAddress]:
         """Probe first, then spend the remaining budget passively on the
         channels that answered. With no active channels there is nothing to
         revisit, so phase one's findings are returned as-is."""
-        probe_dwell = probe_dwell_time_s or self.probe_dwell_time_s
         t_start = self.env.clock
-        active, found = self.probe_channels(ch_list, probe_dwell)
+        active, found = self.probe_channels(ch_list, self.probe_dwell_time_s)
         remaining = scan_time_s - (self.env.clock - t_start)
         if active:
             found |= self.passive_scan(
@@ -263,15 +262,13 @@ class Scanner:
         dwell_time_s: float,
         scan_time_s: float,
         *,
-        probe_dwell_time_s: float | None = None,
         until_complete: frozenset[str] | None = None,
     ) -> set[DeviceAddress]:
         """Probe one protocol's channels, merge the responders with the
         always-scanned list (sorted ascending), and multiprotocol-scan the
         merge for the remaining budget."""
-        probe_dwell = probe_dwell_time_s or self.probe_dwell_time_s
         t_start = self.env.clock
-        active, found = self.probe_channels(ch_probe_list, probe_dwell)
+        active, found = self.probe_channels(ch_probe_list, self.probe_dwell_time_s)
         merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
         remaining = scan_time_s - (self.env.clock - t_start)
         if merged:

@@ -24,7 +24,7 @@ blocks from ``device <name>`` to ``end`` whose inner lines are also
 Top-level keys
   scenario NAME                 algorithm passive|active|multiprotocol|
                                           active-multiprotocol|sequential-passive
-  channels TOKENS               probe-channels TOKENS (active algorithms)
+  channels TOKENS               probe-channels TOKENS (active-multiprotocol)
   phases TOKENS | TOKENS | ...  (sequential-passive; one group per phase)
   dwell-time S  scan-time S  probe-dwell-time S
   bandwidth HZ|8MHz|125kHz      retune-latency S
@@ -38,16 +38,28 @@ Channel tokens are comma-separated labels with optional ranges:
 
 Device keys: protocol, role, channels, mean-interval, address,
 alias (repeatable), responds-to-probe yes|no, emitter poisson|periodic.
+
+Each key is declared once, in a table that maps it to its ``ScenarioConfig``,
+``SdrConfig`` or ``DeviceSpec`` field and its value parser; a key the file
+leaves out takes that field's default, and a key no table knows is refused.
+``time-scale`` is the one key without a field: it divides every device's
+mean-interval while parsing. A ``ScenarioConfig`` validates itself, also when
+made by ``dataclasses.replace``. Every device must sit on a channel its
+algorithm visits: ``channels`` for passive, active and multiprotocol scans,
+``channels`` plus ``probe-channels`` for active-multiprotocol, and ``phases``
+for sequential-passive.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .address import parse_address
+from .analytics import DEFAULT_DELTA_T_S, DEFAULT_MULTI_ARRIVAL_GATE
 from .channels import (
     PROBEABLE_PROTOCOLS,
     Channel,
@@ -62,10 +74,18 @@ from .channels import (
     zwave_channel,
 )
 from .errors import ScenarioError
-from .scanning import SdrConfig
-from .simulation import DeviceSpec, EmitterKind, Role, validate_device_spec
+from .frames import LORA_DEVICE_ID_INDEX
+from .scanning import DEFAULT_PROBE_DWELL_S, SdrConfig
+from .simulation import (
+    DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
+    DeviceSpec,
+    EmitterKind,
+    Role,
+    address_table,
+)
 
-DEFAULT_BANDWIDTH_HZ = 8_000_000
+#: Role of a device block without a ``role`` line.
+DEFAULT_ROLE = Role.END_DEVICE
 
 
 class Algorithm(Enum):
@@ -78,32 +98,39 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One experiment. Every instance is validated by ``validate_scenario``,
+    also one made by ``dataclasses.replace``."""
+
     name: str
-    algorithm: Algorithm
-    devices: tuple[DeviceSpec, ...]
+    algorithm: Algorithm = Algorithm.PASSIVE
+    devices: tuple[DeviceSpec, ...] = ()
     channels: tuple[Channel, ...] = ()
     probe_channels: tuple[Channel, ...] = ()
     phases: tuple[tuple[Channel, ...], ...] = ()
-    sdr: SdrConfig = SdrConfig(DEFAULT_BANDWIDTH_HZ)
+    sdr: SdrConfig = SdrConfig()
     dwell_time_s: float = 1.0
-    probe_dwell_time_s: float = 0.2
+    probe_dwell_time_s: float = DEFAULT_PROBE_DWELL_S
     scan_time_s: float = 600.0
     trials: int = 10
     alpha: float = 0.05
     seed: int = 0
     loss_prob: float = 0.0
-    probe_response_delay_max_s: float = 0.1
-    delta_t_s: float = 0.1
-    max_multi_arrival_prob: float = 0.01
-    time_scale: float = 1.0
-    lora_id_index: int = 2
+    probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S
+    delta_t_s: float = DEFAULT_DELTA_T_S
+    max_multi_arrival_prob: float = DEFAULT_MULTI_ARRIVAL_GATE
+    lora_id_index: int = LORA_DEVICE_ID_INDEX
     source_text: str | None = None
 
-    def all_scanned_channels(self) -> set[Channel]:
-        scanned = set(self.channels) | set(self.probe_channels)
-        for phase in self.phases:
-            scanned |= set(phase)
-        return scanned
+    def __post_init__(self):
+        validate_scenario(self)
+
+    def scanned_channels(self) -> frozenset[Channel]:
+        """The channels this scenario's algorithm listens on."""
+        if self.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
+            return frozenset(ch for phase in self.phases for ch in phase)
+        if self.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL:
+            return frozenset(self.channels + self.probe_channels)
+        return frozenset(self.channels)
 
 
 def _parse_hz(text: str) -> int:
@@ -158,80 +185,111 @@ def resolve_channel_list(text: str) -> list[Channel]:
     return sort_channels(channels)
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    v = value.strip().lower()
+def _channels(text: str) -> tuple[Channel, ...]:
+    return tuple(resolve_channel_list(text))
+
+
+def _phases(text: str) -> tuple[tuple[Channel, ...], ...]:
+    return tuple(_channels(part) for part in text.split("|"))
+
+
+def _enum(cls):
+    return lambda text: cls(text.lower().replace("_", "-"))
+
+
+def _parse_bool(text: str) -> bool:
+    v = text.lower()
     if v in ("yes", "true", "on", "1"):
         return True
     if v in ("no", "false", "off", "0"):
         return False
-    raise ScenarioError(f"{where}: expected yes/no, got {value!r}")
+    raise ValueError(f"expected yes/no, got {text!r}")
 
 
-def _device_from_block(name: str, entries: list[tuple[str, str]], time_scale: float) -> DeviceSpec:
-    where = f"device {name}"
-    single: dict[str, str] = {}
-    aliases: list[str] = []
-    for key, value in entries:
-        if key == "alias":
-            aliases.append(value)
-        elif key in single:
-            raise ScenarioError(f"{where}: duplicate key {key!r}")
-        else:
-            single[key] = value
-    missing = {"protocol", "channels", "mean-interval", "address"} - single.keys()
-    if missing:
-        raise ScenarioError(f"{where}: missing {', '.join(sorted(missing))}")
-    try:
-        protocol = Protocol(single["protocol"].strip().lower())
-    except ValueError:
-        raise ScenarioError(
-            f"{where}: unknown protocol {single['protocol']!r}"
-        ) from None
-    role_text = single.get("role", "end-device").strip().lower()
-    try:
-        role = Role(role_text)
-    except ValueError:
-        raise ScenarioError(f"{where}: unknown role {role_text!r}") from None
-    try:
-        mean = float(single["mean-interval"])
-    except ValueError:
-        raise ScenarioError(f"{where}: mean-interval must be a number") from None
-    try:
-        address = parse_address(single["address"])
-        alias_addrs = tuple(parse_address(a) for a in aliases)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-    responds = None
-    if "responds-to-probe" in single:
-        responds = _parse_bool(single["responds-to-probe"], where)
-    emitter = EmitterKind.POISSON
-    if "emitter" in single:
+# Key tables: scenario key -> (dataclass field, value parser). A parser
+# raises ValueError on a bad value.
+_SCENARIO_KEYS = {
+    "scenario": ("name", str),
+    "algorithm": ("algorithm", _enum(Algorithm)),
+    "channels": ("channels", _channels),
+    "probe-channels": ("probe_channels", _channels),
+    "phases": ("phases", _phases),
+    "dwell-time": ("dwell_time_s", float),
+    "probe-dwell-time": ("probe_dwell_time_s", float),
+    "scan-time": ("scan_time_s", float),
+    "trials": ("trials", int),
+    "alpha": ("alpha", float),
+    "seed": ("seed", int),
+    "loss-prob": ("loss_prob", float),
+    "probe-response-delay-max": ("probe_response_delay_max_s", float),
+    "delta-t": ("delta_t_s", float),
+    "max-multi-arrival-prob": ("max_multi_arrival_prob", float),
+    "lora-id-index": ("lora_id_index", int),
+    "time-scale": ("time_scale", float),  # not stored: divides mean-interval
+}
+_SDR_KEYS = {
+    "bandwidth": ("instantaneous_bandwidth_hz", _parse_hz),
+    "retune-latency": ("retune_latency_s", float),
+}
+_DEVICE_KEYS = {
+    "protocol": ("protocol", _enum(Protocol)),
+    "role": ("role", _enum(Role)),
+    "channels": ("channels", _channels),
+    "mean-interval": ("mean_interarrival_s", float),
+    "address": ("address", parse_address),
+    "alias": ("aliases", parse_address),
+    "responds-to-probe": ("responds_to_probe", _parse_bool),
+    "emitter": ("emitter", _enum(EmitterKind)),
+}
+_REPEATABLE_KEYS = frozenset({"alias"})
+_REQUIRED_DEVICE_FIELDS = frozenset(
+    f.name for f in dataclasses.fields(DeviceSpec)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+)
+
+
+def _fields(table: dict, entries: list[tuple[int, str, str]], where: str) -> dict:
+    """Field values for one block's ``(line, key, value)`` entries. Only
+    keys that appear are returned; an unknown or repeated key is an error."""
+    values: dict = {}
+    for lineno, key, text in entries:
+        at = f"line {lineno}: {where}"
+        if key not in table:
+            raise ScenarioError(f"{at}unknown key {key!r}")
+        field, parse = table[key]
         try:
-            emitter = EmitterKind(single["emitter"].strip().lower())
-        except ValueError:
-            raise ScenarioError(f"{where}: unknown emitter {single['emitter']!r}") from None
-    spec = DeviceSpec(
-        name=name,
-        protocol=protocol,
-        role=role,
-        channels=tuple(resolve_channel_list(single["channels"])),
-        mean_interarrival_s=mean / time_scale,
-        address=address,
-        aliases=alias_addrs,
-        responds_to_probe=responds,
-        emitter=emitter,
-    )
-    try:
-        validate_device_spec(spec)
-    except ScenarioError as exc:
-        raise ScenarioError(str(exc)) from None
-    return spec
+            value = parse(text)
+        except ValueError as exc:
+            raise ScenarioError(f"{at}{key}: {exc}") from None
+        if key in _REPEATABLE_KEYS:
+            values[field] = values.get(field, ()) + (value,)
+        elif field in values:
+            raise ScenarioError(f"{at}duplicate key {key!r}")
+        else:
+            values[field] = value
+    return values
+
+
+def _device_from_block(
+    name: str, entries: list[tuple[int, str, str]], time_scale: float | None
+) -> DeviceSpec:
+    values = {"name": name, "role": DEFAULT_ROLE}
+    values.update(_fields(_DEVICE_KEYS, entries, f"device {name}: "))
+    missing = [
+        key for key, (field, _) in _DEVICE_KEYS.items()
+        if field in _REQUIRED_DEVICE_FIELDS and field not in values
+    ]
+    if missing:
+        raise ScenarioError(f"device {name}: missing {', '.join(sorted(missing))}")
+    if time_scale is not None:
+        values["mean_interarrival_s"] /= time_scale
+    return DeviceSpec(**values)
 
 
 def parse_scenario(text: str, *, default_name: str = "scenario") -> ScenarioConfig:
-    top: dict[str, str] = {}
-    device_blocks: list[tuple[str, list[tuple[str, str]]]] = []
-    current: list[tuple[str, str]] | None = None
+    top: list[tuple[int, str, str]] = []
+    device_blocks: list[tuple[str, list[tuple[int, str, str]]]] = []
+    current: list[tuple[int, str, str]] | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,78 +310,23 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> ScenarioConf
         value = value.strip()
         if not value:
             raise ScenarioError(f"line {lineno}: key {key!r} has no value")
-        if current is not None:
-            current.append((key, value))
-        else:
-            if key in top:
-                raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-            top[key] = value
+        (top if current is None else current).append((lineno, key, value))
     if current is not None:
         raise ScenarioError(f"device block {current_name!r} never closed with 'end'")
 
-    def get_float(key: str, default: float) -> float:
-        if key not in top:
-            return default
-        try:
-            return float(top[key])
-        except ValueError:
-            raise ScenarioError(f"{key}: expected a number, got {top[key]!r}") from None
-
-    def get_int(key: str, default: int) -> int:
-        if key not in top:
-            return default
-        try:
-            return int(top[key])
-        except ValueError:
-            raise ScenarioError(f"{key}: expected an integer, got {top[key]!r}") from None
-
-    algo_text = top.get("algorithm", "passive").strip().lower().replace("_", "-")
-    try:
-        algorithm = Algorithm(algo_text)
-    except ValueError:
-        raise ScenarioError(f"algorithm: unknown value {algo_text!r}") from None
-
-    time_scale = get_float("time-scale", 1.0)
-    if time_scale <= 0:
-        raise ScenarioError("time-scale must be positive")
-
+    values = _fields(_SCENARIO_KEYS | _SDR_KEYS, top, "")
+    sdr = {field: values.pop(field) for field, _ in _SDR_KEYS.values() if field in values}
+    if sdr:
+        values["sdr"] = SdrConfig(**sdr)
+    time_scale = values.pop("time_scale", None)
+    if time_scale is not None and not time_scale > 0:
+        raise ScenarioError("time-scale: must be positive")
     devices = tuple(
         _device_from_block(name, entries, time_scale) for name, entries in device_blocks
     )
-    phases: tuple[tuple[Channel, ...], ...] = ()
-    if "phases" in top:
-        phases = tuple(
-            tuple(resolve_channel_list(part)) for part in top["phases"].split("|")
-        )
-
-    sdr = SdrConfig(
-        instantaneous_bandwidth_hz=_parse_hz(top.get("bandwidth", str(DEFAULT_BANDWIDTH_HZ))),
-        retune_latency_s=get_float("retune-latency", 0.0),
+    return ScenarioConfig(
+        **{"name": default_name, **values}, devices=devices, source_text=text
     )
-    cfg = ScenarioConfig(
-        name=top.get("scenario", default_name),
-        algorithm=algorithm,
-        devices=devices,
-        channels=tuple(resolve_channel_list(top.get("channels", ""))),
-        probe_channels=tuple(resolve_channel_list(top.get("probe-channels", ""))),
-        phases=phases,
-        sdr=sdr,
-        dwell_time_s=get_float("dwell-time", 1.0),
-        probe_dwell_time_s=get_float("probe-dwell-time", 0.2),
-        scan_time_s=get_float("scan-time", 600.0),
-        trials=get_int("trials", 10),
-        alpha=get_float("alpha", 0.05),
-        seed=get_int("seed", 0),
-        loss_prob=get_float("loss-prob", 0.0),
-        probe_response_delay_max_s=get_float("probe-response-delay-max", 0.1),
-        delta_t_s=get_float("delta-t", 0.1),
-        max_multi_arrival_prob=get_float("max-multi-arrival-prob", 0.01),
-        time_scale=time_scale,
-        lora_id_index=get_int("lora-id-index", 2),
-        source_text=text,
-    )
-    validate_scenario(cfg)
-    return cfg
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
@@ -367,26 +370,13 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
             "probing): " + ", ".join(unprobeable)
         )
 
-    names = [d.name for d in cfg.devices]
-    if len(set(names)) != len(names):
-        raise ScenarioError("devices: names must be unique")
-    seen_addrs: dict = {}
-    for dev in cfg.devices:
-        for addr in dev.all_addresses():
-            if addr in seen_addrs:
-                raise ScenarioError(
-                    f"device {dev.name}: address {addr} already used by {seen_addrs[addr]}"
-                )
-            seen_addrs[addr] = dev.name
-
-    scanned = cfg.all_scanned_channels()
-    unreachable = [
-        dev.name for dev in cfg.devices if not scanned & set(dev.channels)
-    ]
+    address_table(cfg.devices)
+    scanned = cfg.scanned_channels()
+    unreachable = [dev.name for dev in cfg.devices if scanned.isdisjoint(dev.channels)]
     if unreachable:
         raise ScenarioError(
-            "devices on channels the scan never visits (discovery impossible): "
-            + ", ".join(sorted(unreachable))
+            f"devices on channels the {cfg.algorithm.value} scan never visits "
+            "(discovery impossible): " + ", ".join(sorted(unreachable))
         )
 
 

@@ -42,6 +42,9 @@ _STREAM_PROBE = 2
 
 _EXP_CHUNK = 64  # exponential gaps drawn per RNG call
 
+#: Probe responses land uniformly within this many seconds of the probe.
+DEFAULT_PROBE_RESPONSE_DELAY_MAX_S = 0.1
+
 
 class Role(Enum):
     COORDINATOR = "coordinator"
@@ -53,6 +56,15 @@ class Role(Enum):
 
 #: Roles that answer a broadcast probe (sleepy end devices do not).
 PROBE_RESPONDING_ROLES = frozenset({Role.COORDINATOR, Role.ROUTER})
+
+
+#: Address forms each protocol's devices may carry.
+_ADDRESS_TYPES = {
+    Protocol.ZIGBEE: (ZigbeeShort, ZigbeeExtended),
+    Protocol.BLE_ADVERTISING: BleAdvA,
+    Protocol.LORA: LoRaId,
+    Protocol.ZWAVE: ZWaveId,
+}
 
 
 class EmitterKind(Enum):
@@ -70,7 +82,8 @@ class DeviceSpec:
     timestamp). ``mean_interarrival_s`` is the Poisson mean (or the period
     for periodic emitters). ``aliases`` lists additional addresses the
     device is also seen under; emitted frames rotate through canonical plus
-    aliases so dedup across address forms is exercised.
+    aliases so dedup across address forms is exercised. A spec whose
+    channels or addresses do not fit its protocol cannot be built.
     """
 
     name: str
@@ -83,6 +96,34 @@ class DeviceSpec:
     responds_to_probe: bool | None = None
     emitter: EmitterKind = EmitterKind.POISSON
 
+    def __post_init__(self):
+        if self.mean_interarrival_s <= 0:
+            raise ScenarioError(f"device {self.name}: mean interval must be positive")
+        if not self.channels:
+            raise ScenarioError(f"device {self.name}: no channels")
+        for ch in self.channels:
+            if ch.protocol is not self.protocol:
+                raise ScenarioError(
+                    f"device {self.name}: channel {ch.label} belongs to {ch.protocol.value}"
+                )
+        if self.protocol is Protocol.BLE_ADVERTISING:
+            labels = sorted(ch.label for ch in self.channels)
+            if labels != ["ble-adv:37", "ble-adv:38", "ble-adv:39"]:
+                raise ScenarioError(
+                    f"device {self.name}: BLE devices advertise on all three "
+                    f"advertising channels, got {labels}"
+                )
+        elif len(self.channels) != 1:
+            raise ScenarioError(
+                f"device {self.name}: {self.protocol.value} devices transmit on exactly one channel"
+            )
+        for addr in self.all_addresses():
+            if not isinstance(addr, _ADDRESS_TYPES[self.protocol]):
+                raise ScenarioError(
+                    f"device {self.name}: address {addr} does not match protocol "
+                    f"{self.protocol.value}"
+                )
+
     def probe_responder(self) -> bool:
         if self.responds_to_probe is not None:
             return self.responds_to_probe
@@ -90,6 +131,23 @@ class DeviceSpec:
 
     def all_addresses(self) -> tuple[DeviceAddress, ...]:
         return (self.address,) + self.aliases
+
+
+def address_table(devices: Sequence[DeviceSpec]) -> dict[DeviceAddress, str]:
+    """Every address a device is seen under -> its name. Device names and
+    addresses must be unique."""
+    names = [d.name for d in devices]
+    if len(set(names)) != len(names):
+        raise ScenarioError("devices: names must be unique")
+    table: dict[DeviceAddress, str] = {}
+    for spec in devices:
+        for addr in spec.all_addresses():
+            if addr in table:
+                raise ScenarioError(
+                    f"device {spec.name}: address {addr} already used by {table[addr]}"
+                )
+            table[addr] = spec.name
+    return table
 
 
 @dataclass(frozen=True)
@@ -100,41 +158,6 @@ class Emission:
     channel: Channel
     frame: bytes
     device: str
-
-
-def validate_device_spec(spec: DeviceSpec) -> None:
-    if spec.mean_interarrival_s <= 0:
-        raise ScenarioError(f"device {spec.name}: mean interval must be positive")
-    if not spec.channels:
-        raise ScenarioError(f"device {spec.name}: no channels")
-    for ch in spec.channels:
-        if ch.protocol is not spec.protocol:
-            raise ScenarioError(
-                f"device {spec.name}: channel {ch.label} belongs to {ch.protocol.value}"
-            )
-    if spec.protocol is Protocol.BLE_ADVERTISING:
-        labels = sorted(ch.label for ch in spec.channels)
-        if labels != ["ble-adv:37", "ble-adv:38", "ble-adv:39"]:
-            raise ScenarioError(
-                f"device {spec.name}: BLE devices advertise on all three "
-                f"advertising channels, got {labels}"
-            )
-    elif len(spec.channels) != 1:
-        raise ScenarioError(
-            f"device {spec.name}: {spec.protocol.value} devices transmit on exactly one channel"
-        )
-    _expected_type = {
-        Protocol.ZIGBEE: (ZigbeeShort, ZigbeeExtended),
-        Protocol.BLE_ADVERTISING: BleAdvA,
-        Protocol.LORA: LoRaId,
-        Protocol.ZWAVE: ZWaveId,
-    }[spec.protocol]
-    for addr in spec.all_addresses():
-        if not isinstance(addr, _expected_type):
-            raise ScenarioError(
-                f"device {spec.name}: address {addr} does not match protocol "
-                f"{spec.protocol.value}"
-            )
 
 
 class SimDevice:
@@ -307,31 +330,18 @@ class Environment:
         seed: int,
         trial: int = 0,
         loss_prob: float = 0.0,
-        probe_response_delay_max_s: float = 0.1,
+        probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
         lora_id_index: int = frames.LORA_DEVICE_ID_INDEX,
     ):
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
         if probe_response_delay_max_s < 0:
             raise ScenarioError("probe response delay must be >= 0")
-        names = [d.name for d in devices]
-        if len(set(names)) != len(names):
-            raise ScenarioError("device names must be unique")
-        seen: dict[DeviceAddress, str] = {}
-        for spec in devices:
-            validate_device_spec(spec)
-            for addr in spec.all_addresses():
-                if addr in seen:
-                    raise ScenarioError(
-                        f"address {addr} used by both {seen[addr]} and {spec.name}"
-                    )
-                seen[addr] = spec.name
-
+        self.address_table = address_table(devices)
         self.clock = 0.0
         self.loss_prob = loss_prob
         self.probe_response_delay_max_s = probe_response_delay_max_s
         self.lora_id_index = lora_id_index
-        self.address_table: dict[DeviceAddress, str] = seen
         self.devices = [
             SimDevice(
                 spec,
@@ -492,7 +502,7 @@ def build_environment(
     *,
     trial: int = 0,
     loss_prob: float = 0.0,
-    probe_response_delay_max_s: float = 0.1,
+    probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
     lora_id_index: int = frames.LORA_DEVICE_ID_INDEX,
 ) -> Environment:
     """Deterministic environment factory: same inputs, same event sequence."""

@@ -1,3 +1,5 @@
+import pytest
+
 from iotsweep.cli import main
 from iotsweep.frames import BleAdvPdu, BlePduType, ZWaveFrame, beacon_request, encode
 
@@ -82,6 +84,39 @@ class TestModelAndCompare:
         scn = tmp_path / "c.scn"
         scn.write_text(text)
         assert main(["compare", str(scn), "--out", str(tmp_path / "out")]) == 2
+
+
+class TestScenarioErrors:
+    """Bad scenarios and overrides exit 1 from every command that loads one."""
+
+    @pytest.mark.parametrize("command", ["scan", "model", "compare"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("dwell-time 1.0", "dwel-time 5.0", "unknown key 'dwel-time'"),
+            ("  role end-device\n", "  resonds-to-probe no\n", "unknown key 'resonds-to-probe'"),
+            ("channels zigbee:11\ndwell", "channels zigbee:12\nprobe-channels zigbee:11\ndwell",
+             "never visits"),
+        ],
+        ids=["top-level-typo", "device-typo", "unreachable"],
+    )
+    def test_bad_scenario_exit_1(self, tmp_path, capsys, command, old, new, message):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(TINY.replace(old, new, 1))
+        assert main([command, str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--trials", "0", "trials: must be >= 1"), ("--seed", "-1", "seed: must be non-negative")],
+        ids=["trials-0", "seed-negative"],
+    )
+    def test_bad_override_exit_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["scan", "zigbee-passive", flag, value, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDissect:

@@ -74,8 +74,11 @@ ALL = sort_channels(ZIGBEE + list(BLE) + list(SUB_GHZ))
 
 # (scan, whether it steps over most windows). Each rotation asks for the
 # quiet time of its own channels, so a device on a channel it never visits
-# does not hold the quiet time in the past. The active scan's probe answers
-# land after its probe windows, so it has no passive phase to skip in.
+# does not hold the quiet time in the past. With the default 40 s response
+# delay the active scan's probe answers land after its probe windows, so it
+# has no passive phase to skip in; "active-answered" runs it with answers
+# inside the 0.2 s windows, so the hub's (and mostly the router's) channel
+# turns active and its passive phase runs on the rotation.
 SCANS = {
     "passive": (lambda s, stop: s.passive_scan(ALL, 1.0, 3000.0, until_complete=stop), True),
     "multiprotocol": (
@@ -86,16 +89,19 @@ SCANS = {
         True,
     ),
     "active": (lambda s, stop: s.active_scan(ZIGBEE, 1.0, 3000.0, until_complete=stop), False),
+    "active-answered": (
+        lambda s, stop: s.active_scan(ZIGBEE, 1.0, 3000.0, until_complete=stop), True),
     "active-multiprotocol": (
         lambda s, stop: s.active_multiprotocol_scan(
             list(SUB_GHZ), ZIGBEE, 1.0, 3000.0, until_complete=stop),
         True,
     ),
 }
+RESPONSE_DELAY_S = {"active-answered": 0.1}
 
 
-def run(scanner_cls, scan, seed, stop, sdr=SDR):
-    env = build_environment(DEVICES, seed, loss_prob=LOSS, probe_response_delay_max_s=40.0)
+def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0):
+    env = build_environment(DEVICES, seed, loss_prob=LOSS, probe_response_delay_max_s=delay)
     queries = 0
     query = env.emissions_in_parallel
 
@@ -119,8 +125,10 @@ def run(scanner_cls, scan, seed, stop, sdr=SDR):
 @pytest.mark.parametrize("seed", [12, 22])
 def test_fast_forward_matches_naive_loop(scan, seed, stop):
     do_scan, hears_all = SCANS[scan]
-    fast, fast_found, fast_clock, fast_queries, _ = run(Scanner, do_scan, seed, stop)
-    naive, naive_found, naive_clock, naive_queries, _ = run(NaiveScanner, do_scan, seed, stop)
+    delay = RESPONSE_DELAY_S.get(scan, 40.0)
+    fast, fast_found, fast_clock, fast_queries, _ = run(Scanner, do_scan, seed, stop, delay=delay)
+    naive, naive_found, naive_clock, naive_queries, _ = run(
+        NaiveScanner, do_scan, seed, stop, delay=delay)
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert fast_found == naive_found

@@ -247,8 +247,7 @@ class TestProbeAndActive:
     def test_active_scan_finds_non_responders_in_phase2(self):
         chans = [zigbee_channel(k) for k in range(11, 27)]
         scanner = Scanner(make_env(self.make_devs(), seed=51), SDR8)
-        found = scanner.active_scan(chans, dwell_time_s=1.0, scan_time_s=300.0,
-                                    probe_dwell_time_s=0.2)
+        found = scanner.active_scan(chans, dwell_time_s=1.0, scan_time_s=300.0)
         assert ZigbeeShort(0x1A62, 0x0004) in found
         assert len(found) == 4
 
@@ -367,7 +366,6 @@ class TestActiveMultiprotocol:
             [zigbee_channel(k) for k in range(11, 27)],
             dwell_time_s=1.0,
             scan_time_s=120.0,
-            probe_dwell_time_s=0.2,
         )
         assert found == {ZigbeeShort(0x1A62, 1), BleAdvA(0xC011_2200_0001)}
 

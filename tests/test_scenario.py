@@ -1,16 +1,25 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from iotsweep import scenario
 from iotsweep.address import ZigbeeShort
+from iotsweep.channels import Protocol, zigbee_channel
 from iotsweep.errors import ScenarioError
 from iotsweep.scenario import (
     Algorithm,
+    ScenarioConfig,
     bundled_scenario_names,
     load_bundled_scenario,
     parse_scenario,
     resolve_channel_list,
     resolve_channel_token,
 )
-from iotsweep.simulation import EmitterKind, Role
+from iotsweep.simulation import DeviceSpec, EmitterKind, Role
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MINIMAL = """
 scenario tiny
@@ -118,6 +127,61 @@ class TestParser:
         assert len(cfg.devices[0].aliases) == 1
 
 
+class TestKeyTables:
+    def test_unknown_top_level_key(self):
+        with pytest.raises(ScenarioError, match="unknown key 'dwel-time'"):
+            parse_scenario(MINIMAL.replace("dwell-time 0.5", "dwel-time 5.0"))
+
+    def test_unknown_device_key(self):
+        text = MINIMAL.replace("  role end-device\n", "  role end-device\n  resonds-to-probe no\n")
+        with pytest.raises(ScenarioError, match="device lamp: unknown key 'resonds-to-probe'"):
+            parse_scenario(text)
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ScenarioError, match="line 7: trials: .*'three'"):
+            parse_scenario(MINIMAL.replace("trials 3", "trials three"))
+        with pytest.raises(ScenarioError, match="algorithm: 'sweep' is not a valid Algorithm"):
+            parse_scenario(MINIMAL.replace("algorithm passive", "algorithm sweep"))
+
+    def test_parser_adds_no_defaults(self):
+        """A file's keys are all the parser passes on: every other setting is
+        the dataclass field's default."""
+        lamp = DeviceSpec(
+            name="lamp",
+            protocol=Protocol.ZIGBEE,
+            role=Role.END_DEVICE,
+            channels=(zigbee_channel(11),),
+            mean_interarrival_s=2.5,
+            address=ZigbeeShort(0x1A2B, 0x0001),
+        )
+        assert parse_scenario(MINIMAL) == ScenarioConfig(
+            name="tiny",
+            algorithm=Algorithm.PASSIVE,
+            channels=(zigbee_channel(11),),
+            dwell_time_s=0.5,
+            scan_time_s=10.0,
+            trials=3,
+            seed=42,
+            devices=(lamp,),
+            source_text=MINIMAL,
+        )
+
+    def test_replace_is_validated(self):
+        cfg = parse_scenario(MINIMAL)
+        with pytest.raises(ScenarioError, match="trials"):
+            dataclasses.replace(cfg, trials=0)
+        with pytest.raises(ScenarioError, match="seed"):
+            dataclasses.replace(cfg, seed=-1)
+
+    def test_every_key_is_documented(self):
+        section = README.read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+        tables = (scenario._SCENARIO_KEYS, scenario._SDR_KEYS, scenario._DEVICE_KEYS)
+        keys = sorted({key for table in tables for key in table})
+        for where, text in (("README", section), ("scenario docstring", scenario.__doc__)):
+            missing = [k for k in keys if not re.search(rf"(?<![\w-]){k}(?![\w-])", text)]
+            assert not missing, f"{where} does not document {missing}"
+
+
 class TestValidation:
     def test_duplicate_address(self):
         text = MINIMAL + """
@@ -136,6 +200,21 @@ end
         text = MINIMAL.replace("channels zigbee:11\ndwell", "channels zigbee:12\ndwell", 1)
         with pytest.raises(ScenarioError, match="discovery impossible"):
             parse_scenario(text)
+
+    def test_passive_scan_does_not_visit_probe_channels(self):
+        text = MINIMAL.replace(
+            "channels zigbee:11\ndwell", "channels zigbee:12\nprobe-channels zigbee:11\ndwell", 1
+        )
+        with pytest.raises(ScenarioError, match="passive scan never visits.*lamp"):
+            parse_scenario(text)
+        multi = parse_scenario(text.replace("algorithm passive", "algorithm active-multiprotocol"))
+        assert multi.devices[0].name == "lamp"
+
+    def test_sequential_scan_visits_only_its_phases(self):
+        text = MINIMAL.replace("algorithm passive", "algorithm sequential-passive\nphases zigbee:12")
+        with pytest.raises(ScenarioError, match="discovery impossible"):
+            parse_scenario(text)
+        parse_scenario(text.replace("phases zigbee:12", "phases zigbee:12 | zigbee:11"))
 
     def test_sequential_needs_phases(self):
         text = MINIMAL.replace("algorithm passive", "algorithm sequential-passive")

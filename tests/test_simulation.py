@@ -272,40 +272,37 @@ class TestValidation:
             build_environment(devs, seed=1)
 
     def test_zigbee_single_channel_rule(self):
-        dev = DeviceSpec(
-            name="x",
-            protocol=Protocol.ZIGBEE,
-            role=Role.END_DEVICE,
-            channels=(CH11, CH15),
-            mean_interarrival_s=1.0,
-            address=ZigbeeShort(1, 1),
-        )
         with pytest.raises(ScenarioError):
-            build_environment([dev], seed=1)
+            DeviceSpec(
+                name="x",
+                protocol=Protocol.ZIGBEE,
+                role=Role.END_DEVICE,
+                channels=(CH11, CH15),
+                mean_interarrival_s=1.0,
+                address=ZigbeeShort(1, 1),
+            )
 
     def test_ble_needs_all_three_channels(self):
-        dev = DeviceSpec(
-            name="x",
-            protocol=Protocol.BLE_ADVERTISING,
-            role=Role.PERIPHERAL,
-            channels=(ADV[0],),
-            mean_interarrival_s=1.0,
-            address=BleAdvA(1),
-        )
         with pytest.raises(ScenarioError):
-            build_environment([dev], seed=1)
+            DeviceSpec(
+                name="x",
+                protocol=Protocol.BLE_ADVERTISING,
+                role=Role.PERIPHERAL,
+                channels=(ADV[0],),
+                mean_interarrival_s=1.0,
+                address=BleAdvA(1),
+            )
 
     def test_address_protocol_mismatch(self):
-        dev = DeviceSpec(
-            name="x",
-            protocol=Protocol.ZIGBEE,
-            role=Role.END_DEVICE,
-            channels=(CH11,),
-            mean_interarrival_s=1.0,
-            address=ZWaveId(1, 1),
-        )
         with pytest.raises(ScenarioError):
-            build_environment([dev], seed=1)
+            DeviceSpec(
+                name="x",
+                protocol=Protocol.ZIGBEE,
+                role=Role.END_DEVICE,
+                channels=(CH11,),
+                mean_interarrival_s=1.0,
+                address=ZWaveId(1, 1),
+            )
 
     def test_nonpositive_rate(self):
         with pytest.raises(ScenarioError):
