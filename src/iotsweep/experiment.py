@@ -72,10 +72,10 @@ class ComparisonReport:
     passed: bool  # expected value inside the CI for >= 75% of usable rows
 
 
-def trial_environment(cfg: ScenarioConfig, trial: int, seed: int | None = None) -> Environment:
+def trial_environment(cfg: ScenarioConfig, trial: int) -> Environment:
     return build_environment(
         cfg.devices,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
         trial=trial,
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,

@@ -36,6 +36,7 @@ queried.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,10 +58,10 @@ class SdrConfig:
     retune_latency_s: float = 0.0
 
     def __post_init__(self):
-        if self.instantaneous_bandwidth_hz <= 0:
-            raise ParameterError("instantaneous bandwidth must be positive")
-        if self.retune_latency_s < 0:
-            raise ParameterError("retune latency must be >= 0")
+        if not self.instantaneous_bandwidth_hz > 0:
+            raise ParameterError("bandwidth: must be positive")
+        if not 0.0 <= self.retune_latency_s < math.inf:
+            raise ParameterError("retune-latency: must be finite and >= 0")
 
 
 @dataclass

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.resources
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -73,7 +74,7 @@ from .channels import (
     zigbee_channel,
     zwave_channel,
 )
-from .errors import ScenarioError
+from .errors import ParameterError, ScenarioError
 from .frames import LORA_DEVICE_ID_INDEX
 from .scanning import DEFAULT_PROBE_DWELL_S, SdrConfig
 from .simulation import (
@@ -207,7 +208,7 @@ def _parse_bool(text: str) -> bool:
 
 
 # Key tables: scenario key -> (dataclass field, value parser). A parser
-# raises ValueError on a bad value.
+# raises ValueError on a bad value (OverflowError for ``bandwidth infMHz``).
 _SCENARIO_KEYS = {
     "scenario": ("name", str),
     "algorithm": ("algorithm", _enum(Algorithm)),
@@ -259,7 +260,7 @@ def _fields(table: dict, entries: list[tuple[int, str, str]], where: str) -> dic
         field, parse = table[key]
         try:
             value = parse(text)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ScenarioError(f"{at}{key}: {exc}") from None
         if key in _REPEATABLE_KEYS:
             values[field] = values.get(field, ()) + (value,)
@@ -317,7 +318,10 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> ScenarioConf
     values = _fields(_SCENARIO_KEYS | _SDR_KEYS, top, "")
     sdr = {field: values.pop(field) for field, _ in _SDR_KEYS.values() if field in values}
     if sdr:
-        values["sdr"] = SdrConfig(**sdr)
+        try:
+            values["sdr"] = SdrConfig(**sdr)
+        except ParameterError as exc:  # its message starts with the key
+            raise ScenarioError(str(exc)) from None
     time_scale = values.pop("time_scale", None)
     if time_scale is not None and not time_scale > 0:
         raise ScenarioError("time-scale: must be positive")
@@ -330,24 +334,30 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> ScenarioConf
 
 
 def validate_scenario(cfg: ScenarioConfig) -> None:
-    """Reject configurations that cannot run or cannot discover their devices."""
-    if cfg.trials < 1:
+    """Reject configurations that cannot run or cannot discover their devices.
+
+    Every range check is written so that NaN fails it."""
+    if not cfg.trials >= 1:
         raise ScenarioError("trials: must be >= 1")
     if not 0.0 < cfg.alpha < 1.0:
         raise ScenarioError("alpha: must lie in (0, 1)")
-    if cfg.seed < 0:
+    if not cfg.seed >= 0:
         raise ScenarioError("seed: must be non-negative")
     if not 0.0 <= cfg.loss_prob <= 1.0:
         raise ScenarioError("loss-prob: must lie in [0, 1]")
-    if cfg.dwell_time_s <= 0:
+    if not cfg.dwell_time_s > 0:
         raise ScenarioError("dwell-time: must be positive")
-    if cfg.probe_dwell_time_s <= 0:
+    if not cfg.probe_dwell_time_s > 0:
         raise ScenarioError("probe-dwell-time: must be positive")
-    if cfg.scan_time_s < cfg.dwell_time_s:
-        raise ScenarioError("scan-time: must be at least one dwell")
-    if cfg.delta_t_s <= 0:
+    if not cfg.dwell_time_s <= cfg.scan_time_s < math.inf:
+        raise ScenarioError("scan-time: must be finite and at least one dwell")
+    if not 0.0 <= cfg.probe_response_delay_max_s < math.inf:
+        raise ScenarioError("probe-response-delay-max: must be finite and >= 0")
+    if not cfg.delta_t_s > 0:
         raise ScenarioError("delta-t: must be positive")
-    if cfg.lora_id_index < 0:
+    if not 0.0 < cfg.max_multi_arrival_prob <= 1.0:
+        raise ScenarioError("max-multi-arrival-prob: must lie in (0, 1]")
+    if not cfg.lora_id_index >= 0:
         raise ScenarioError("lora-id-index: must be >= 0")
 
     if cfg.algorithm is Algorithm.SEQUENTIAL_PASSIVE:

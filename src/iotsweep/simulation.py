@@ -13,12 +13,12 @@ only on the scenario and seed, never on how the scanner queries the
 environment, which is what makes trials reproducible and scan algorithms
 comparable on identical traffic.
 
-A generated emission is a pending ``(time, channel, emission index)`` entry;
-its wire bytes are built from the index only when a listen window delivers
-it, so frames nobody hears are never encoded. A window generates, delivers
-and prunes only the devices on its channels; every other device keeps its
-cached earliest deliverable time, which can only have risen since, so the
-quiet time computed from those caches is early, never late.
+A listen window generates the devices on its channels up to its end, encodes
+the entries that fall on its channels and inside its span, and keeps none of
+them: emissions nobody hears are never encoded, and a device holds only its
+next emission time and index between windows. The clock forbids a window
+that starts before the last one ended, so nothing a window dropped can be
+asked for again.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class DeviceSpec:
     emitter: EmitterKind = EmitterKind.POISSON
 
     def __post_init__(self):
-        if self.mean_interarrival_s <= 0:
-            raise ScenarioError(f"device {self.name}: mean interval must be positive")
+        if not 0.0 < self.mean_interarrival_s < math.inf:
+            raise ScenarioError(f"device {self.name}: mean-interval: must be positive and finite")
         if not self.channels:
             raise ScenarioError(f"device {self.name}: no channels")
         for ch in self.channels:
@@ -161,7 +161,7 @@ class Emission:
 
 
 class SimDevice:
-    """Runtime state for one device: RNG streams and pending emissions."""
+    """Runtime state for one device: RNG streams and its next emission."""
 
     def __init__(
         self,
@@ -184,14 +184,9 @@ class SimDevice:
         self._gap_buffer: list[float] = []
         self._emit_index = 0
         if spec.emitter is EmitterKind.PERIODIC:
-            self._next_time = float(self._times.uniform(0.0, spec.mean_interarrival_s))
+            self.next_time = float(self._times.uniform(0.0, spec.mean_interarrival_s))
         else:
-            self._next_time = self._draw_gap()
-        # generated, not lost, time-sorted (time, channel, emission index)
-        self.pending: list[tuple[float, Channel, int]] = []
-        # earliest time this device can still be delivered at, as of its last
-        # prune; a lower bound until the next one
-        self.quiet = self._next_time
+            self.next_time = self._draw_gap()
 
     def _stream(self, tag: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self._stream_key + [tag]))
@@ -286,32 +281,27 @@ class SimDevice:
             )
         return frames.encode_zigbee(f)
 
-    def generate_until(self, t_end: float) -> None:
-        """Extend the pending emission list so it covers times < t_end.
+    def generate_until(self, t_end: float) -> list[tuple[float, Channel, int]]:
+        """The emissions at times < t_end not yet generated, as time-sorted
+        ``(time, channel, emission index)`` entries that survive loss.
 
         One loss coin per channel per emission, in channel order, whether or
         not any window will listen there."""
-        pending, channels = self.pending, self.spec.channels
+        entries: list[tuple[float, Channel, int]] = []
+        channels = self.spec.channels
         loss, loss_prob = self._loss, self._loss_prob
-        t, idx = self._next_time, self._emit_index
+        t, idx = self.next_time, self._emit_index
         while t < t_end:
             for ch in channels:
                 if loss is None or not loss.random() < loss_prob:
-                    pending.append((t, ch, idx))
+                    entries.append((t, ch, idx))
             idx += 1
             t = t + self._draw_gap()
-        self._next_time, self._emit_index = t, idx
-
-    def prune_before(self, t: float) -> None:
-        """Drop pending emissions before ``t`` and refresh ``quiet``: the
-        first pending emission, else the next ungenerated one."""
-        pending = self.pending
-        if pending and pending[0][0] < t:
-            pending = self.pending = [e for e in pending if e[0] >= t]
-        self.quiet = pending[0][0] if pending else self._next_time
+        self.next_time, self._emit_index = t, idx
+        return entries
 
     def emission(self, entry: tuple[float, Channel, int]) -> Emission:
-        """Encode one pending entry."""
+        """Encode one entry returned by ``generate_until``."""
         t, ch, idx = entry
         return Emission(t, ch, self._build_frame(idx), self.name)
 
@@ -335,8 +325,8 @@ class Environment:
     ):
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
-        if probe_response_delay_max_s < 0:
-            raise ScenarioError("probe response delay must be >= 0")
+        if not 0.0 <= probe_response_delay_max_s < math.inf:
+            raise ScenarioError("probe response delay must be finite and >= 0")
         self.address_table = address_table(devices)
         self.clock = 0.0
         self.loss_prob = loss_prob
@@ -353,13 +343,15 @@ class Environment:
             )
             for i, spec in enumerate(devices)
         ]
-        # channel -> (device, the device's own Channel object, which its
-        # pending entries carry and can be matched by identity)
+        # channel -> (device, the device's own equal Channel object), in device order
         self._by_channel: dict[Channel, list[tuple[SimDevice, Channel]]] = {}
         for dev in self.devices:
             for ch in dev.spec.channels:
                 self._by_channel.setdefault(ch, []).append((dev, ch))
-        self._scopes: dict[frozenset[Channel], tuple[SimDevice, ...]] = {}
+        # channel set -> (device, ids of its own Channel objects in the set) per
+        # device on those channels. A window's entries carry those objects, so
+        # they match by identity and no Channel is hashed per entry.
+        self._scopes: dict[frozenset[Channel], tuple[tuple[SimDevice, set[int]], ...]] = {}
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
 
@@ -370,28 +362,34 @@ class Environment:
         return self.address_table[addr]
 
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
-        return frozenset(dev.name for dev in self._devices_on(frozenset(channels)))
+        return frozenset(dev.name for dev, _ in self._listeners(frozenset(channels)))
 
-    def _devices_on(self, channels: frozenset[Channel]) -> tuple[SimDevice, ...]:
-        devices = self._scopes.get(channels)
-        if devices is None:
-            devices = self._scopes[channels] = tuple(
-                dev for dev in self.devices if not channels.isdisjoint(dev.spec.channels)
-            )
-        return devices
+    def _listeners(self, channels: frozenset[Channel]) -> tuple[tuple[SimDevice, set[int]], ...]:
+        listeners = self._scopes.get(channels)
+        if listeners is None:
+            heard: dict[SimDevice, set[int]] = {}
+            for ch in channels:
+                for dev, own in self._by_channel.get(ch, ()):
+                    heard.setdefault(dev, set()).add(id(own))
+            listeners = self._scopes[channels] = tuple(heard.items())
+        return listeners
 
     def emissions_in(self, channel: Channel, t0: float, t1: float) -> list[Emission]:
         """Deliverable emissions on ``channel`` in [t0, t1); advances the clock to t1."""
         return self.emissions_in_parallel((channel,), t0, t1)
 
     def emissions_in_parallel(
-        self, channels: Sequence[Channel], t0: float, t1: float
+        self, channels: Iterable[Channel], t0: float, t1: float
     ) -> list[Emission]:
         """Union of per-channel receptions over one shared window [t0, t1).
 
         Exactly equivalent to listening to every channel in the set at once;
-        the clock advances once, to t1. Only the devices on these channels
-        are generated, encoded and pruned.
+        the clock advances once, to t1. Each device on these channels is
+        generated once, up to t1; its entries before t0 or on channels outside
+        the set are dropped, as are probe responses before t1 that this
+        window cannot hear. Nothing is kept for a later window: the clock
+        checks below refuse any window that starts before the last one
+        ended, which is what makes dropping them exact.
         """
         if t0 > t1:
             raise SimulationError(f"window reversed: [{t0}, {t1})")
@@ -399,43 +397,35 @@ class Environment:
             raise SimulationError(
                 f"window starts at {t0} but the clock is already at {self.clock}"
             )
-        wanted = set(channels)
+        wanted = frozenset(channels)
         out: list[Emission] = []
-        touched: list[SimDevice] = []  # may repeat a device; pruning twice is harmless
-        for ch in wanted:
-            for dev, own in self._by_channel.get(ch, ()):
-                if dev._next_time < t1:
-                    dev.generate_until(t1)
-                touched.append(dev)
-                for entry in dev.pending:
-                    if entry[1] is own and t0 <= entry[0] < t1:
-                        out.append(dev.emission(entry))
+        for dev, heard in self._listeners(wanted):
+            if dev.next_time < t1:
+                out.extend(
+                    dev.emission(e)
+                    for e in dev.generate_until(t1)
+                    if e[0] >= t0 and id(e[1]) in heard
+                )
         while self._pending_responses and self._pending_responses[0][0] < t1:
             t, _, em = heapq.heappop(self._pending_responses)
             if t >= t0 and em.channel in wanted:
                 out.append(em)
-            # responses before t0 or on unmonitored channels are simply missed
         self.clock = t1
-        for dev in touched:
-            dev.prune_before(t1)
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
 
     def quiet_until(self, channels: Iterable[Channel]) -> float:
         """Earliest time at which anything could still be delivered on
-        ``channels``.
+        ``channels``: the minimum of those devices' next emission times and
+        the earliest scheduled probe response on any channel.
 
-        No window on those channels that ends at or before this time can
-        hear an emission, so a scanner may step over it without a query. The
-        value may be early (a device keeps the time cached by the last window
-        on its channels until another one catches it up) but is never late:
-        it is the minimum over each of those devices' next pending or
-        ungenerated emission and the earliest scheduled probe response on
-        any channel. Generating or pruning emissions can only raise a
-        device's own minimum, so each cached value stays a lower bound; the
-        response heap is read here, so probes scheduled since then count.
+        A scanner may step over any window on those channels that ends by
+        then. The value can be early, never late: a device last generated by
+        a window on other channels may have a next time in the past.
         """
-        quiet = min([dev.quiet for dev in self._devices_on(frozenset(channels))], default=math.inf)
+        quiet = min(
+            [dev.next_time for dev, _ in self._listeners(frozenset(channels))], default=math.inf
+        )
         if self._pending_responses:
             return min(quiet, self._pending_responses[0][0])
         return quiet
@@ -481,19 +471,16 @@ class Environment:
     # -- bulk export ----------------------------------------------------------
 
     def iter_events(self, horizon_s: float) -> Iterator[Emission]:
-        """All deliverable spontaneous emissions up to the horizon, time-ordered.
+        """All deliverable emissions before the horizon, time-ordered: one
+        window over every device channel on [0, horizon).
 
         Intended for a freshly built environment (event-log export); it
         consumes the same streams the scanner would observe.
         """
         if self.clock != 0.0:
             raise SimulationError("event export requires a fresh environment")
-        everything: list[Emission] = []
-        for dev in self.devices:
-            dev.generate_until(horizon_s)
-            everything.extend(dev.emission(e) for e in dev.pending if e[0] < horizon_s)
-        everything.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
-        return iter(everything)
+        channels = {ch for dev in self.devices for ch in dev.spec.channels}
+        return iter(self.emissions_in_parallel(channels, 0.0, horizon_s))
 
 
 def build_environment(

@@ -97,8 +97,9 @@ class TestScenarioErrors:
             ("  role end-device\n", "  resonds-to-probe no\n", "unknown key 'resonds-to-probe'"),
             ("channels zigbee:11\ndwell", "channels zigbee:12\nprobe-channels zigbee:11\ndwell",
              "never visits"),
+            ("dwell-time 1.0", "dwell-time nan", "dwell-time: must be positive"),
         ],
-        ids=["top-level-typo", "device-typo", "unreachable"],
+        ids=["top-level-typo", "device-typo", "unreachable", "dwell-time-nan"],
     )
     def test_bad_scenario_exit_1(self, tmp_path, capsys, command, old, new, message):
         bad = tmp_path / "bad.scn"

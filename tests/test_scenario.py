@@ -235,6 +235,36 @@ end
         with pytest.raises(ScenarioError, match="trials"):
             parse_scenario(MINIMAL.replace("trials 3", "trials 0"))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dwell-time", "nan"),
+            ("probe-dwell-time", "nan"),
+            ("scan-time", "nan"),
+            ("scan-time", "inf"),
+            ("delta-t", "nan"),
+            ("bandwidth", "0"),
+            ("bandwidth", "infMHz"),
+            ("retune-latency", "nan"),
+            ("retune-latency", "-1"),
+            ("mean-interval", "nan"),
+            ("mean-interval", "inf"),
+            ("probe-response-delay-max", "-1"),
+            ("probe-response-delay-max", "nan"),
+            ("probe-response-delay-max", "inf"),
+            ("max-multi-arrival-prob", "nan"),
+            ("max-multi-arrival-prob", "5"),
+            ("max-multi-arrival-prob", "0"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, key, value):
+        """NaN and infinite values fail the range checks too, at parse time."""
+        text, n = re.subn(rf"(?m)^(\s*){key} .*$", rf"\g<1>{key} {value}", MINIMAL)
+        if not n:
+            text = MINIMAL.replace("seed 42", f"seed 42\n{key} {value}")
+        with pytest.raises(ScenarioError, match=f"{key}: "):
+            parse_scenario(text)
+
     def test_dwell_within_scan_time(self):
         with pytest.raises(ScenarioError, match="dwell-time"):
             parse_scenario(MINIMAL.replace("dwell-time 0.5", "dwell-time 0"))

@@ -143,23 +143,29 @@ class TestEmissionProcess:
 
 class TestWindows:
     def test_windows_deliver_the_export_of_their_channel(self):
-        """Windows taking turns over the channels, under loss, deliver
-        exactly the exported frames on their channel and inside their span."""
+        """Windows taking turns over channel groups, under loss, deliver
+        exactly the exported frames on their channels and inside their span,
+        also when a window holds several channels of one device."""
         devs = [ble_device("b", 0xC011_2200_0001, mu=1.5), zigbee_device("a", 1)]
-        channels = [*ADV, CH11]
-        export = build_environment(devs, seed=8, loss_prob=0.4).iter_events(300.0)
-        expected = [
-            (e.time_s, e.channel, e.frame, e.device)
-            for e in export
-            if e.channel == channels[int(e.time_s) % len(channels)]
+        export = list(build_environment(devs, seed=8, loss_prob=0.4).iter_events(300.0))
+        plans = [
+            [(ADV[0],), (ADV[1],), (ADV[2],), (CH11,)],
+            [tuple(ADV), (CH11,)],
+            [(ADV[0], ADV[2]), (ADV[1], CH11)],
         ]
-        env = build_environment(devs, seed=8, loss_prob=0.4)
-        heard = []
-        for k in range(300):
-            window = env.emissions_in(channels[k % len(channels)], float(k), k + 1.0)
-            heard += [(e.time_s, e.channel, e.frame, e.device) for e in window]
-        assert len(heard) > 50
-        assert heard == expected
+        for plan in plans:
+            expected = [
+                (e.time_s, e.channel, e.frame, e.device)
+                for e in export
+                if e.channel in plan[int(e.time_s) % len(plan)]
+            ]
+            env = build_environment(devs, seed=8, loss_prob=0.4)
+            heard = []
+            for k in range(300):
+                window = env.emissions_in_parallel(plan[k % len(plan)], float(k), k + 1.0)
+                heard += [(e.time_s, e.channel, e.frame, e.device) for e in window]
+            assert len(heard) > 50
+            assert heard == expected, plan
 
     def test_no_device_on_channel(self):
         env = build_environment([zigbee_device("a", 1)], seed=1)
