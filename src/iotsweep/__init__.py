@@ -22,7 +22,6 @@ from .analytics import (
     OrderStatSummary,
     ProbabilityVector,
     TrafficStats,
-    continuous_min_check,
     discretize,
     expected_order_statistics,
     mc_order_statistic,

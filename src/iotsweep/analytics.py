@@ -126,17 +126,17 @@ def discretize(
     """
     if not rates_per_s:
         raise ParameterError("need at least one device rate")
-    if any(r <= 0 for r in rates_per_s):
-        raise ParameterError("rates must be positive")
-    if delta_t_s <= 0:
-        raise ParameterError("delta_t must be positive")
+    if not all(0.0 < r < math.inf for r in rates_per_s):
+        raise ParameterError("rates must be positive and finite")
+    if not 0.0 < delta_t_s < math.inf:
+        raise ParameterError("delta_t must be positive and finite")
     if isinstance(channel_count, (int, float)):
         divisors = [float(channel_count)] * len(rates_per_s)
     else:
         divisors = [float(c) for c in channel_count]
         if len(divisors) != len(rates_per_s):
             raise ParameterError("one channel divisor per device required")
-    if any(c < 1 for c in divisors):
+    if not all(c >= 1 for c in divisors):
         raise ParameterError("channel divisors must be >= 1")
 
     pr_multi = multi_arrival_prob(rates_per_s, delta_t_s)
@@ -213,16 +213,6 @@ def expected_order_statistics(pv: ProbabilityVector) -> list[float]:
     fewer_than = np.cumsum(heard, axis=0)  # row n-1: Pr(fewer than n heard by t)
     draws = t_lo + fewer_than @ weights
     return (draws * pv.delta_t_s).tolist()
-
-
-def continuous_min_check(rates_per_s: Sequence[float]) -> float:
-    """Expected first discovery on a continuously monitored channel: 1/sum(lambda).
-
-    The delta_t -> 0 limit of the n=1 expectation; useful as a cross-check.
-    """
-    if not rates_per_s:
-        raise ParameterError("need at least one rate")
-    return 1.0 / math.fsum(rates_per_s)
 
 
 # ---------------------------------------------------------------------------

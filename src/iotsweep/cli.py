@@ -58,12 +58,13 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 def _cmd_scan(args) -> int:
     cfg = _apply_overrides(_load(args.scenario), args)
     out_dir = Path(args.out) if args.out else Path("results") / cfg.name
-    result = experiment.run_experiment(cfg, out_dir=out_dir)
-    if args.events_horizon is not None:
+    events = None
+    if args.events_horizon is not None:  # built first: a bad horizon writes nothing
         env = experiment.trial_environment(cfg, trial=0)
-        (out_dir / "events.csv").write_text(
-            experiment.events_csv(env, args.events_horizon)
-        )
+        events = experiment.events_csv(env, args.events_horizon)
+    result = experiment.run_experiment(cfg, out_dir=out_dir)
+    if events is not None:
+        (out_dir / "events.csv").write_text(events)
     print(f"scenario {cfg.name}: {cfg.trials} trials, algorithm {cfg.algorithm.value}")
     for row in result.summary.rows:
         note = f"  (censored in {row.censored_count} trials)" if row.censored_count else ""

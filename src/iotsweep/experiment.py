@@ -79,7 +79,6 @@ def trial_environment(cfg: ScenarioConfig, trial: int) -> Environment:
         trial=trial,
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,
-        lora_id_index=cfg.lora_id_index,
     )
 
 
@@ -192,11 +191,7 @@ def run_model(
     return list(enumerate(expected_order_statistics(pv), start=1))
 
 
-def compare(
-    cfg: ScenarioConfig,
-    delta_t_s: float | None = None,
-    out_dir: str | Path | None = None,
-) -> ComparisonReport:
+def compare(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ComparisonReport:
     """Run the experiment and the model; check CI coverage row by row.
 
     Passes when the model expectation falls inside the measured confidence
@@ -204,7 +199,7 @@ def compare(
     ``out_dir``, writes ``run_experiment``'s outputs plus model.csv and
     compare.csv.
     """
-    model = run_model(cfg, delta_t_s)  # refuses unmodelled scans before any trial runs
+    model = run_model(cfg)  # refuses unmodelled scans before any trial runs
     result = run_experiment(cfg, out_dir)
     expected = dict(model)
     rows: list[CompareRow] = []

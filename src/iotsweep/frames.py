@@ -427,7 +427,7 @@ def decode(protocol: Protocol, data: bytes, *, zwave_crc16: bool | None = None) 
     raise UnsupportedFrame(f"no decoder for protocol {protocol}")
 
 
-def extract_address(frame: Frame, *, lora_id_index: int = LORA_DEVICE_ID_INDEX) -> DeviceAddress | None:
+def extract_address(frame: Frame) -> DeviceAddress | None:
     """The enumeration identity of a frame, or None for sourceless frames.
 
     Beacon requests (and any Zigbee frame without a source field) have no
@@ -442,9 +442,7 @@ def extract_address(frame: Frame, *, lora_id_index: int = LORA_DEVICE_ID_INDEX) 
     if isinstance(frame, BleAdvPdu):
         return BleAdvA(frame.adv_a)
     if isinstance(frame, LoRaFrame):
-        if lora_id_index >= len(frame.payload):
-            return None
-        return LoRaId(frame.sync_word, frame.payload[lora_id_index])
+        return LoRaId(frame.sync_word, frame.payload[LORA_DEVICE_ID_INDEX])
     if isinstance(frame, ZWaveFrame):
         return ZWaveId(frame.home_id, frame.source_id)
     raise TypeError(f"not a frame: {frame!r}")

@@ -9,10 +9,10 @@ Algorithms build on each other:
 
   listen                one channel, one dwell window
   passive_scan          round-robin listen over a channel list
-  probe_channels        probe + short listen per channel; collects the
+  probe_channels        probe + short listen per channel; returns the
                         channels that showed any traffic
   active_scan           probe first, then passive only on active channels
-  listen_in_parallel    union of listens across one bandwidth-fitting group
+  listen_in_parallel    one dwell window across a bandwidth-fitting group
   multiprotocol_scan    partition channels into bandwidth groups, then
                         round-robin groups with parallel listens
   active_multiprotocol_scan
@@ -21,6 +21,10 @@ Algorithms build on each other:
   sequential_passive_scan
                         baseline: finish one protocol's passive scan before
                         starting the next
+
+Every window records what it hears in the scanner's ``DiscoveryLog``, which
+is a scan's one result: the scans return nothing, and a listen returns only
+whether any frame in its window carried an address.
 
 Passive scans, multiprotocol scans and each sequential phase are one
 round-robin over channel groups (a passive channel is a group of one), run
@@ -137,8 +141,8 @@ class Scanner:
         *,
         probe_dwell_time_s: float = DEFAULT_PROBE_DWELL_S,
     ):
-        if probe_dwell_time_s <= 0:
-            raise ParameterError("probe dwell must be positive")
+        if not 0.0 < probe_dwell_time_s < math.inf:
+            raise ParameterError("probe dwell must be positive and finite")
         self.env = env
         self.sdr = sdr
         self.probe_dwell_time_s = probe_dwell_time_s
@@ -147,8 +151,9 @@ class Scanner:
 
     # -- building blocks ------------------------------------------------------
 
-    def _ingest(self, emissions) -> set[DeviceAddress]:
-        found: set[DeviceAddress] = set()
+    def _ingest(self, emissions) -> bool:
+        """Record every addressed frame; True if there was one."""
+        heard = False
         for em in emissions:
             hint = (
                 zwave_uses_crc16(em.channel)
@@ -156,25 +161,25 @@ class Scanner:
                 else None
             )
             frame = frames.decode(em.channel.protocol, em.frame, zwave_crc16=hint)
-            addr = frames.extract_address(frame, lora_id_index=self.env.lora_id_index)
+            addr = frames.extract_address(frame)
             if addr is None:
                 continue
-            found.add(addr)
+            heard = True
             self.log.record(self.env.resolve(addr), em.time_s - self._t0, addr)
-        return found
+        return heard
 
-    def listen(self, channel: Channel, dwell_time_s: float) -> set[DeviceAddress]:
-        """Receive on one channel for one dwell; returns the addresses heard."""
+    def listen(self, channel: Channel, dwell_time_s: float) -> bool:
+        """Receive on one channel for one dwell; True if any address was heard."""
         t0 = self.env.clock
-        return self._ingest(self.env.emissions_in(channel, t0, t0 + dwell_time_s))
+        return self._ingest(
+            self.env.emissions_in_parallel((channel,), t0, t0 + dwell_time_s)
+        )
 
-    def listen_in_parallel(
-        self, ch_range: Sequence[Channel], dwell_time_s: float
-    ) -> set[DeviceAddress]:
+    def listen_in_parallel(self, ch_range: Sequence[Channel], dwell_time_s: float) -> bool:
         """Receive on every channel of one bandwidth-fitting group at once.
 
-        One dwell of wall-clock time total; exactly the union of per-channel
-        listens over the same window.
+        One dwell of wall-clock time total; records exactly what per-channel
+        listens over the same window would.
         """
         t0 = self.env.clock
         return self._ingest(
@@ -190,7 +195,7 @@ class Scanner:
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """Round-robin listen over ``ch_list`` until the scan budget is spent.
 
         The elapsed check happens before each listen, so the final window may
@@ -198,27 +203,23 @@ class Scanner:
         """
         if not ch_list:
             raise ParameterError("passive scan needs a non-empty channel list")
-        return self._rotate(
+        self._rotate(
             [(ch,) for ch in ch_list], dwell_time_s, scan_time_s, self.env.clock,
             stop_after=until_complete,
         )
 
-    def probe_channels(
-        self, ch_list: Sequence[Channel], dwell_time_s: float
-    ) -> tuple[list[Channel], set[DeviceAddress]]:
-        """Probe every channel and listen briefly; channels that produced any
-        reception (a beacon reply or ordinary traffic) come back as active."""
+    def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
+        """Probe every channel and listen briefly; returns the channels that
+        produced any reception (a beacon reply or ordinary traffic)."""
         active: list[Channel] = []
-        found: set[DeviceAddress] = set()
         for ch in ch_list:
             self.env.inject_probe(ch)
             heard = self.listen(ch, dwell_time_s)
             if self.sdr.retune_latency_s:
                 self.env.advance(self.sdr.retune_latency_s)
             if heard:
-                found |= heard
                 active.append(ch)
-        return active, found
+        return active
 
     def active_scan(
         self,
@@ -227,18 +228,15 @@ class Scanner:
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """Probe first, then spend the remaining budget passively on the
         channels that answered. With no active channels there is nothing to
-        revisit, so phase one's findings are returned as-is."""
+        revisit, so the scan ends after the probes."""
         t_start = self.env.clock
-        active, found = self.probe_channels(ch_list, self.probe_dwell_time_s)
+        active = self.probe_channels(ch_list, self.probe_dwell_time_s)
         remaining = scan_time_s - (self.env.clock - t_start)
         if active:
-            found |= self.passive_scan(
-                active, dwell_time_s, remaining, until_complete=until_complete
-            )
-        return found
+            self.passive_scan(active, dwell_time_s, remaining, until_complete=until_complete)
 
     def multiprotocol_scan(
         self,
@@ -247,12 +245,12 @@ class Scanner:
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """Group channels by instantaneous bandwidth once, then round-robin
         the groups with parallel listens. Single-channel groups make this
         behave exactly like a passive scan."""
         groups = plan_channel_groups(ch_list, self.sdr.instantaneous_bandwidth_hz)
-        return self._rotate(
+        self._rotate(
             groups, dwell_time_s, scan_time_s, self.env.clock, stop_after=until_complete
         )
 
@@ -264,19 +262,16 @@ class Scanner:
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """Probe one protocol's channels, merge the responders with the
         always-scanned list (sorted ascending), and multiprotocol-scan the
         merge for the remaining budget."""
         t_start = self.env.clock
-        active, found = self.probe_channels(ch_probe_list, self.probe_dwell_time_s)
+        active = self.probe_channels(ch_probe_list, self.probe_dwell_time_s)
         merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
         remaining = scan_time_s - (self.env.clock - t_start)
         if merged:
-            found |= self.multiprotocol_scan(
-                merged, dwell_time_s, remaining, until_complete=until_complete
-            )
-        return found
+            self.multiprotocol_scan(merged, dwell_time_s, remaining, until_complete=until_complete)
 
     def sequential_passive_scan(
         self,
@@ -285,7 +280,7 @@ class Scanner:
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """Passive-scan each phase in turn, moving on once every device
         audible in the current phase has been found (or the budget runs out).
 
@@ -294,16 +289,14 @@ class Scanner:
         """
         if not phases or any(not p for p in phases):
             raise ParameterError("sequential scan needs non-empty phases")
-        found: set[DeviceAddress] = set()
         t_start = self.env.clock
         for phase in phases:
             audible = self.env.device_names_on(phase)
             targets = audible if until_complete is None else audible & until_complete
-            found |= self._rotate(
+            self._rotate(
                 [(ch,) for ch in phase], dwell_time_s, scan_time_s, t_start,
                 stop_before=targets,
             )
-        return found
 
     def _rotate(
         self,
@@ -314,7 +307,7 @@ class Scanner:
         *,
         stop_before: frozenset[str] | None = None,
         stop_after: frozenset[str] | None = None,
-    ) -> set[DeviceAddress]:
+    ) -> None:
         """The one round-robin every scan runs: listen to ``groups`` in turn,
         one dwell each plus a retune, while at most ``scan_time_s`` has
         passed since ``t_start``. The scan stops once the log covers
@@ -332,7 +325,6 @@ class Scanner:
         env, log = self.env, self.log
         retune = self.sdr.retune_latency_s
         n_groups = len(groups)
-        found: set[DeviceAddress] = set()
         scope = frozenset(ch for group in groups for ch in group)
 
         def covered(targets):
@@ -346,7 +338,7 @@ class Scanner:
             t1 = clock + dwell_time_s
             if t1 > quiet:
                 env.clock = clock
-                found |= self.listen_in_parallel(groups[i], dwell_time_s)
+                self.listen_in_parallel(groups[i], dwell_time_s)
                 quiet = env.quiet_until(scope)
                 done_before, done_after = covered(stop_before), covered(stop_after)
             clock = t1 + retune
@@ -354,4 +346,3 @@ class Scanner:
             if done_after:
                 break
         env.clock = clock
-        return found

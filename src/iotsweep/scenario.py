@@ -30,7 +30,7 @@ Top-level keys
   bandwidth HZ|8MHz|125kHz      retune-latency S
   trials N  alpha A  seed N  loss-prob P
   probe-response-delay-max S    delta-t S  max-multi-arrival-prob P
-  time-scale X                  lora-id-index N
+  time-scale X
 
 Channel tokens are comma-separated labels with optional ranges:
 ``zigbee:11..26``, ``ble-adv:37``, ``ble-rf:12``, ``lora-up:0..63``,
@@ -75,7 +75,6 @@ from .channels import (
     zwave_channel,
 )
 from .errors import ParameterError, ScenarioError
-from .frames import LORA_DEVICE_ID_INDEX
 from .scanning import DEFAULT_PROBE_DWELL_S, SdrConfig
 from .simulation import (
     DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
@@ -119,7 +118,6 @@ class ScenarioConfig:
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S
     delta_t_s: float = DEFAULT_DELTA_T_S
     max_multi_arrival_prob: float = DEFAULT_MULTI_ARRIVAL_GATE
-    lora_id_index: int = LORA_DEVICE_ID_INDEX
     source_text: str | None = None
 
     def __post_init__(self):
@@ -225,7 +223,6 @@ _SCENARIO_KEYS = {
     "probe-response-delay-max": ("probe_response_delay_max_s", float),
     "delta-t": ("delta_t_s", float),
     "max-multi-arrival-prob": ("max_multi_arrival_prob", float),
-    "lora-id-index": ("lora_id_index", int),
     "time-scale": ("time_scale", float),  # not stored: divides mean-interval
 }
 _SDR_KEYS = {
@@ -353,12 +350,10 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ScenarioError("scan-time: must be finite and at least one dwell")
     if not 0.0 <= cfg.probe_response_delay_max_s < math.inf:
         raise ScenarioError("probe-response-delay-max: must be finite and >= 0")
-    if not cfg.delta_t_s > 0:
-        raise ScenarioError("delta-t: must be positive")
+    if not 0.0 < cfg.delta_t_s < math.inf:
+        raise ScenarioError("delta-t: must be positive and finite")
     if not 0.0 < cfg.max_multi_arrival_prob <= 1.0:
         raise ScenarioError("max-multi-arrival-prob: must lie in (0, 1]")
-    if not cfg.lora_id_index >= 0:
-        raise ScenarioError("lora-id-index: must be >= 0")
 
     if cfg.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
         if not cfg.phases or any(not p for p in cfg.phases):

@@ -170,13 +170,11 @@ class SimDevice:
         trial: int,
         index: int,
         loss_prob: float,
-        lora_id_index: int = frames.LORA_DEVICE_ID_INDEX,
     ):
         self.spec = spec
         self.name = spec.name
         self._addresses = spec.all_addresses()
         self._loss_prob = loss_prob
-        self._lora_id_index = lora_id_index
         self._stream_key = [seed, trial, index]
         self._times = self._stream(_STREAM_TIMES)
         self._loss = self._stream(_STREAM_LOSS) if loss_prob > 0 else None
@@ -245,10 +243,9 @@ class SimDevice:
             )
             return frames.encode_ble(pdu)
         if spec.protocol is Protocol.LORA:
-            # id byte sits wherever the scanner's extraction offset points
-            body = bytearray(max(5, self._lora_id_index + 2))
+            body = bytearray(5)
             body[0] = 0x40
-            body[self._lora_id_index] = addr.device_id
+            body[frames.LORA_DEVICE_ID_INDEX] = addr.device_id
             body[-1] = seq
             return frames.encode_lora(frames.LoRaFrame(addr.sync_word, bytes(body)))
         zw = frames.ZWaveFrame(
@@ -321,7 +318,6 @@ class Environment:
         trial: int = 0,
         loss_prob: float = 0.0,
         probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
-        lora_id_index: int = frames.LORA_DEVICE_ID_INDEX,
     ):
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
@@ -331,16 +327,8 @@ class Environment:
         self.clock = 0.0
         self.loss_prob = loss_prob
         self.probe_response_delay_max_s = probe_response_delay_max_s
-        self.lora_id_index = lora_id_index
         self.devices = [
-            SimDevice(
-                spec,
-                seed=seed,
-                trial=trial,
-                index=i,
-                loss_prob=loss_prob,
-                lora_id_index=lora_id_index,
-            )
+            SimDevice(spec, seed=seed, trial=trial, index=i, loss_prob=loss_prob)
             for i, spec in enumerate(devices)
         ]
         # channel -> (device, the device's own equal Channel object), in device order
@@ -374,10 +362,6 @@ class Environment:
             listeners = self._scopes[channels] = tuple(heard.items())
         return listeners
 
-    def emissions_in(self, channel: Channel, t0: float, t1: float) -> list[Emission]:
-        """Deliverable emissions on ``channel`` in [t0, t1); advances the clock to t1."""
-        return self.emissions_in_parallel((channel,), t0, t1)
-
     def emissions_in_parallel(
         self, channels: Iterable[Channel], t0: float, t1: float
     ) -> list[Emission]:
@@ -391,8 +375,8 @@ class Environment:
         checks below refuse any window that starts before the last one
         ended, which is what makes dropping them exact.
         """
-        if t0 > t1:
-            raise SimulationError(f"window reversed: [{t0}, {t1})")
+        if not t0 <= t1 < math.inf:
+            raise SimulationError(f"window must end at a finite time >= its start: [{t0}, {t1})")
         if t0 < self.clock - 1e-9:
             raise SimulationError(
                 f"window starts at {t0} but the clock is already at {self.clock}"
@@ -432,17 +416,17 @@ class Environment:
 
     def advance(self, duration_s: float) -> None:
         """Move the clock forward without listening (retune cost)."""
-        if duration_s < 0:
-            raise SimulationError("cannot advance backwards")
+        if not 0.0 <= duration_s < math.inf:
+            raise SimulationError("advance: duration must be finite and >= 0")
         self.clock += duration_s
 
     # -- active probing -----------------------------------------------------
 
-    def inject_probe(self, channel: Channel, t: float | None = None) -> list[Emission]:
+    def inject_probe(self, channel: Channel) -> list[Emission]:
         """Broadcast a probe on ``channel``; responders schedule beacons.
 
         Only protocols with a broadcast probe support this (Zigbee beacon
-        requests). Responses land at t + U(0, probe_response_delay_max) and
+        requests). Responses land at clock + U(0, probe_response_delay_max) and
         are subject to the same per-frame loss as regular traffic. Returns
         the responses that survive loss; they are also delivered through the
         normal listen path.
@@ -451,9 +435,6 @@ class Environment:
             raise UnsupportedProbe(
                 f"{channel.protocol.value} has no broadcast probe (channel {channel.label})"
             )
-        t = self.clock if t is None else t
-        if t < self.clock - 1e-9:
-            raise SimulationError("cannot probe in the past")
         scheduled: list[Emission] = []
         for dev, _ in self._by_channel.get(channel, ()):
             if not dev.spec.probe_responder():
@@ -462,7 +443,7 @@ class Environment:
             lost = bool(dev.probe_rng.random() < self.loss_prob)
             if lost:
                 continue
-            em = Emission(t + delay, channel, dev.beacon_frame(), dev.name)
+            em = Emission(self.clock + delay, channel, dev.beacon_frame(), dev.name)
             self._response_counter += 1
             heapq.heappush(self._pending_responses, (em.time_s, self._response_counter, em))
             scheduled.append(em)
@@ -490,7 +471,6 @@ def build_environment(
     trial: int = 0,
     loss_prob: float = 0.0,
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
-    lora_id_index: int = frames.LORA_DEVICE_ID_INDEX,
 ) -> Environment:
     """Deterministic environment factory: same inputs, same event sequence."""
     if seed < 0 or trial < 0:
@@ -501,5 +481,4 @@ def build_environment(
         trial=trial,
         loss_prob=loss_prob,
         probe_response_delay_max_s=probe_response_delay_max_s,
-        lora_id_index=lora_id_index,
     )

@@ -9,7 +9,6 @@ import pytest
 from iotsweep import analytics
 from iotsweep.analytics import (
     ProbabilityVector,
-    continuous_min_check,
     discretize,
     expected_order_statistics,
     mc_order_statistic,
@@ -80,6 +79,21 @@ class TestDiscretize:
     def test_normalization_invariant(self):
         pv = discretize([0.2, 0.5, 1.0], 0.05, 3)
         assert pv.p0 + math.fsum(pv.p) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta_t", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_delta_t(self, delta_t):
+        with pytest.raises(ParameterError, match="delta_t"):
+            discretize([1.0], delta_t)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_rates(self, rate):
+        with pytest.raises(ParameterError, match="rates"):
+            discretize([1.0, rate], 0.1)
+
+    @pytest.mark.parametrize("divisor", [0.5, math.nan])
+    def test_rejects_bad_divisors(self, divisor):
+        with pytest.raises(ParameterError, match="divisors"):
+            discretize([1.0, 1.0], 0.1, [1, divisor])
 
 
 def inclusion_exclusion(pv: ProbabilityVector) -> list[Fraction]:
@@ -195,14 +209,18 @@ class TestExactExpectation:
         rates = [1.0, 1.0]
         pv = discretize(rates, 1e-3, 1)
         e1 = expected_order_statistics(pv)[0]
-        cont = continuous_min_check(rates)
+        cont = 1 / math.fsum(rates)
         assert abs(e1 - cont) / cont < 0.002
 
 
 class TestContinuousMinCheck:
+    """On a continuously monitored channel the first discovery takes
+    1/sum(lambda) on average; the model approaches it as delta_t -> 0."""
+
     def test_values(self):
-        assert continuous_min_check([1.0]) == 1.0
-        assert continuous_min_check([1.0, 1.0]) == 0.5
+        for rates in ([1.0], [1.0, 1.0], [0.5, 2.0, 0.25]):
+            e1 = expected_order_statistics(discretize(rates, 1e-5))[0]
+            assert e1 == pytest.approx(1 / math.fsum(rates), rel=1e-4), rates
 
 
 def mc_reference(pv: ProbabilityVector, n: int, episodes: int, seed: int) -> float:

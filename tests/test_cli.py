@@ -51,6 +51,15 @@ class TestScan:
         assert main(["scan", str(scn), "--out", str(out), "--events-horizon", "30"]) == 0
         assert (out / "events.csv").read_text().startswith("time_s,")
 
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+    def test_bad_events_horizon_exit_1_before_any_trial(self, tmp_path, capsys, horizon):
+        scn = write_tiny(tmp_path)
+        out = tmp_path / "out"
+        assert main(["scan", str(scn), "--out", str(out), "--events-horizon", horizon]) == 1
+        assert "error: window" in capsys.readouterr().err
+        assert not (out / "trials.csv").exists()
+        assert not out.exists()
+
     def test_bundled_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["scan", "zwave-lora-multi", "--trials", "2"]) == 0
@@ -68,6 +77,12 @@ class TestModelAndCompare:
         scn = write_tiny(tmp_path)
         assert main(["model", str(scn)]) == 0
         assert "n=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta_t", ["nan", "inf", "0"])
+    def test_model_bad_delta_t_exit_1(self, tmp_path, capsys, delta_t):
+        scn = write_tiny(tmp_path)
+        assert main(["model", str(scn), "--delta-t", delta_t]) == 1
+        assert "error: delta_t must be positive and finite" in capsys.readouterr().err
 
     def test_compare_pass_exit_0(self, tmp_path, capsys):
         scn = tmp_path / "c.scn"
@@ -98,8 +113,9 @@ class TestScenarioErrors:
             ("channels zigbee:11\ndwell", "channels zigbee:12\nprobe-channels zigbee:11\ndwell",
              "never visits"),
             ("dwell-time 1.0", "dwell-time nan", "dwell-time: must be positive"),
+            ("seed 5", "seed 5\nlora-id-index 2", "unknown key 'lora-id-index'"),
         ],
-        ids=["top-level-typo", "device-typo", "unreachable", "dwell-time-nan"],
+        ids=["top-level-typo", "device-typo", "unreachable", "dwell-time-nan", "lora-id-index"],
     )
     def test_bad_scenario_exit_1(self, tmp_path, capsys, command, old, new, message):
         bad = tmp_path / "bad.scn"

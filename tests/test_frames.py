@@ -133,11 +133,6 @@ class TestLoRaLayout:
         assert back == f
         assert extract_address(back) == LoRaId(0x1324, 0x42)
 
-    def test_custom_id_index(self):
-        f = LoRaFrame(sync_word=0x3444, payload=bytes([9, 8, 7, 6]))
-        assert extract_address(f, lora_id_index=3) == LoRaId(0x3444, 6)
-        assert extract_address(f, lora_id_index=10) is None
-
     def test_short_payload_rejected(self):
         with pytest.raises(FrameEncodeError):
             encode(LoRaFrame(sync_word=1, payload=b"\x01\x02\x03"))

@@ -118,13 +118,14 @@ def make_env(devs, seed=100, **kw):
 class TestListen:
     def test_silent_channel(self):
         scanner = Scanner(make_env([]), SDR8)
-        assert scanner.listen(CH11, 5.0) == set()
+        assert scanner.listen(CH11, 5.0) is False
+        assert scanner.log.addresses == set()
 
     def test_single_emission_in_window(self):
         env = make_env([zigbee_device("a", 1, CH11, mu=2.0)])
         scanner = Scanner(env, SDR8)
-        found = scanner.passive_scan([CH11], dwell_time_s=1.0, scan_time_s=50.0)
-        assert found == {ZigbeeShort(0x1A62, 1)}
+        assert scanner.passive_scan([CH11], dwell_time_s=1.0, scan_time_s=50.0) is None
+        assert scanner.log.addresses == {ZigbeeShort(0x1A62, 1)}
         assert 0.0 <= scanner.log.first_seen["a"] <= 51.0
 
     def test_sourceless_frames_ignored(self):
@@ -135,8 +136,9 @@ class TestListen:
         em = Emission(0.5, CH11, encode(beacon_request()), device="ghost")
         heapq.heappush(env._pending_responses, (em.time_s, 0, em))
         scanner = Scanner(env, SDR8)
-        assert scanner.listen(CH11, 1.0) == set()
+        assert scanner.listen(CH11, 1.0) is False
         assert scanner.log.first_seen == {}
+        assert scanner.log.addresses == set()
 
 
 class TestPassiveScan:
@@ -187,7 +189,8 @@ class TestPassiveScan:
         # the final budget is >20x that, where completeness is all but certain
         for budget in (5.0, 30.0, 120.0, 2000.0):
             scanner = Scanner(make_env(devs, seed=555), SDR8)
-            found = scanner.passive_scan(chans, 1.0, budget)
+            scanner.passive_scan(chans, 1.0, budget)
+            found = scanner.log.addresses
             assert previous <= found
             previous = found
         assert len(previous) == 3
@@ -195,8 +198,8 @@ class TestPassiveScan:
     def test_soundness(self):
         devs = [zigbee_device("a", 1, CH11, mu=2.0)]
         scanner = Scanner(make_env(devs), SDR8)
-        found = scanner.passive_scan([CH11, CH15], 1.0, 60.0)
-        assert found <= {ZigbeeShort(0x1A62, 1)}
+        scanner.passive_scan([CH11, CH15], 1.0, 60.0)
+        assert scanner.log.addresses <= {ZigbeeShort(0x1A62, 1)}
 
     def test_early_stop_matches_full_run_times(self):
         devs = [
@@ -223,21 +226,21 @@ class TestProbeAndActive:
     def test_probe_channels_finds_actives(self):
         chans = [zigbee_channel(k) for k in range(11, 27)]
         scanner = Scanner(make_env(self.make_devs(), seed=50), SDR8)
-        active, found = scanner.probe_channels(chans, dwell_time_s=0.2)
+        active = scanner.probe_channels(chans, dwell_time_s=0.2)
         assert [c.label for c in active] == ["zigbee:11", "zigbee:15", "zigbee:20"]
-        assert ZigbeeShort(0x1A62, 0x0001) in found
+        assert ZigbeeShort(0x1A62, 0x0001) in scanner.log.addresses
 
     def test_all_silent(self):
         chans = [zigbee_channel(k) for k in range(11, 27)]
         scanner = Scanner(make_env([], seed=50), SDR8)
-        active, found = scanner.probe_channels(chans, 0.2)
-        assert (active, found) == ([], set())
+        assert scanner.probe_channels(chans, 0.2) == []
+        assert scanner.log.addresses == set()
 
     def test_loss_kills_probing(self):
         chans = [CH11, CH15, CH20]
         scanner = Scanner(make_env(self.make_devs(), seed=50, loss_prob=1.0), SDR8)
-        active, found = scanner.probe_channels(chans, 0.2)
-        assert (active, found) == ([], set())
+        assert scanner.probe_channels(chans, 0.2) == []
+        assert scanner.log.addresses == set()
 
     def test_unsupported_probe_propagates(self):
         scanner = Scanner(make_env([], seed=50), SDR8)
@@ -247,14 +250,17 @@ class TestProbeAndActive:
     def test_active_scan_finds_non_responders_in_phase2(self):
         chans = [zigbee_channel(k) for k in range(11, 27)]
         scanner = Scanner(make_env(self.make_devs(), seed=51), SDR8)
-        found = scanner.active_scan(chans, dwell_time_s=1.0, scan_time_s=300.0)
-        assert ZigbeeShort(0x1A62, 0x0004) in found
-        assert len(found) == 4
+        scanner.active_scan(chans, dwell_time_s=1.0, scan_time_s=300.0)
+        assert ZigbeeShort(0x1A62, 0x0004) in scanner.log.addresses
+        assert len(scanner.log.addresses) == 4
 
     def test_active_scan_empty_world_returns_phase1(self):
         chans = [CH11, CH15]
-        scanner = Scanner(make_env([], seed=52), SDR8)
-        assert scanner.active_scan(chans, 1.0, 10.0) == set()
+        env = make_env([], seed=52)
+        scanner = Scanner(env, SDR8)
+        scanner.active_scan(chans, 1.0, 10.0)
+        assert scanner.log.addresses == set()
+        assert env.clock == pytest.approx(0.4)  # the two probe windows, nothing after
 
 
 class TestParallelListen:
@@ -266,26 +272,28 @@ class TestParallelListen:
 
     def test_parallel_equals_union_over_same_window(self):
         par = Scanner(make_env(self.make_devs(), seed=61), SDR8)
-        got_par = par.listen_in_parallel([CH11, CH15], 10.0)
+        heard_par = par.listen_in_parallel([CH11, CH15], 10.0)
 
         only_a = Scanner(make_env(self.make_devs(), seed=61), SDR8)
-        got_a = only_a.listen(CH11, 10.0)
+        only_a.listen(CH11, 10.0)
         only_b = Scanner(make_env(self.make_devs(), seed=61), SDR8)
-        got_b = only_b.listen(CH15, 10.0)
+        only_b.listen(CH15, 10.0)
 
-        assert got_par == got_a | got_b
-        assert got_par  # window long enough to actually hear something
+        assert par.log.addresses == only_a.log.addresses | only_b.log.addresses
+        assert par.log.first_seen == only_a.log.first_seen | only_b.log.first_seen
+        assert heard_par  # window long enough to actually hear something
 
     def test_single_channel_degenerates_to_listen(self):
         par = Scanner(make_env(self.make_devs(), seed=62), SDR8)
-        got_par = par.listen_in_parallel([CH11], 8.0)
+        heard_par = par.listen_in_parallel([CH11], 8.0)
         plain = Scanner(make_env(self.make_devs(), seed=62), SDR8)
-        assert got_par == plain.listen(CH11, 8.0)
+        assert heard_par == plain.listen(CH11, 8.0)
+        assert par.log == plain.log
 
     def test_disjoint_devices_sum(self):
         par = Scanner(make_env(self.make_devs(), seed=63), SDR8)
-        found = par.listen_in_parallel([CH11, CH15], 20.0)
-        assert len(found) == 2
+        par.listen_in_parallel([CH11, CH15], 20.0)
+        assert len(par.log.addresses) == 2
 
     def test_one_dwell_charged(self):
         env = make_env(self.make_devs(), seed=64)
@@ -330,8 +338,8 @@ class TestMultiprotocolScan:
             ),
         ]
         scanner = Scanner(make_env(devs, seed=71), SDR8)
-        found = scanner.multiprotocol_scan(chans, 1.0, 2000.0)
-        assert found == {LoRaId(0x1324, 0x68), ZWaveId(0x9E0B1D42, 2)}
+        scanner.multiprotocol_scan(chans, 1.0, 2000.0)
+        assert scanner.log.addresses == {LoRaId(0x1324, 0x68), ZWaveId(0x9E0B1D42, 2)}
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -342,10 +350,10 @@ class TestActiveMultiprotocol:
     def test_empty_probe_list_reduces_to_multiprotocol(self):
         devs = [zigbee_device("a", 1, CH11, mu=3.0)]
         a = Scanner(make_env(devs, seed=80), SDR8)
-        got_a = a.active_multiprotocol_scan([CH11], [], 1.0, 60.0)
+        a.active_multiprotocol_scan([CH11], [], 1.0, 60.0)
         b = Scanner(make_env(devs, seed=80), SDR8)
-        got_b = b.multiprotocol_scan([CH11], 1.0, 60.0)
-        assert got_a == got_b
+        b.multiprotocol_scan([CH11], 1.0, 60.0)
+        assert a.log.addresses == b.log.addresses
         assert a.log.first_seen == b.log.first_seen
 
     def test_merges_actives_with_always_on(self):
@@ -361,13 +369,13 @@ class TestActiveMultiprotocol:
             ),
         ]
         scanner = Scanner(make_env(devs, seed=81), SDR8)
-        found = scanner.active_multiprotocol_scan(
+        scanner.active_multiprotocol_scan(
             ble_advertising_channels(),
             [zigbee_channel(k) for k in range(11, 27)],
             dwell_time_s=1.0,
             scan_time_s=120.0,
         )
-        assert found == {ZigbeeShort(0x1A62, 1), BleAdvA(0xC011_2200_0001)}
+        assert scanner.log.addresses == {ZigbeeShort(0x1A62, 1), BleAdvA(0xC011_2200_0001)}
 
 
 class TestSequentialPassive:
@@ -384,10 +392,8 @@ class TestSequentialPassive:
             zigbee_device("z", 1, CH11, mu=2.0),
         ]
         scanner = Scanner(make_env(devs, seed=90), SDR8)
-        found = scanner.sequential_passive_scan(
-            [ble_advertising_channels(), [CH11]], 1.0, 500.0
-        )
-        assert len(found) == 2
+        scanner.sequential_passive_scan([ble_advertising_channels(), [CH11]], 1.0, 500.0)
+        assert len(scanner.log.addresses) == 2
         # the zigbee device cannot be seen before the BLE phase finishes
         assert scanner.log.first_seen["z"] >= scanner.log.first_seen["adv"]
 
@@ -402,6 +408,11 @@ class TestParams:
             SdrConfig(0)
         with pytest.raises(ParameterError):
             SdrConfig(1, retune_latency_s=-1.0)
+
+    @pytest.mark.parametrize("dwell", [0.0, -0.2, math.nan, math.inf])
+    def test_probe_dwell_validation(self, dwell):
+        with pytest.raises(ParameterError, match="probe dwell"):
+            Scanner(make_env([]), SDR8, probe_dwell_time_s=dwell)
 
 
 class TestProbeRetune:

@@ -243,6 +243,7 @@ end
             ("scan-time", "nan"),
             ("scan-time", "inf"),
             ("delta-t", "nan"),
+            ("delta-t", "inf"),
             ("bandwidth", "0"),
             ("bandwidth", "infMHz"),
             ("retune-latency", "nan"),

@@ -56,7 +56,7 @@ def ble_device(name, adv_a, mu=2.0):
 class TestDeterminism:
     def test_empty_environment(self):
         env = build_environment([], seed=1)
-        assert env.emissions_in(CH11, 0.0, 100.0) == []
+        assert env.emissions_in_parallel((CH11,), 0.0, 100.0) == []
 
     def test_same_seed_identical_logs(self):
         devs = [zigbee_device("a", 1), zigbee_device("b", 2, channel=CH15)]
@@ -120,7 +120,9 @@ class TestEmissionProcess:
     def test_window_counts_match_poisson_mean(self):
         lam = 0.5
         env = build_environment([zigbee_device("a", 1, mu=1 / lam)], seed=41)
-        counts = [len(env.emissions_in(CH11, float(t), float(t + 1))) for t in range(20_000)]
+        counts = [
+            len(env.emissions_in_parallel((CH11,), float(t), float(t + 1))) for t in range(20_000)
+        ]
         assert np.mean(counts) == pytest.approx(lam, rel=0.05)
 
     def test_periodic_emitter(self):
@@ -169,28 +171,45 @@ class TestWindows:
 
     def test_no_device_on_channel(self):
         env = build_environment([zigbee_device("a", 1)], seed=1)
-        assert env.emissions_in(CH15, 0.0, 50.0) == []
+        assert env.emissions_in_parallel((CH15,), 0.0, 50.0) == []
 
     def test_loss_one_silences_everything(self):
         env = build_environment([zigbee_device("a", 1)], seed=1, loss_prob=1.0)
-        assert env.emissions_in(CH11, 0.0, 1000.0) == []
+        assert env.emissions_in_parallel((CH11,), 0.0, 1000.0) == []
 
     def test_time_regression_rejected(self):
         env = build_environment([zigbee_device("a", 1)], seed=1)
-        env.emissions_in(CH11, 0.0, 10.0)
+        env.emissions_in_parallel((CH11,), 0.0, 10.0)
         with pytest.raises(SimulationError):
-            env.emissions_in(CH11, 5.0, 6.0)
+            env.emissions_in_parallel((CH11,), 5.0, 6.0)
         with pytest.raises(SimulationError):
-            env.emissions_in(CH11, 20.0, 15.0)
+            env.emissions_in_parallel((CH11,), 20.0, 15.0)
+
+    @pytest.mark.parametrize("t1", [math.nan, math.inf])
+    def test_nan_and_infinite_window_end_rejected(self, t1):
+        env = build_environment([zigbee_device("a", 1)], seed=1)
+        with pytest.raises(SimulationError):
+            env.emissions_in_parallel((CH11,), 0.0, t1)
+        with pytest.raises(SimulationError):
+            env.iter_events(t1)
+        assert env.clock == 0.0
+        assert env.devices[0]._emit_index == 0  # nothing was generated
+
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+    def test_advance_rejects_bad_durations(self, duration):
+        env = build_environment([], seed=1)
+        with pytest.raises(SimulationError):
+            env.advance(duration)
+        assert env.clock == 0.0
 
     def test_window_advances_clock(self):
         env = build_environment([zigbee_device("a", 1)], seed=1)
-        env.emissions_in(CH11, 0.0, 2.5)
+        env.emissions_in_parallel((CH11,), 0.0, 2.5)
         assert env.clock == 2.5
 
     def test_frames_decode_to_device_address(self):
         env = build_environment([zigbee_device("a", 7)], seed=2)
-        ems = env.emissions_in(CH11, 0.0, 50.0)
+        ems = env.emissions_in_parallel((CH11,), 0.0, 50.0)
         assert ems
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
@@ -204,7 +223,7 @@ class TestAliases:
             "dual", 0x1501, aliases=(ZigbeeExtended(0x000B57FFFE1732AA),)
         )
         env = build_environment([dev], seed=4)
-        ems = env.emissions_in(CH11, 0.0, 60.0)
+        ems = env.emissions_in_parallel((CH11,), 0.0, 60.0)
         kinds = set()
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
@@ -226,7 +245,7 @@ class TestProbes:
         env = build_environment(devs, seed=6)
         responses = env.inject_probe(CH11)
         assert [r.device for r in responses] == ["coord"]
-        heard = env.emissions_in(CH11, 0.0, 0.2)
+        heard = env.emissions_in_parallel((CH11,), 0.0, 0.2)
         beacons = [e for e in heard if e.device == "coord"]
         assert len(beacons) == 1
         frame = decode(Protocol.ZIGBEE, beacons[0].frame)
@@ -326,7 +345,7 @@ class TestOtherProtocolFrames:
             address=LoRaId(0x1324, 0x42),
         )
         env = build_environment([dev], seed=14)
-        ems = env.emissions_in(yolink_channel("up"), 0.0, 100.0)
+        ems = env.emissions_in_parallel((yolink_channel("up"),), 0.0, 100.0)
         assert ems
         frame = decode(Protocol.LORA, ems[0].frame)
         assert extract_address(frame) == LoRaId(0x1324, 0x42)
@@ -342,29 +361,10 @@ class TestOtherProtocolFrames:
             address=ZWaveId(0x9E0B1D42, 0x01),
         )
         env = build_environment([dev], seed=15)
-        ems = env.emissions_in(r3, 0.0, 100.0)
+        ems = env.emissions_in_parallel((r3,), 0.0, 100.0)
         assert ems
         frame = decode(Protocol.ZWAVE, ems[0].frame, zwave_crc16=True)
         assert extract_address(frame) == ZWaveId(0x9E0B1D42, 0x01)
-
-
-class TestLoraIdIndexWiring:
-    def test_emitter_follows_configured_index(self):
-        dev = DeviceSpec(
-            name="odd",
-            protocol=Protocol.LORA,
-            role=Role.END_DEVICE,
-            channels=(yolink_channel("up"),),
-            mean_interarrival_s=3.0,
-            address=LoRaId(0x1324, 0x42),
-        )
-        env = build_environment([dev], seed=21, lora_id_index=4)
-        ems = env.emissions_in(yolink_channel("up"), 0.0, 60.0)
-        assert ems
-        frame = decode(Protocol.LORA, ems[0].frame)
-        addr = extract_address(frame, lora_id_index=4)
-        assert addr == LoRaId(0x1324, 0x42)
-        assert env.resolve(addr) == "odd"
 
 
 class TestLazyEncoding:
