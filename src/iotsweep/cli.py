@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import experiment
 from .channels import Protocol
-from .errors import FrameError, IotSweepError
+from .errors import FrameError, IotSweepError, SimulationError
 from .frames import (
     BleAdvPdu,
     LoRaFrame,
@@ -61,7 +61,10 @@ def _cmd_scan(args) -> int:
     events = None
     if args.events_horizon is not None:  # built first: a bad horizon writes nothing
         env = experiment.trial_environment(cfg, trial=0)
-        events = experiment.events_csv(env, args.events_horizon)
+        try:
+            events = experiment.events_csv(env, args.events_horizon)
+        except SimulationError as exc:
+            raise SimulationError(f"--events-horizon {args.events_horizon}: {exc}") from exc
     result = experiment.run_experiment(cfg, out_dir=out_dir)
     if events is not None:
         (out_dir / "events.csv").write_text(events)

@@ -30,12 +30,15 @@ Passive scans, multiprotocol scans and each sequential phase are one
 round-robin over channel groups (a passive channel is a group of one), run
 by ``Scanner._rotate``. The quiet time of the rotation's channels
 (``Environment.quiet_until``) is a time before which nothing can be
-delivered on them: it may be early, never late. A window that ends at or
-before it is only stepped (clock, retune, group index and budget check), so
+delivered on them: it may be early, never late. Windows that end at or
+before it are not queried: ``_quiet_jump`` steps over the whole run of them
+in one numpy call (count, clock, and the budget check as a prefix test), so
 an hour-scale device costs a few queried windows per emission instead of
-one query per simulated second, a device on a channel the rotation never
-visits costs nothing, and every output is the same as when each window is
-queried.
+one Python iteration per simulated second, and a device on a channel the
+rotation never visits costs nothing. The jump's window edges are the same
+left fold of float additions (``t1 = clock + dwell``, then ``+ retune``) as
+one step per window, so every clock and every output is the same as when
+each window is queried.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from . import frames
 from .address import DeviceAddress
@@ -315,13 +320,15 @@ class Scanner:
         after one).
 
         A window that ends at or before the quiet time of the rotation's
-        channels can hear nothing, so it is only stepped: clock, retune and
-        group index, with no environment call. Its edges come from the same
-        float operations as a queried window's (``t1 = t0 + dwell``, then
-        ``+ retune``), so the walk and every recorded time are the same as
-        when each window is queried. The log only grows in queried windows, so the stop checks
-        are re-evaluated only after those.
+        channels can hear nothing, so it is only stepped, with no
+        environment call: ``_quiet_jump`` steps over the whole run of such
+        windows at once and the group index advances by their count. The
+        log only grows in queried windows, so the stop checks are
+        re-evaluated only after those; a ``stop_after`` that is already
+        covered still walks exactly one window.
         """
+        if not 0.0 < dwell_time_s < math.inf:
+            raise ParameterError("dwell must be positive and finite")
         env, log = self.env, self.log
         retune = self.sdr.retune_latency_s
         n_groups = len(groups)
@@ -335,14 +342,61 @@ class Scanner:
         clock = env.clock
         i = 0
         while clock - t_start <= scan_time_s and not done_before:
-            t1 = clock + dwell_time_s
-            if t1 > quiet:
+            if clock + dwell_time_s > quiet:
                 env.clock = clock
                 self.listen_in_parallel(groups[i], dwell_time_s)
                 quiet = env.quiet_until(scope)
                 done_before, done_after = covered(stop_before), covered(stop_after)
-            clock = t1 + retune
-            i = (i + 1) % n_groups
+                k, clock = 1, clock + dwell_time_s + retune
+            else:
+                k, clock = _quiet_jump(
+                    clock, dwell_time_s, retune, quiet, t_start, scan_time_s,
+                    1 if done_after else _JUMP_CHUNK,
+                )
+            i = (i + k) % n_groups
             if done_after:
                 break
         env.clock = clock
+
+
+#: The most windows one ``_quiet_jump`` steps over. A rotation with nothing
+#: left to hear (an infinite quiet time) jumps its budget in pieces this size.
+_JUMP_CHUNK = 4096
+
+
+def _quiet_jump(
+    clock: float,
+    dwell_s: float,
+    retune_s: float,
+    quiet: float,
+    t_start: float,
+    scan_time_s: float,
+    limit: int,
+) -> tuple[int, float]:
+    """Step over the windows from ``clock`` that end by ``quiet``: returns
+    their count k (at most ``limit``) and the clock after them.
+
+    Window j starts at c_j, ends at e_j = c_j + dwell and the next starts at
+    c_{j+1} = e_j + retune. It is stepped while e_j <= quiet and
+    c_j - t_start <= scan_time_s; both tests hold for a prefix of the windows
+    because the edges only grow. ``np.add.accumulate`` over
+    [clock, dwell, retune, dwell, ...] is that same left fold, one IEEE
+    addition at a time, so every edge is bit for bit what a loop of
+    ``t1 = clock + dwell; clock = t1 + retune`` gives (``clock + j * period``
+    would round differently). The caller guarantees the first window passes
+    both tests, so k >= 1. The fold is sized from the gap to the nearer of
+    ``quiet`` and the budget's end plus a margin; when that is short, the
+    caller jumps again from the returned clock.
+    """
+    gap = min(quiet, t_start + scan_time_s) - clock
+    m = min(int(min(gap / (dwell_s + retune_s), limit)) + 2, limit)
+    steps = np.empty(2 * m + 1)
+    steps[0] = clock
+    steps[1::2] = dwell_s
+    steps[2::2] = retune_s
+    edges = np.add.accumulate(steps)
+    k = min(
+        edges[1::2].searchsorted(quiet, "right"),
+        (edges[:-1:2] - t_start).searchsorted(scan_time_s, "right"),
+    )
+    return int(k), float(edges[2 * k])

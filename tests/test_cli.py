@@ -56,7 +56,9 @@ class TestScan:
         scn = write_tiny(tmp_path)
         out = tmp_path / "out"
         assert main(["scan", str(scn), "--out", str(out), "--events-horizon", horizon]) == 1
-        assert "error: window" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --events-horizon ")
+        assert "window must end at a finite time >= its start" in err
         assert not (out / "trials.csv").exists()
         assert not out.exists()
 

@@ -1,15 +1,19 @@
-"""The shared rotation loop fast-forwards windows that can hear nothing.
+"""The shared rotation loop jumps over windows that can hear nothing.
 
 A naive reference loop queries the environment for every window. Each scan
 must leave the same discovery log (first-seen times and addresses) and clock
-with either loop, under retune latency, frame loss and probe responses that
-land windows after the probe.
+with either loop, under retune latency, frame loss, probe responses that
+land windows after the probe, window periods that are not exact in binary,
+budgets that end in a quiet gap and gaps longer than one jump.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from iotsweep import scanning
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -19,8 +23,8 @@ from iotsweep.channels import (
     zigbee_channel,
     zwave_channel,
 )
-from iotsweep.scanning import Scanner, SdrConfig
-from iotsweep.simulation import DeviceSpec, Role, build_environment
+from iotsweep.scanning import _JUMP_CHUNK, Scanner, SdrConfig, _quiet_jump
+from iotsweep.simulation import DeviceSpec, EmitterKind, Role, build_environment
 
 MHZ = 1_000_000
 SDR = SdrConfig(8 * MHZ, retune_latency_s=0.3)
@@ -98,8 +102,9 @@ SCANS = {
 RESPONSE_DELAY_S = {"active-answered": 0.1}
 
 
-def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0):
+def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0):
     env = build_environment(DEVICES, seed, loss_prob=LOSS, probe_response_delay_max_s=delay)
+    env.advance(start)
     queries = 0
     query = env.emissions_in_parallel
 
@@ -165,3 +170,113 @@ def test_complete_log_still_walks_one_window(scan):
     naive, naive_clock, _, _ = run(NaiveScanner, two_scans, 3, frozenset({"hub"}))
     assert "hub" in fast.log.first_seen
     assert fast_clock == naive_clock
+
+
+# Dwell/retune pairs whose window period is not exact in binary, so the
+# clock after k windows differs from clock + k * (dwell + retune).
+INEXACT = [(0.3, 0.1), (0.7, 0.0), (1.0, 0.25)]
+START = 0.37
+CH20 = zigbee_channel(20)  # no device listens here
+
+
+def folded(clock, dwell, retune, quiet, t_start, scan_time_s, limit):
+    """The window-by-window walk that ``_quiet_jump`` replaces."""
+    k = 0
+    while k < limit and clock - t_start <= scan_time_s and clock + dwell <= quiet:
+        t1 = clock + dwell
+        clock = t1 + retune
+        k += 1
+    return k, clock
+
+
+@pytest.mark.parametrize("dwell,retune", INEXACT)
+def test_jump_clock_is_the_window_fold(dwell, retune):
+    period = dwell + retune
+    cases = [
+        (START, math.inf, 5000 * period, _JUMP_CHUNK),  # chunk-limited
+        (START, START + 777.7, 5000 * period, _JUMP_CHUNK),  # quiet-limited
+        (START, math.inf, 999.9, _JUMP_CHUNK),  # budget-limited
+        (START + 250 * period, math.inf, 999.9, _JUMP_CHUNK),  # budget, later start
+    ] + [(START, math.inf, 999.9, limit) for limit in range(1, 65)]  # every short jump
+    rounded = False
+    for clock, quiet, budget, limit in cases:
+        k, end = _quiet_jump(clock, dwell, retune, quiet, START, budget, limit)
+        assert (k, end) == folded(clock, dwell, retune, quiet, START, budget, limit)
+        rounded |= end != clock + k * period
+    assert rounded  # multiplying out the period would not pass
+
+
+def sdr(retune):
+    return SdrConfig(8 * MHZ, retune_latency_s=retune)
+
+
+@pytest.mark.parametrize("dwell,retune", INEXACT)
+@pytest.mark.parametrize("scan", ["passive", "multiprotocol"])
+def test_inexact_period_from_a_fractional_clock(scan, dwell, retune):
+    do_scan = {
+        "passive": lambda s, stop: s.passive_scan(ALL, dwell, 3000.0),
+        "multiprotocol": lambda s, stop: s.multiprotocol_scan(ALL, dwell, 3000.0),
+    }[scan]
+    fast, fast_clock, fast_queries, _ = run(Scanner, do_scan, 12, None, sdr(retune), start=START)
+    naive, naive_clock, naive_queries, _ = run(
+        NaiveScanner, do_scan, 12, None, sdr(retune), start=START)
+    assert fast.log.first_seen == naive.log.first_seen
+    assert fast.log.addresses == naive.log.addresses
+    assert fast_clock == naive_clock
+    assert fast_queries < naive_queries / 3
+
+
+def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
+    """Passive scan of one channel from ``START``, with no pending probe."""
+    env = build_environment(devices, 5)
+    env.advance(START)
+    scanner = scanner_cls(env, sdr(retune))
+    scanner.passive_scan([channel], dwell, budget)
+    return scanner, env
+
+
+@pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
+@pytest.mark.parametrize("dwell,retune", INEXACT)
+def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
+    fast, env = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
+    naive, naive_env = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
+    assert env.quiet_until((R2,)) > env.clock  # the last windows were jumped
+    assert fast.log.first_seen == naive.log.first_seen
+    assert fast.log.addresses == naive.log.addresses
+    assert env.clock == naive_env.clock
+
+
+@pytest.mark.parametrize("dwell,retune", INEXACT)
+def test_channel_with_no_device_jumps_the_budget_in_chunks(dwell, retune, monkeypatch):
+    budget = 3.5 * _JUMP_CHUNK * (dwell + retune)
+    jumps = []
+
+    def counted(*args):
+        jumps.append(_quiet_jump(*args))
+        return jumps[-1]
+
+    monkeypatch.setattr(scanning, "_quiet_jump", counted)
+    _, env = lone_rotation(Scanner, DEVICES, CH20, dwell, retune, budget)
+    monkeypatch.undo()
+    assert [k for k, _ in jumps[:3]] == [_JUMP_CHUNK] * 3 and len(jumps) <= 5
+    _, naive_env = lone_rotation(NaiveScanner, DEVICES, CH20, dwell, retune, budget)
+    assert env.quiet_until((CH20,)) == math.inf
+    assert env.clock == naive_env.clock
+    assert env.clock - START > budget
+
+
+def test_gap_longer_than_one_chunk():
+    """A periodic device on the rotation's channel leaves gaps of 12,500
+    windows, about three jumps each, and is still heard in the window its
+    frame lands in."""
+    beacon = DeviceSpec(
+        "beacon", Protocol.ZIGBEE, Role.ROUTER, (CH20,), 5000.0, ZigbeeShort(0x1A62, 0x0020),
+        emitter=EmitterKind.PERIODIC,
+    )
+    fast, env = lone_rotation(Scanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
+    naive, naive_env = lone_rotation(NaiveScanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
+    assert 5000.0 / 0.4 > 3 * _JUMP_CHUNK
+    assert "beacon" in fast.log.first_seen
+    assert fast.log.first_seen == naive.log.first_seen
+    assert fast.log.addresses == naive.log.addresses
+    assert env.clock == naive_env.clock

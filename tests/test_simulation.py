@@ -83,18 +83,29 @@ class TestDeterminism:
         assert set(lossy) < set(clean)
 
 
+def emission_times(devs, seed, horizon):
+    """Every emission time before ``horizon``, sorted, drawn without
+    encoding a frame (``iter_events`` encodes each one)."""
+    env = build_environment(devs, seed=seed)
+    return sorted(t for dev in env.devices for t, _, _ in dev.generate_until(horizon))
+
+
 class TestEmissionProcess:
+    def test_times_match_the_event_export(self):
+        devs = [zigbee_device("a", 1, mu=2.0), zigbee_device("b", 2, mu=3.0)]
+        export = [e.time_s for e in build_environment(devs, seed=31).iter_events(2_000.0)]
+        assert emission_times(devs, 31, 2_000.0) == export
+        assert len(export) > 1_000
+
     def test_empirical_mean_interarrival(self):
-        env = build_environment([zigbee_device("a", 1, mu=2.0)], seed=31)
-        times = [e.time_s for e in env.iter_events(1_000_000.0)]
+        times = emission_times([zigbee_device("a", 1, mu=2.0)], 31, 1_000_000.0)
         gaps = np.diff(times)
         assert abs(gaps.mean() - 2.0) / 2.0 < 0.01
 
     def test_memoryless_ks(self):
         # Kolmogorov-Smirnov against Exp(1/mu) at significance 0.01
         mu = 3.0
-        env = build_environment([zigbee_device("a", 1, mu=mu)], seed=17)
-        times = np.array([e.time_s for e in env.iter_events(mu * 30_000)])
+        times = np.array(emission_times([zigbee_device("a", 1, mu=mu)], 17, mu * 30_000))
         gaps = np.sort(np.diff(times))
         assert len(gaps) >= 10_000
         n = len(gaps)
@@ -111,8 +122,7 @@ class TestEmissionProcess:
             zigbee_device("c", 3, mu=7.0),
         ]
         horizon = 50_000.0
-        env = build_environment(devs, seed=23)
-        count = sum(1 for _ in env.iter_events(horizon))
+        count = len(emission_times(devs, 23, horizon))
         rate = 1 / 2.0 + 1 / 3.0 + 1 / 7.0
         expect = horizon * rate
         assert abs(count - expect) <= 3 * math.sqrt(expect)
