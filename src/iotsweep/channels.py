@@ -45,6 +45,17 @@ class Channel:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.center_freq_hz <= self.bandwidth_hz // 2:
             raise ValueError("channel lower edge below zero")
+        # Channels key every window's scope lookup; hash the fields once.
+        fields = (self.center_freq_hz, self.bandwidth_hz, self.protocol, self.label)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: the stored hash is only valid in the
+        # process that computed it (str and Enum hashes are salted).
+        return Channel, (self.center_freq_hz, self.bandwidth_hz, self.protocol, self.label)
 
     @property
     def lower_edge_hz(self) -> float:

@@ -38,14 +38,20 @@ one Python iteration per simulated second, and a device on a channel the
 rotation never visits costs nothing. The jump's window edges are the same
 left fold of float additions (``t1 = clock + dwell``, then ``+ retune``) as
 one step per window, so every clock and every output is the same as when
-each window is queried.
+each window is queried. A device whose every address is already logged
+is retired from the rotation: its windows neither generate nor deliver it
+and it no longer counts towards the quiet time, so once the common devices
+are logged the rotation queries windows only for the rare ones. Its frames
+could only re-log known addresses, and its streams are drawn in the same
+order by whichever window generates it next, so this is exact too. Only
+the rotation retires devices; a direct listen or probe hears every device.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -136,7 +142,11 @@ class Scanner:
     ``until_complete`` (a set of canonical device names) lets an experiment
     runner stop a scan as soon as everything it is measuring has been found;
     windows past that point can never change a first-seen time, so recorded
-    discovery times are identical with or without it.
+    discovery times are identical with or without it. The rotation applies
+    the same argument per device: once every address of a device is logged,
+    its frames can no longer change the log, so its windows stop generating
+    it, and every first-seen time, logged address and the final clock stay
+    the same.
     """
 
     def __init__(
@@ -180,15 +190,22 @@ class Scanner:
             self.env.emissions_in_parallel((channel,), t0, t0 + dwell_time_s)
         )
 
-    def listen_in_parallel(self, ch_range: Sequence[Channel], dwell_time_s: float) -> bool:
+    def listen_in_parallel(
+        self,
+        ch_range: Iterable[Channel],
+        dwell_time_s: float,
+        *,
+        skip: frozenset[str] = frozenset(),
+    ) -> bool:
         """Receive on every channel of one bandwidth-fitting group at once.
 
         One dwell of wall-clock time total; records exactly what per-channel
-        listens over the same window would.
+        listens over the same window would. Devices named in ``skip`` are
+        not heard (see ``Environment.emissions_in_parallel``).
         """
         t0 = self.env.clock
         return self._ingest(
-            self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s)
+            self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s, skip=skip)
         )
 
     # -- scan algorithms -------------------------------------------------------
@@ -319,34 +336,54 @@ class Scanner:
         ``stop_before`` (checked before a window) or ``stop_after`` (checked
         after one).
 
+        A device of the rotation's channels whose every address is already
+        in the log is retired: the rotation's windows skip it, so it is not
+        generated, encoded or delivered, and it does not hold the quiet time
+        down. Its frames could only re-log addresses the log has, and its
+        streams are drawn in order by whichever window generates it next,
+        so this changes no output.
+
         A window that ends at or before the quiet time of the rotation's
         channels can hear nothing, so it is only stepped, with no
         environment call: ``_quiet_jump`` steps over the whole run of such
         windows at once and the group index advances by their count. The
-        log only grows in queried windows, so the stop checks are
-        re-evaluated only after those; a ``stop_after`` that is already
-        covered still walks exactly one window.
+        log only grows in queried windows, and only by a new address, so
+        the retired set and the stop checks are re-evaluated only after a
+        window that logged one; a ``stop_after`` that is already covered
+        still walks exactly one window.
         """
         if not 0.0 < dwell_time_s < math.inf:
             raise ParameterError("dwell must be positive and finite")
         env, log = self.env, self.log
         retune = self.sdr.retune_latency_s
+        groups = [frozenset(group) for group in groups]  # hashed once, not per window
         n_groups = len(groups)
-        scope = frozenset(ch for group in groups for ch in group)
+        scope = frozenset().union(*groups)
+        audible = env.device_names_on(scope)
+        addresses = {d.name: d.spec.all_addresses() for d in env.devices if d.name in audible}
 
         def covered(targets):
             return targets is not None and log.covers(targets)
 
+        def retire(retired):
+            return retired.union(
+                name for name, addrs in addresses.items()
+                if name not in retired and log.addresses.issuperset(addrs)
+            )
+
         done_before, done_after = covered(stop_before), covered(stop_after)
-        quiet = env.quiet_until(scope)
+        retired, n_logged = retire(frozenset()), len(log.addresses)
+        quiet = env.quiet_until(scope, skip=retired)
         clock = env.clock
         i = 0
         while clock - t_start <= scan_time_s and not done_before:
             if clock + dwell_time_s > quiet:
                 env.clock = clock
-                self.listen_in_parallel(groups[i], dwell_time_s)
-                quiet = env.quiet_until(scope)
-                done_before, done_after = covered(stop_before), covered(stop_after)
+                self.listen_in_parallel(groups[i], dwell_time_s, skip=retired)
+                if len(log.addresses) > n_logged:
+                    retired, n_logged = retire(retired), len(log.addresses)
+                    done_before, done_after = covered(stop_before), covered(stop_after)
+                quiet = env.quiet_until(scope, skip=retired)
                 k, clock = 1, clock + dwell_time_s + retune
             else:
                 k, clock = _quiet_jump(

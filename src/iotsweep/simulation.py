@@ -18,7 +18,10 @@ the entries that fall on its channels and inside its span, and keeps none of
 them: emissions nobody hears are never encoded, and a device holds only its
 next emission time and index between windows. The clock forbids a window
 that starts before the last one ended, so nothing a window dropped can be
-asked for again.
+asked for again. A window (and the quiet time) can also ``skip`` named
+devices: they are neither generated nor delivered, and whichever window
+generates them next draws the same times and loss coins in the same order,
+so skipping changes only what that one window delivers.
 """
 
 from __future__ import annotations
@@ -336,10 +339,15 @@ class Environment:
         for dev in self.devices:
             for ch in dev.spec.channels:
                 self._by_channel.setdefault(ch, []).append((dev, ch))
-        # channel set -> (device, ids of its own Channel objects in the set) per
-        # device on those channels. A window's entries carry those objects, so
-        # they match by identity and no Channel is hashed per entry.
-        self._scopes: dict[frozenset[Channel], tuple[tuple[SimDevice, set[int]], ...]] = {}
+        # (channel set, skipped names) -> (device, ids of its own Channel objects
+        # in the set) per device on those channels and not skipped. A window's
+        # entries carry those objects, so they match by identity and no Channel
+        # is hashed per entry. The values are lists: a tuple built from a
+        # generator is allocated over-size and shrunk, and filling this cache
+        # that way parked about 3 MB on CPython's per-size tuple free lists.
+        self._scopes: dict[
+            tuple[frozenset[Channel], frozenset[str]], list[tuple[SimDevice, set[int]]]
+        ] = {}
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
 
@@ -352,18 +360,32 @@ class Environment:
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
         return frozenset(dev.name for dev, _ in self._listeners(frozenset(channels)))
 
-    def _listeners(self, channels: frozenset[Channel]) -> tuple[tuple[SimDevice, set[int]], ...]:
-        listeners = self._scopes.get(channels)
+    def _listeners(
+        self, channels: frozenset[Channel], skip: frozenset[str] = frozenset()
+    ) -> list[tuple[SimDevice, set[int]]]:
+        key = (channels, skip)
+        listeners = self._scopes.get(key)
         if listeners is None:
-            heard: dict[SimDevice, set[int]] = {}
-            for ch in channels:
-                for dev, own in self._by_channel.get(ch, ()):
-                    heard.setdefault(dev, set()).add(id(own))
-            listeners = self._scopes[channels] = tuple(heard.items())
+            if skip:
+                listeners = [
+                    entry for entry in self._listeners(channels) if entry[0].name not in skip
+                ]
+            else:
+                heard: dict[SimDevice, set[int]] = {}
+                for ch in channels:
+                    for dev, own in self._by_channel.get(ch, ()):
+                        heard.setdefault(dev, set()).add(id(own))
+                listeners = list(heard.items())
+            self._scopes[key] = listeners
         return listeners
 
     def emissions_in_parallel(
-        self, channels: Iterable[Channel], t0: float, t1: float
+        self,
+        channels: Iterable[Channel],
+        t0: float,
+        t1: float,
+        *,
+        skip: frozenset[str] = frozenset(),
     ) -> list[Emission]:
         """Union of per-channel receptions over one shared window [t0, t1).
 
@@ -373,7 +395,9 @@ class Environment:
         the set are dropped, as are probe responses before t1 that this
         window cannot hear. Nothing is kept for a later window: the clock
         checks below refuse any window that starts before the last one
-        ended, which is what makes dropping them exact.
+        ended, which is what makes dropping them exact. Devices named in
+        ``skip`` are not generated and deliver nothing; probe responses are
+        delivered whoever sent them.
         """
         if not t0 <= t1 < math.inf:
             raise SimulationError(f"window must end at a finite time >= its start: [{t0}, {t1})")
@@ -383,7 +407,7 @@ class Environment:
             )
         wanted = frozenset(channels)
         out: list[Emission] = []
-        for dev, heard in self._listeners(wanted):
+        for dev, heard in self._listeners(wanted, skip):
             if dev.next_time < t1:
                 out.extend(
                     dev.emission(e)
@@ -398,17 +422,22 @@ class Environment:
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
 
-    def quiet_until(self, channels: Iterable[Channel]) -> float:
+    def quiet_until(
+        self, channels: Iterable[Channel], *, skip: frozenset[str] = frozenset()
+    ) -> float:
         """Earliest time at which anything could still be delivered on
-        ``channels``: the minimum of those devices' next emission times and
-        the earliest scheduled probe response on any channel.
+        ``channels``: the minimum of the next emission times of those devices
+        not named in ``skip`` and the earliest scheduled probe response on
+        any channel.
 
-        A scanner may step over any window on those channels that ends by
-        then. The value can be early, never late: a device last generated by
-        a window on other channels may have a next time in the past.
+        A scanner may step over any window on those channels (skipping the
+        same devices) that ends by then. The value can be early, never late:
+        a device last generated by a window on other channels may have a next
+        time in the past.
         """
         quiet = min(
-            [dev.next_time for dev, _ in self._listeners(frozenset(channels))], default=math.inf
+            [dev.next_time for dev, _ in self._listeners(frozenset(channels), skip)],
+            default=math.inf,
         )
         if self._pending_responses:
             return min(quiet, self._pending_responses[0][0])

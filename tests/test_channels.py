@@ -1,5 +1,12 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import iotsweep
 from iotsweep.channels import (
     MHZ,
     KHZ,
@@ -139,3 +146,26 @@ class TestChannelInvariants:
         ordered = sort_channels(mixed)
         keys = [channel_sort_key(c) for c in ordered]
         assert keys == sorted(keys)
+
+    def test_equal_channels_hash_equal(self):
+        a, b = zigbee_channel(15), zigbee_channel(15)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "hub"}[b] == "hub"
+        assert a != zigbee_channel(16)
+
+    def test_unpickled_channel_hashes_like_a_fresh_one(self):
+        """The stored hash is salted per process, so unpickling recomputes it."""
+        check = (
+            "import pickle, sys; from iotsweep.channels import zigbee_channel; "
+            "ch = pickle.loads(sys.stdin.buffer.read()); "
+            "assert {zigbee_channel(15)} == {ch} and hash(ch) == hash(zigbee_channel(15))"
+        )
+        env = dict(
+            os.environ, PYTHONHASHSEED="12345",
+            PYTHONPATH=str(Path(iotsweep.__file__).parent.parent),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", check], input=pickle.dumps(zigbee_channel(15)),
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import iotsweep
 from iotsweep.cli import main
 from iotsweep.frames import BleAdvPdu, BlePduType, ZWaveFrame, beacon_request, encode
 
@@ -168,6 +174,16 @@ class TestDissect:
         assert main(["dissect", "ble", bytes(raw).hex()]) == 1
         err = capsys.readouterr().err
         assert "at byte" in err
+
+    def test_python_dash_m(self):
+        """``python -m iotsweep`` runs the same command line."""
+        env = dict(os.environ, PYTHONPATH=str(Path(iotsweep.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "iotsweep", "dissect", "ble", "d6be898e0206112233445566f04454"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ble:66:55:44:33:22:11" in done.stdout
 
     def test_unknown_protocol(self, capsys):
         assert main(["dissect", "wimax", "00"]) == 1

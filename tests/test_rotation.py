@@ -1,10 +1,12 @@
-"""The shared rotation loop jumps over windows that can hear nothing.
+"""The shared rotation loop jumps over windows that can hear nothing and
+stops generating devices whose every address is logged.
 
-A naive reference loop queries the environment for every window. Each scan
-must leave the same discovery log (first-seen times and addresses) and clock
-with either loop, under retune latency, frame loss, probe responses that
-land windows after the probe, window periods that are not exact in binary,
-budgets that end in a quiet gap and gaps longer than one jump.
+A naive reference loop queries the environment for every window, with every
+device. Each scan must leave the same discovery log (first-seen times and
+addresses) and clock with either loop, under retune latency, frame loss,
+probe responses that land windows after the probe, window periods that are
+not exact in binary, budgets that end in a quiet gap, gaps longer than one
+jump, devices seen under two addresses, and every bundled scenario.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 
 import pytest
 
-from iotsweep import scanning
-from iotsweep.address import BleAdvA, LoRaId, ZigbeeShort, ZWaveId
+from iotsweep import experiment, scanning
+from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
     ble_advertising_channels,
@@ -23,8 +25,9 @@ from iotsweep.channels import (
     zigbee_channel,
     zwave_channel,
 )
-from iotsweep.scanning import _JUMP_CHUNK, Scanner, SdrConfig, _quiet_jump
-from iotsweep.simulation import DeviceSpec, EmitterKind, Role, build_environment
+from iotsweep.scanning import _JUMP_CHUNK, DiscoveryLog, Scanner, SdrConfig, _quiet_jump
+from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
+from iotsweep.simulation import DeviceSpec, EmitterKind, Role, SimDevice, build_environment
 
 MHZ = 1_000_000
 SDR = SdrConfig(8 * MHZ, retune_latency_s=0.3)
@@ -108,10 +111,10 @@ def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0):
     queries = 0
     query = env.emissions_in_parallel
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal queries
         queries += 1
-        return query(*args)
+        return query(*args, **kwargs)
 
     env.emissions_in_parallel = counted
     # the hub answers a probe sent before the scan, many windows later
@@ -235,12 +238,26 @@ def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
     return scanner, env
 
 
+def spy_jumps(monkeypatch):
+    """Record every ``(k, clock)`` that ``_quiet_jump`` returns."""
+    jumps = []
+
+    def recorded(*args):
+        jumps.append(_quiet_jump(*args))
+        return jumps[-1]
+
+    monkeypatch.setattr(scanning, "_quiet_jump", recorded)
+    return jumps
+
+
 @pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
 @pytest.mark.parametrize("dwell,retune", INEXACT)
-def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
+def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget, monkeypatch):
+    jumps = spy_jumps(monkeypatch)
     fast, env = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
+    monkeypatch.undo()
     naive, naive_env = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
-    assert env.quiet_until((R2,)) > env.clock  # the last windows were jumped
+    assert jumps and env.clock == jumps[-1][1]  # the last windows were jumped
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
@@ -249,13 +266,7 @@ def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_channel_with_no_device_jumps_the_budget_in_chunks(dwell, retune, monkeypatch):
     budget = 3.5 * _JUMP_CHUNK * (dwell + retune)
-    jumps = []
-
-    def counted(*args):
-        jumps.append(_quiet_jump(*args))
-        return jumps[-1]
-
-    monkeypatch.setattr(scanning, "_quiet_jump", counted)
+    jumps = spy_jumps(monkeypatch)
     _, env = lone_rotation(Scanner, DEVICES, CH20, dwell, retune, budget)
     monkeypatch.undo()
     assert [k for k, _ in jumps[:3]] == [_JUMP_CHUNK] * 3 and len(jumps) <= 5
@@ -280,3 +291,100 @@ def test_gap_longer_than_one_chunk():
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
+
+
+# -- retired devices ------------------------------------------------------------
+
+# A chatty lamp seen under a short and an extended address (frames alternate
+# between them, as for ikea-led-1732), and a slow sensor that keeps the
+# rotation going long after the lamp is fully logged.
+LAMP = DeviceSpec(
+    "lamp", Protocol.ZIGBEE, Role.END_DEVICE, (CH12,), 2.0, ZigbeeShort(0x1A62, 0x1201),
+    aliases=(ZigbeeExtended(0x000B57FFFE0012AB),),
+)
+SLOW = zigbee("slow", 0x1501, CH15, 400.0)
+
+
+def lamp_scan(scanner_cls, then=lambda scanner: None):
+    env = build_environment((LAMP, SLOW), 9, loss_prob=LOSS)
+    scanner = scanner_cls(env, SDR)
+    scanner.passive_scan([CH12, CH15], 1.0, 600.0)
+    return scanner, then(scanner)
+
+
+def test_alias_keeps_a_device_in_scope():
+    """The lamp is first seen under one address; it stays in the rotation
+    until its second address is logged too."""
+    fast, _ = lamp_scan(Scanner)
+    naive, _ = lamp_scan(NaiveScanner)
+    assert set(LAMP.all_addresses()) <= naive.log.addresses
+    assert fast.log.addresses == naive.log.addresses
+    assert fast.log.first_seen == naive.log.first_seen
+
+
+@pytest.mark.parametrize("scan", ["passive", "multiprotocol", "sequential"])
+def test_fully_logged_device_is_not_generated_again(scan, monkeypatch):
+    """After the window that logs a device's last address, no window of the
+    rotation generates that device: every later window ends more than one
+    dwell after that address was logged."""
+    logged: dict = {}  # address -> time it was first logged
+    generated: list[tuple[str, float]] = []
+    record, generate = DiscoveryLog.record, SimDevice.generate_until
+
+    def spy_record(log, device, t, addr):
+        logged.setdefault(addr, t)
+        record(log, device, t, addr)
+
+    def spy_generate(dev, t_end):
+        generated.append((dev.name, t_end))
+        return generate(dev, t_end)
+
+    monkeypatch.setattr(DiscoveryLog, "record", spy_record)
+    monkeypatch.setattr(SimDevice, "generate_until", spy_generate)
+    fast, fast_clock, *_ = run(Scanner, SCANS[scan][0], 12, None)
+    monkeypatch.undo()
+    retired_at = {
+        d.name: max(logged[a] for a in d.all_addresses())
+        for d in DEVICES if set(d.all_addresses()) <= logged.keys()
+    }
+    assert len(retired_at) >= 3
+    for name, t in retired_at.items():
+        last = max((t_end for dev, t_end in generated if dev == name), default=0.0)
+        assert last <= t + 1.0, name
+    naive, naive_clock, *_ = run(NaiveScanner, SCANS[scan][0], 12, None)
+    assert fast.log == naive.log
+    assert fast_clock == naive_clock
+
+
+def test_retirement_is_scoped_to_the_rotation():
+    """After the scan, a listen, a parallel listen and a probe on the same
+    environment still hear the lamp's ordinary traffic (it answers no
+    probe), as the naive loop's do."""
+
+    def hear_lamp(scanner):
+        return (
+            scanner.listen(CH12, 20.0),
+            scanner.listen_in_parallel([CH11, CH12], 20.0),
+            scanner.probe_channels([CH12], 20.0),
+        )
+
+    fast, heard = lamp_scan(Scanner, hear_lamp)
+    naive, naive_heard = lamp_scan(NaiveScanner, hear_lamp)
+    assert heard == naive_heard == (True, True, [CH12])
+    assert fast.log == naive.log
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_naive_loop(name):
+    """Every bundled scan, as the experiment runner drives it, leaves the
+    same log and clock with the naive loop on its first three trials."""
+    cfg = load_bundled_scenario(name)
+    targets = frozenset(d.name for d in cfg.devices)
+    for trial in range(3):
+        outcomes = []
+        for scanner_cls in (Scanner, NaiveScanner):
+            env = experiment.trial_environment(cfg, trial)
+            scanner = scanner_cls(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
+            experiment._run_algorithm(cfg, scanner, targets)
+            outcomes.append((scanner.log.first_seen, scanner.log.addresses, env.clock))
+        assert outcomes[0] == outcomes[1], (name, trial)
