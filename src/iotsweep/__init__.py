@@ -21,13 +21,11 @@ from .scanning import DiscoveryLog, Scanner, SdrConfig, find_channels_in_range
 from .analytics import (
     OrderStatSummary,
     ProbabilityVector,
-    TrafficStats,
     discretize,
     expected_order_statistics,
     mc_order_statistic,
     summarize,
     t_quantile,
-    traffic_stats,
 )
 from .scenario import Algorithm, ScenarioConfig, load_bundled_scenario, load_scenario, parse_scenario
 from .experiment import ComparisonReport, ExperimentResult, compare, run_experiment, run_model

@@ -43,34 +43,6 @@ DEFAULT_MULTI_ARRIVAL_GATE = 0.01
 
 
 # ---------------------------------------------------------------------------
-# Per-device traffic statistics
-
-@dataclass(frozen=True)
-class TrafficStats:
-    """Mean and population standard deviation of inter-arrival times."""
-
-    mu_s: float
-    sigma_s: float
-    sample_count: int
-
-
-def traffic_stats(interarrivals_s: Sequence[float]) -> TrafficStats:
-    """Estimate a device's inter-arrival mean and standard deviation.
-
-    Uses the population form (divide by K, not K-1): the estimate describes
-    the captured trace itself. Memoryless traffic shows mu ~= sigma.
-    """
-    k = len(interarrivals_s)
-    if k < 2:
-        raise ParameterError(f"need at least 2 inter-arrival samples, got {k}")
-    mu = math.fsum(interarrivals_s) / k
-    if mu <= 0:
-        raise ParameterError("inter-arrival times must be positive on average")
-    var = math.fsum((t - mu) ** 2 for t in interarrivals_s) / k
-    return TrafficStats(mu_s=mu, sigma_s=math.sqrt(var), sample_count=k)
-
-
-# ---------------------------------------------------------------------------
 # Poisson discretization
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .analytics import OrderStatSummary, discretize, expected_order_statistics, 
 from .errors import ScenarioError
 from .scanning import Scanner, plan_channel_groups
 from .scenario import Algorithm, ScenarioConfig
-from .simulation import Environment, build_environment
+from .simulation import EmitterKind, Environment, build_environment
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,13 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
 # ---------------------------------------------------------------------------
 # Analytic model
 
-def steady_state_groups(cfg: ScenarioConfig) -> list[list]:
-    """The channel groups the scanner rotates through in steady state.
+def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
+    """Per device: how many rotation slots exist per slot that can hear it.
+
+    A device audible in a of G groups is heard 1/(G/a) of the time. A Zigbee
+    device under a 16-channel passive scan gets 16; a BLE advertiser under a
+    3-advertising-channel rotation gets 1 (every slot can hear it, because
+    each advertising event covers all three channels).
 
     Defined for the scans whose rotation is fixed up front: passive visits
     one channel at a time, multiprotocol visits bandwidth groups. Active
@@ -141,24 +146,14 @@ def steady_state_groups(cfg: ScenarioConfig) -> list[list]:
     per-timestep probability vector.
     """
     if cfg.algorithm is Algorithm.PASSIVE:
-        return [[ch] for ch in cfg.channels]
-    if cfg.algorithm is Algorithm.MULTIPROTOCOL:
-        return plan_channel_groups(list(cfg.channels), cfg.sdr.instantaneous_bandwidth_hz)
-    raise ScenarioError(
-        f"analytic model covers passive and multiprotocol scans, not "
-        f"{cfg.algorithm.value}"
-    )
-
-
-def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
-    """Per device: how many rotation slots exist per slot that can hear it.
-
-    A device audible in a of G groups is heard 1/(G/a) of the time. A Zigbee
-    device under a 16-channel passive scan gets 16; a BLE advertiser under a
-    3-advertising-channel rotation gets 1 (every slot can hear it, because
-    each advertising event covers all three channels).
-    """
-    groups = steady_state_groups(cfg)
+        groups = [[ch] for ch in cfg.channels]
+    elif cfg.algorithm is Algorithm.MULTIPROTOCOL:
+        groups = plan_channel_groups(list(cfg.channels), cfg.sdr.instantaneous_bandwidth_hz)
+    else:
+        raise ScenarioError(
+            f"analytic model covers passive and multiprotocol scans, not "
+            f"{cfg.algorithm.value}"
+        )
     total = len(groups)
     divisors = []
     for dev in cfg.devices:
@@ -176,8 +171,20 @@ def run_model(
 
     Discretizes each device's Poisson rate at the scenario's timestep with
     its rotation divisor, then evaluates the exact order-statistic
-    expectation.
+    expectation. The model has no frame loss, no retune time and only
+    Poisson emitters, so a scenario with any of them is refused rather
+    than given expectations that do not describe it.
     """
+    if cfg.loss_prob > 0:
+        raise ScenarioError("loss-prob: the analytic model assumes no frame loss")
+    if cfg.sdr.retune_latency_s > 0:
+        raise ScenarioError("retune-latency: the analytic model assumes no retune time")
+    for dev in cfg.devices:
+        if dev.emitter is not EmitterKind.POISSON:
+            raise ScenarioError(
+                f"device {dev.name}: emitter {dev.emitter.value}: the analytic model "
+                "covers Poisson emitters only"
+            )
     if not cfg.devices:
         return []
     dt = cfg.delta_t_s if delta_t_s is None else delta_t_s

@@ -28,23 +28,9 @@ whether any frame in its window carried an address.
 
 Passive scans, multiprotocol scans and each sequential phase are one
 round-robin over channel groups (a passive channel is a group of one), run
-by ``Scanner._rotate``. The quiet time of the rotation's channels
-(``Environment.quiet_until``) is a time before which nothing can be
-delivered on them: it may be early, never late. Windows that end at or
-before it are not queried: ``_quiet_jump`` steps over the whole run of them
-in one numpy call (count, clock, and the budget check as a prefix test), so
-an hour-scale device costs a few queried windows per emission instead of
-one Python iteration per simulated second, and a device on a channel the
-rotation never visits costs nothing. The jump's window edges are the same
-left fold of float additions (``t1 = clock + dwell``, then ``+ retune``) as
-one step per window, so every clock and every output is the same as when
-each window is queried. A device whose every address is already logged
-is retired from the rotation: its windows neither generate nor deliver it
-and it no longer counts towards the quiet time, so once the common devices
-are logged the rotation queries windows only for the rare ones. Its frames
-could only re-log known addresses, and its streams are drawn in the same
-order by whichever window generates it next, so this is exact too. Only
-the rotation retires devices; a direct listen or probe hears every device.
+by ``Scanner._rotate``, which steps over windows that can hear nothing and
+stops generating fully logged devices; its docstring says why every output
+is the same as when each window is queried with every device.
 """
 
 from __future__ import annotations
@@ -143,10 +129,8 @@ class Scanner:
     runner stop a scan as soon as everything it is measuring has been found;
     windows past that point can never change a first-seen time, so recorded
     discovery times are identical with or without it. The rotation applies
-    the same argument per device: once every address of a device is logged,
-    its frames can no longer change the log, so its windows stop generating
-    it, and every first-seen time, logged address and the final clock stay
-    the same.
+    the same argument per device (see ``_rotate``): ``fully_logged`` names
+    the devices whose every address is in the log.
     """
 
     def __init__(
@@ -163,11 +147,15 @@ class Scanner:
         self.probe_dwell_time_s = probe_dwell_time_s
         self.log = DiscoveryLog()
         self._t0 = env.clock
+        # per device, the addresses not yet in the log
+        self._unlogged = {dev.name: set(dev.spec.all_addresses()) for dev in env.devices}
+        self.fully_logged: frozenset[str] = frozenset()
 
     # -- building blocks ------------------------------------------------------
 
     def _ingest(self, emissions) -> bool:
         """Record every addressed frame; True if there was one."""
+        log = self.log
         heard = False
         for em in emissions:
             hint = (
@@ -180,7 +168,13 @@ class Scanner:
             if addr is None:
                 continue
             heard = True
-            self.log.record(self.env.resolve(addr), em.time_s - self._t0, addr)
+            name = self.env.resolve(addr)
+            if addr not in log.addresses:
+                unlogged = self._unlogged[name]
+                unlogged.discard(addr)
+                if not unlogged:
+                    self.fully_logged |= {name}
+            log.record(name, em.time_s - self._t0, addr)
         return heard
 
     def listen(self, channel: Channel, dwell_time_s: float) -> bool:
@@ -336,21 +330,30 @@ class Scanner:
         ``stop_before`` (checked before a window) or ``stop_after`` (checked
         after one).
 
-        A device of the rotation's channels whose every address is already
-        in the log is retired: the rotation's windows skip it, so it is not
-        generated, encoded or delivered, and it does not hold the quiet time
-        down. Its frames could only re-log addresses the log has, and its
-        streams are drawn in order by whichever window generates it next,
-        so this changes no output.
+        Every log, address set and final clock is the same as when each
+        window is queried with every device, for two reasons:
 
-        A window that ends at or before the quiet time of the rotation's
-        channels can hear nothing, so it is only stepped, with no
-        environment call: ``_quiet_jump`` steps over the whole run of such
-        windows at once and the group index advances by their count. The
-        log only grows in queried windows, and only by a new address, so
-        the retired set and the stop checks are re-evaluated only after a
-        window that logged one; a ``stop_after`` that is already covered
-        still walks exactly one window.
+        - The quiet time of the rotation's channels
+          (``Environment.quiet_until``) is a time before which nothing can
+          be delivered on them: it may be early, never late. A window that
+          ends by it can hear nothing, so it is only stepped, with no
+          environment call: ``_quiet_jump`` steps over the whole run of
+          such windows at once, with the same float edges as one step per
+          window, and the group index advances by their count. So an
+          hour-scale device costs a few queried windows per emission, and a
+          device on a channel the rotation never visits costs nothing.
+        - A device whose every address is in the log (``fully_logged``) is
+          skipped: the rotation's windows neither generate nor deliver it,
+          and it does not hold the quiet time down, so once the common
+          devices are logged only the rare ones cost windows. Its frames
+          could only re-log addresses the log has, and its streams are
+          drawn in order by whichever window generates it next. Only the
+          rotation skips devices; a direct listen or probe hears every one.
+
+        The log only grows in queried windows, and only by a new address,
+        so the stop checks are re-evaluated only after a window that logged
+        one; a ``stop_after`` that is already covered still walks exactly
+        one window.
         """
         if not 0.0 < dwell_time_s < math.inf:
             raise ParameterError("dwell must be positive and finite")
@@ -359,31 +362,23 @@ class Scanner:
         groups = [frozenset(group) for group in groups]  # hashed once, not per window
         n_groups = len(groups)
         scope = frozenset().union(*groups)
-        audible = env.device_names_on(scope)
-        addresses = {d.name: d.spec.all_addresses() for d in env.devices if d.name in audible}
 
         def covered(targets):
             return targets is not None and log.covers(targets)
 
-        def retire(retired):
-            return retired.union(
-                name for name, addrs in addresses.items()
-                if name not in retired and log.addresses.issuperset(addrs)
-            )
-
         done_before, done_after = covered(stop_before), covered(stop_after)
-        retired, n_logged = retire(frozenset()), len(log.addresses)
-        quiet = env.quiet_until(scope, skip=retired)
+        n_logged = len(log.addresses)
+        quiet = env.quiet_until(scope, skip=self.fully_logged)
         clock = env.clock
         i = 0
         while clock - t_start <= scan_time_s and not done_before:
             if clock + dwell_time_s > quiet:
                 env.clock = clock
-                self.listen_in_parallel(groups[i], dwell_time_s, skip=retired)
+                self.listen_in_parallel(groups[i], dwell_time_s, skip=self.fully_logged)
                 if len(log.addresses) > n_logged:
-                    retired, n_logged = retire(retired), len(log.addresses)
+                    n_logged = len(log.addresses)
                     done_before, done_after = covered(stop_before), covered(stop_after)
-                quiet = env.quiet_until(scope, skip=retired)
+                quiet = env.quiet_until(scope, skip=self.fully_logged)
                 k, clock = 1, clock + dwell_time_s + retune
             else:
                 k, clock = _quiet_jump(

@@ -30,7 +30,6 @@ Top-level keys
   bandwidth HZ|8MHz|125kHz      retune-latency S
   trials N  alpha A  seed N  loss-prob P
   probe-response-delay-max S    delta-t S  max-multi-arrival-prob P
-  time-scale X
 
 Channel tokens are comma-separated labels with optional ranges:
 ``zigbee:11..26``, ``ble-adv:37``, ``ble-rf:12``, ``lora-up:0..63``,
@@ -42,12 +41,11 @@ alias (repeatable), responds-to-probe yes|no, emitter poisson|periodic.
 Each key is declared once, in a table that maps it to its ``ScenarioConfig``,
 ``SdrConfig`` or ``DeviceSpec`` field and its value parser; a key the file
 leaves out takes that field's default, and a key no table knows is refused.
-``time-scale`` is the one key without a field: it divides every device's
-mean-interval while parsing. A ``ScenarioConfig`` validates itself, also when
-made by ``dataclasses.replace``. Every device must sit on a channel its
-algorithm visits: ``channels`` for passive, active and multiprotocol scans,
-``channels`` plus ``probe-channels`` for active-multiprotocol, and ``phases``
-for sequential-passive.
+A ``ScenarioConfig`` validates itself, also when made by
+``dataclasses.replace``. Every device must sit on a channel its algorithm
+visits: ``channels`` for passive, active and multiprotocol scans,
+``channels`` plus ``probe-channels`` for active-multiprotocol, and
+``phases`` for sequential-passive.
 """
 
 from __future__ import annotations
@@ -223,7 +221,6 @@ _SCENARIO_KEYS = {
     "probe-response-delay-max": ("probe_response_delay_max_s", float),
     "delta-t": ("delta_t_s", float),
     "max-multi-arrival-prob": ("max_multi_arrival_prob", float),
-    "time-scale": ("time_scale", float),  # not stored: divides mean-interval
 }
 _SDR_KEYS = {
     "bandwidth": ("instantaneous_bandwidth_hz", _parse_hz),
@@ -268,9 +265,7 @@ def _fields(table: dict, entries: list[tuple[int, str, str]], where: str) -> dic
     return values
 
 
-def _device_from_block(
-    name: str, entries: list[tuple[int, str, str]], time_scale: float | None
-) -> DeviceSpec:
+def _device_from_block(name: str, entries: list[tuple[int, str, str]]) -> DeviceSpec:
     values = {"name": name, "role": DEFAULT_ROLE}
     values.update(_fields(_DEVICE_KEYS, entries, f"device {name}: "))
     missing = [
@@ -279,8 +274,6 @@ def _device_from_block(
     ]
     if missing:
         raise ScenarioError(f"device {name}: missing {', '.join(sorted(missing))}")
-    if time_scale is not None:
-        values["mean_interarrival_s"] /= time_scale
     return DeviceSpec(**values)
 
 
@@ -319,12 +312,7 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> ScenarioConf
             values["sdr"] = SdrConfig(**sdr)
         except ParameterError as exc:  # its message starts with the key
             raise ScenarioError(str(exc)) from None
-    time_scale = values.pop("time_scale", None)
-    if time_scale is not None and not time_scale > 0:
-        raise ScenarioError("time-scale: must be positive")
-    devices = tuple(
-        _device_from_block(name, entries, time_scale) for name, entries in device_blocks
-    )
+    devices = tuple(_device_from_block(name, entries) for name, entries in device_blocks)
     return ScenarioConfig(
         **{"name": default_name, **values}, devices=devices, source_text=text
     )

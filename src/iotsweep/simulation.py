@@ -19,9 +19,8 @@ them: emissions nobody hears are never encoded, and a device holds only its
 next emission time and index between windows. The clock forbids a window
 that starts before the last one ended, so nothing a window dropped can be
 asked for again. A window (and the quiet time) can also ``skip`` named
-devices: they are neither generated nor delivered, and whichever window
-generates them next draws the same times and loss coins in the same order,
-so skipping changes only what that one window delivers.
+devices: they are neither generated nor delivered (``Scanner._rotate`` says
+why that changes no scan's output).
 """
 
 from __future__ import annotations
@@ -430,10 +429,9 @@ class Environment:
         not named in ``skip`` and the earliest scheduled probe response on
         any channel.
 
-        A scanner may step over any window on those channels (skipping the
-        same devices) that ends by then. The value can be early, never late:
-        a device last generated by a window on other channels may have a next
-        time in the past.
+        The value can be early, never late: a device last generated by a
+        window on other channels may have a next time in the past. See
+        ``Scanner._rotate`` for how a scan uses it.
         """
         quiet = min(
             [dev.next_time for dev, _ in self._listeners(frozenset(channels), skip)],

@@ -15,35 +15,10 @@ from iotsweep.analytics import (
     multi_arrival_prob,
     summarize,
     t_quantile,
-    traffic_stats,
 )
 from iotsweep.errors import DegenerateVectorError, DeltaTooCoarseError, ParameterError
 from iotsweep.experiment import device_channel_divisors, model_csv
 from iotsweep.scenario import load_bundled_scenario
-
-
-class TestTrafficStats:
-    def test_constant_samples(self):
-        s = traffic_stats([2.0, 2.0, 2.0])
-        assert s.mu_s == 2.0
-        assert s.sigma_s == 0.0
-        assert s.sample_count == 3
-
-    def test_hand_arithmetic(self):
-        s = traffic_stats([1.0, 2.0, 3.0])
-        assert s.mu_s == pytest.approx(2.0)
-        assert s.sigma_s == pytest.approx(math.sqrt(2.0 / 3.0))
-
-    def test_exponential_moments(self):
-        rng = np.random.default_rng(5)
-        draws = rng.exponential(5.0, size=100_000)
-        s = traffic_stats(draws.tolist())
-        assert s.mu_s == pytest.approx(5.0, rel=0.03)
-        assert s.sigma_s == pytest.approx(5.0, rel=0.03)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ParameterError):
-            traffic_stats([1.0])
 
 
 class TestDiscretize:

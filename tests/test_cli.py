@@ -100,13 +100,30 @@ class TestModelAndCompare:
         assert (tmp_path / "out" / "compare.csv").exists()
 
     def test_compare_fail_exit_2(self, tmp_path, capsys):
-        # loss breaks the lossless model: measurements shift right, CIs miss
-        text = TINY.replace("trials 2", "trials 10").replace(
-            "scan-time 120", "scan-time 5000\nloss-prob 0.95"
-        )
+        # at alpha 0.99 the intervals are too narrow to hold the expectation
         scn = tmp_path / "c.scn"
-        scn.write_text(text)
+        scn.write_text(TINY.replace("trials 2", "trials 10\nalpha 0.99"))
         assert main(["compare", str(scn), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["model", "compare"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed 5", "seed 5\nloss-prob 0.1", "error: loss-prob: "),
+            ("seed 5", "seed 5\nretune-latency 0.5", "error: retune-latency: "),
+            ("  mean-interval 3.0\n", "  mean-interval 3.0\n  emitter periodic\n",
+             "error: device solo: emitter periodic: "),
+        ],
+        ids=["loss-prob", "retune-latency", "periodic-emitter"],
+    )
+    def test_unmodelled_knob_exit_1(self, tmp_path, capsys, command, old, new, message):
+        scn = tmp_path / "c.scn"
+        scn.write_text(TINY.replace(old, new, 1))
+        out = tmp_path / "out"
+        assert main([command, str(scn), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["scan", str(scn), "--out", str(tmp_path / "scan")]) == 0
 
 
 class TestScenarioErrors:
@@ -122,8 +139,12 @@ class TestScenarioErrors:
              "never visits"),
             ("dwell-time 1.0", "dwell-time nan", "dwell-time: must be positive"),
             ("seed 5", "seed 5\nlora-id-index 2", "unknown key 'lora-id-index'"),
+            ("seed 5", "seed 5\ntime-scale 10", "line 9: unknown key 'time-scale'"),
         ],
-        ids=["top-level-typo", "device-typo", "unreachable", "dwell-time-nan", "lora-id-index"],
+        ids=[
+            "top-level-typo", "device-typo", "unreachable", "dwell-time-nan", "lora-id-index",
+            "time-scale",
+        ],
     )
     def test_bad_scenario_exit_1(self, tmp_path, capsys, command, old, new, message):
         bad = tmp_path / "bad.scn"

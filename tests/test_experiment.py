@@ -141,13 +141,13 @@ class TestCompare:
         assert report.passed
         assert report.in_ci_fraction >= 0.75
 
-    def test_heavy_loss_shifts_measurements_right(self):
+    def test_loss_is_refused_before_any_trial(self, tmp_path):
+        # the model has no frame loss, so it would print lossless expectations
         cfg = load_bundled_scenario("zigbee-passive")
-        lossy = dataclasses.replace(cfg, loss_prob=0.9, scan_time_s=30_000.0)
-        report = compare(lossy)
-        slowest = report.rows[-1]
-        assert slowest.mean_s > slowest.expected_s  # systematically late
-        assert not report.passed
+        lossy = dataclasses.replace(cfg, loss_prob=0.9)
+        with pytest.raises(ScenarioError, match="loss-prob"):
+            compare(lossy, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_report_deterministic(self, tmp_path):
         cfg = one_device_cfg(trials=5, scan_time_s=400.0)

@@ -136,6 +136,9 @@ def test_fast_forward_matches_naive_loop(scan, seed, stop):
     naive, naive_clock, naive_queries, _ = run(NaiveScanner, do_scan, seed, stop, delay=delay)
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
+    assert fast.fully_logged == {
+        d.name for d in DEVICES if set(d.all_addresses()) <= fast.log.addresses
+    }
     assert fast_clock == naive_clock
     assert fast_queries <= naive_queries
     if hears_all:

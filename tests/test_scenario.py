@@ -99,10 +99,6 @@ class TestParser:
         cfg = parse_scenario(MINIMAL + "\nbandwidth 2000000\n")
         assert cfg.sdr.instantaneous_bandwidth_hz == 2_000_000
 
-    def test_time_scale_divides_intervals(self):
-        cfg = parse_scenario(MINIMAL + "\ntime-scale 10\n")
-        assert cfg.devices[0].mean_interarrival_s == pytest.approx(0.25)
-
     def test_unclosed_device_block(self):
         bad = MINIMAL.replace("end\n", "")
         with pytest.raises(ScenarioError, match="never closed"):
