@@ -28,18 +28,20 @@ whether any frame in its window carried an address.
 
 Passive scans, multiprotocol scans and each sequential phase are one
 round-robin over channel groups (a passive channel is a group of one), run
-by ``Scanner._rotate``, which steps over windows that can hear nothing and
-stops generating fully logged devices; its docstring says why every output
-is the same as when each window is queried with every device.
+by ``Scanner._rotate``. It queries only the windows in which a device that
+is not yet fully logged, or a pending probe response, lands on the window's
+channels, and finds them by next-event time advance over window edges in
+closed form; its docstring says why every output is the same as when each
+window is queried with every device.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import frames
 from .address import DeviceAddress
@@ -130,7 +132,8 @@ class Scanner:
     windows past that point can never change a first-seen time, so recorded
     discovery times are identical with or without it. The rotation applies
     the same argument per device (see ``_rotate``): ``fully_logged`` names
-    the devices whose every address is in the log.
+    the devices whose every address is in the log, and no rotation window
+    generates them again.
     """
 
     def __init__(
@@ -328,107 +331,179 @@ class Scanner:
         one dwell each plus a retune, while at most ``scan_time_s`` has
         passed since ``t_start``. The scan stops once the log covers
         ``stop_before`` (checked before a window) or ``stop_after`` (checked
-        after one).
+        after one). Window j starts at c_j, ends at e_j = c_j + dwell, and
+        the next starts at c_{j+1} = e_j + retune.
 
         Every log, address set and final clock is the same as when each
-        window is queried with every device, for two reasons:
+        window is queried with every device, for these reasons:
 
-        - The quiet time of the rotation's channels
-          (``Environment.quiet_until``) is a time before which nothing can
-          be delivered on them: it may be early, never late. A window that
-          ends by it can hear nothing, so it is only stepped, with no
-          environment call: ``_quiet_jump`` steps over the whole run of
-          such windows at once, with the same float edges as one step per
-          window, and the group index advances by their count. So an
-          hour-scale device costs a few queried windows per emission, and a
-          device on a channel the rotation never visits costs nothing.
-        - A device whose every address is in the log (``fully_logged``) is
-          skipped: the rotation's windows neither generate nor deliver it,
-          and it does not hold the quiet time down, so once the common
-          devices are logged only the rare ones cost windows. Its frames
-          could only re-log addresses the log has, and its streams are
-          drawn in order by whichever window generates it next. Only the
-          rotation skips devices; a direct listen or probe hears every one.
+        - Next-event time advance. Each device of the groups that is not
+          fully logged sits in a heap under the index j of the window whose
+          span [c_j, c_{j+1}) holds its next emission time, and so does each
+          pending probe response that lands inside a window that hears its
+          channel. The rotation goes straight to the smallest index and
+          queries window j only if a response is due in it or a popped
+          device's next time lies in [c_j, e_j) on a channel of the group.
+          Any other window can hear nothing, so it is not queried.
+        - Drops only behind the rotation. After window j, a popped device's
+          emissions before c_{j+1} are generated and thrown away: they land
+          in the gap or on channels window j does not hear, and every later
+          window starts at c_{j+1} or after. No device is advanced past the
+          window the rotation has reached, so an early stop leaves the clock
+          after everything dropped. A device's times and loss coins are
+          drawn in order however its generation is cut up.
+        - Fully logged devices (``fully_logged``) are skipped: the
+          rotation's windows neither generate nor deliver them, and they
+          leave the heap. Their frames could only re-log addresses the log
+          has, and their streams are drawn in order by whichever window
+          generates them next. Only the rotation skips devices; a direct
+          listen or probe hears every one.
+        - Exact edges. ``_Windows`` gives c_j and e_j bit for bit as the
+          left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
+          the fold, and the same first index past the budget.
 
-        The log only grows in queried windows, and only by a new address,
-        so the stop checks are re-evaluated only after a window that logged
-        one; a ``stop_after`` that is already covered still walks exactly
-        one window.
+        The log only grows in queried windows, so the stop checks are
+        re-evaluated only after a window that logged a new address; a stop
+        after window j leaves the clock at c_{j+1}, and a ``stop_after``
+        that is already covered still walks exactly one window. A dwell that
+        cannot move the clock within the budget is refused before the first
+        window, as its rotation would never end.
         """
         if not 0.0 < dwell_time_s < math.inf:
             raise ParameterError("dwell must be positive and finite")
+        if dwell_time_s <= math.ulp(t_start + scan_time_s) / 2:
+            raise ParameterError(
+                f"dwell {dwell_time_s} s cannot advance a clock of {t_start + scan_time_s} s"
+            )
         env, log = self.env, self.log
-        retune = self.sdr.retune_latency_s
         groups = [frozenset(group) for group in groups]  # hashed once, not per window
         n_groups = len(groups)
-        scope = frozenset().union(*groups)
+        hearers = [env.device_names_on(group) for group in groups]
+        windows = _Windows(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
 
         def covered(targets):
             return targets is not None and log.covers(targets)
 
-        done_before, done_after = covered(stop_before), covered(stop_after)
+        end = windows.count  # the clock stops at the start of window `end`
+        if covered(stop_before):
+            end = 0
+        elif covered(stop_after):
+            end = min(end, 1)
+        c0 = env.clock
+        scope = frozenset().union(*hearers)
+        events: list[tuple[int, int, object]] = []  # (window, tiebreak, device or None)
+
+        def push(tiebreak, dev):
+            j = windows.index(dev.next_time)
+            if j < end:
+                heapq.heappush(events, (j, tiebreak, dev))
+
+        for n, dev in enumerate(env.devices):
+            if dev.name in scope and dev.name not in self.fully_logged:
+                if dev.next_time < c0:
+                    dev.generate_until(c0)
+                push(n, dev)
+        for n, em in enumerate(env.scheduled_responses()):
+            if c0 <= em.time_s:
+                j = windows.index(em.time_s)
+                if j < end and em.time_s < windows.edges(j)[1] and em.channel in groups[j % n_groups]:
+                    heapq.heappush(events, (j, -1 - n, None))
         n_logged = len(log.addresses)
-        quiet = env.quiet_until(scope, skip=self.fully_logged)
-        clock = env.clock
-        i = 0
-        while clock - t_start <= scan_time_s and not done_before:
-            if clock + dwell_time_s > quiet:
-                env.clock = clock
-                self.listen_in_parallel(groups[i], dwell_time_s, skip=self.fully_logged)
+        while events and events[0][0] < end:
+            j = events[0][0]
+            c_j, e_j = windows.edges(j)
+            names = hearers[j % n_groups]
+            popped, heard = [], False
+            while events and events[0][0] == j:
+                _, n, dev = heapq.heappop(events)
+                if dev is None:
+                    heard = True
+                else:
+                    popped.append((n, dev))
+                    heard |= dev.next_time < e_j and dev.name in names
+            if heard:
+                env.clock = c_j
+                self.listen_in_parallel(groups[j % n_groups], dwell_time_s, skip=self.fully_logged)
                 if len(log.addresses) > n_logged:
                     n_logged = len(log.addresses)
-                    done_before, done_after = covered(stop_before), covered(stop_after)
-                quiet = env.quiet_until(scope, skip=self.fully_logged)
-                k, clock = 1, clock + dwell_time_s + retune
-            else:
-                k, clock = _quiet_jump(
-                    clock, dwell_time_s, retune, quiet, t_start, scan_time_s,
-                    1 if done_after else _JUMP_CHUNK,
-                )
-            i = (i + k) % n_groups
-            if done_after:
-                break
-        env.clock = clock
+                    if covered(stop_before) or covered(stop_after):
+                        end = j + 1
+            c_next = windows.edges(j + 1)[0]
+            for n, dev in popped:
+                if dev.name not in self.fully_logged:
+                    if dev.next_time < c_next:
+                        dev.generate_until(c_next)
+                    push(n, dev)
+        if end:
+            env.clock = windows.edges(end)[0]
 
 
-#: The most windows one ``_quiet_jump`` steps over. A rotation with nothing
-#: left to hear (an infinite quiet time) jumps its budget in pieces this size.
-_JUMP_CHUNK = 4096
+class _Windows:
+    """The edges of a rotation's windows from ``clock`` on: window j starts
+    at c_j, ends at e_j and the next starts at c_{j+1}, bit for bit as the
+    left fold ``e_j = c_j + dwell; c_{j+1} = e_j + retune`` gives them
+    (``clock + j * (dwell + retune)`` would round differently), and
+    ``count`` is the first j with c_j - t_start > scan_time_s.
 
-
-def _quiet_jump(
-    clock: float,
-    dwell_s: float,
-    retune_s: float,
-    quiet: float,
-    t_start: float,
-    scan_time_s: float,
-    limit: int,
-) -> tuple[int, float]:
-    """Step over the windows from ``clock`` that end by ``quiet``: returns
-    their count k (at most ``limit``) and the clock after them.
-
-    Window j starts at c_j, ends at e_j = c_j + dwell and the next starts at
-    c_{j+1} = e_j + retune. It is stepped while e_j <= quiet and
-    c_j - t_start <= scan_time_s; both tests hold for a prefix of the windows
-    because the edges only grow. ``np.add.accumulate`` over
-    [clock, dwell, retune, dwell, ...] is that same left fold, one IEEE
-    addition at a time, so every edge is bit for bit what a loop of
-    ``t1 = clock + dwell; clock = t1 + retune`` gives (``clock + j * period``
-    would round differently). The caller guarantees the first window passes
-    both tests, so k >= 1. The fold is sized from the gap to the nearer of
-    ``quiet`` and the budget's end plus a margin; when that is short, the
-    caller jumps again from the returned clock.
+    No fold is needed. Every double in a binade [2^k, 2^(k+1)) is a
+    multiple of its ulp u, so while an exact sum stays in the binade,
+    fl(x + dwell) = x + D*u with D = round(dwell / u), unless dwell / u is
+    a half-integer (round-half-even then depends on x); the same holds for
+    the retune with R. A run of windows inside one binade is thus
+    c_j = (X + (j - j0) * P) * u and e_j = c_j + D * u, with integers
+    X = c_{j0} / u and P = D + R, for as long as X + (j + 1 - j0) * P stays
+    below 2^53. At a binade crossing, from clock 0 and on a tie, one window
+    is taken by plain float steps instead, as a run of one in units of
+    ulp(c_{j0}). So a rotation costs about two runs per binade its clock
+    crosses, whatever its number of windows.
     """
-    gap = min(quiet, t_start + scan_time_s) - clock
-    m = min(int(min(gap / (dwell_s + retune_s), limit)) + 2, limit)
-    steps = np.empty(2 * m + 1)
-    steps[0] = clock
-    steps[1::2] = dwell_s
-    steps[2::2] = retune_s
-    edges = np.add.accumulate(steps)
-    k = min(
-        edges[1::2].searchsorted(quiet, "right"),
-        (edges[:-1:2] - t_start).searchsorted(scan_time_s, "right"),
-    )
-    return int(k), float(edges[2 * k])
+
+    def __init__(self, clock, dwell, retune, t_start, scan_time_s):
+        self._first: list[int] = []  # index of each run's first window
+        self._starts: list[float] = []  # start of each run's first window
+        self._runs: list[tuple[int, float, int, int]] = []  # (X, u, D, P) of each run
+        j = 0
+        while clock - t_start <= scan_time_s:
+            u = math.ulp(clock or dwell)
+            x, d, r = int(clock / u), dwell / u, retune / u
+            k = 0
+            if clock and 0.5 < d and d + r < 2**53 and d % 1 != 0.5 and r % 1 != 0.5:
+                D, P = round(d), round(d) + round(r)
+                k = (2**53 - 1 - x) // P
+            if k:
+                if float(x + k * P) * u - t_start > scan_time_s:  # the budget ends in this run
+                    lo, hi = 0, k
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if float(x + mid * P) * u - t_start > scan_time_s:
+                            hi = mid
+                        else:
+                            lo = mid
+                    k = hi
+                nxt = float(x + k * P) * u
+            else:
+                t1 = clock + dwell
+                nxt = t1 + retune
+                D, P, k = int(t1 / u) - x, int(nxt / u) - x, 1
+            self._first.append(j)
+            self._starts.append(clock)
+            self._runs.append((x, u, D, P))
+            clock, j = nxt, j + k
+        self.count = j
+        self._end = clock
+
+    def edges(self, j: int) -> tuple[float, float]:
+        """(c_j, e_j), for 0 <= j <= count."""
+        i = bisect_right(self._first, j) - 1
+        x, u, D, P = self._runs[i]
+        y = x + (j - self._first[i]) * P
+        return float(y) * u, float(y + D) * u
+
+    def index(self, t: float) -> int:
+        """The j with c_j <= t < c_{j+1}, or ``count`` if that is smaller;
+        t must be at least c_0."""
+        if t >= self._end:
+            return self.count
+        i = bisect_right(self._starts, t) - 1
+        x, u, _, P = self._runs[i]
+        return self._first[i] + (int(t / u) - x) // P

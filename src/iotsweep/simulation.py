@@ -18,9 +18,9 @@ the entries that fall on its channels and inside its span, and keeps none of
 them: emissions nobody hears are never encoded, and a device holds only its
 next emission time and index between windows. The clock forbids a window
 that starts before the last one ended, so nothing a window dropped can be
-asked for again. A window (and the quiet time) can also ``skip`` named
-devices: they are neither generated nor delivered (``Scanner._rotate`` says
-why that changes no scan's output).
+asked for again. A window can also ``skip`` named devices: they are
+neither generated nor delivered (``Scanner._rotate`` says why that changes
+no scan's output).
 """
 
 from __future__ import annotations
@@ -338,15 +338,13 @@ class Environment:
         for dev in self.devices:
             for ch in dev.spec.channels:
                 self._by_channel.setdefault(ch, []).append((dev, ch))
-        # (channel set, skipped names) -> (device, ids of its own Channel objects
-        # in the set) per device on those channels and not skipped. A window's
-        # entries carry those objects, so they match by identity and no Channel
-        # is hashed per entry. The values are lists: a tuple built from a
-        # generator is allocated over-size and shrunk, and filling this cache
-        # that way parked about 3 MB on CPython's per-size tuple free lists.
-        self._scopes: dict[
-            tuple[frozenset[Channel], frozenset[str]], list[tuple[SimDevice, set[int]]]
-        ] = {}
+        # channel set -> (device, ids of its own Channel objects in the set) per
+        # device on those channels. A window's entries carry those objects, so
+        # they match by identity and no Channel is hashed per entry. The values
+        # are lists: a tuple built from a generator is allocated over-size and
+        # shrunk, and filling this cache that way parked about 3 MB on
+        # CPython's per-size tuple free lists.
+        self._scopes: dict[frozenset[Channel], list[tuple[SimDevice, set[int]]]] = {}
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
 
@@ -359,23 +357,14 @@ class Environment:
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
         return frozenset(dev.name for dev, _ in self._listeners(frozenset(channels)))
 
-    def _listeners(
-        self, channels: frozenset[Channel], skip: frozenset[str] = frozenset()
-    ) -> list[tuple[SimDevice, set[int]]]:
-        key = (channels, skip)
-        listeners = self._scopes.get(key)
+    def _listeners(self, channels: frozenset[Channel]) -> list[tuple[SimDevice, set[int]]]:
+        listeners = self._scopes.get(channels)
         if listeners is None:
-            if skip:
-                listeners = [
-                    entry for entry in self._listeners(channels) if entry[0].name not in skip
-                ]
-            else:
-                heard: dict[SimDevice, set[int]] = {}
-                for ch in channels:
-                    for dev, own in self._by_channel.get(ch, ()):
-                        heard.setdefault(dev, set()).add(id(own))
-                listeners = list(heard.items())
-            self._scopes[key] = listeners
+            heard: dict[SimDevice, set[int]] = {}
+            for ch in channels:
+                for dev, own in self._by_channel.get(ch, ()):
+                    heard.setdefault(dev, set()).add(id(own))
+            listeners = self._scopes[channels] = list(heard.items())
         return listeners
 
     def emissions_in_parallel(
@@ -406,8 +395,8 @@ class Environment:
             )
         wanted = frozenset(channels)
         out: list[Emission] = []
-        for dev, heard in self._listeners(wanted, skip):
-            if dev.next_time < t1:
+        for dev, heard in self._listeners(wanted):
+            if dev.next_time < t1 and dev.name not in skip:
                 out.extend(
                     dev.emission(e)
                     for e in dev.generate_until(t1)
@@ -421,25 +410,9 @@ class Environment:
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
 
-    def quiet_until(
-        self, channels: Iterable[Channel], *, skip: frozenset[str] = frozenset()
-    ) -> float:
-        """Earliest time at which anything could still be delivered on
-        ``channels``: the minimum of the next emission times of those devices
-        not named in ``skip`` and the earliest scheduled probe response on
-        any channel.
-
-        The value can be early, never late: a device last generated by a
-        window on other channels may have a next time in the past. See
-        ``Scanner._rotate`` for how a scan uses it.
-        """
-        quiet = min(
-            [dev.next_time for dev, _ in self._listeners(frozenset(channels), skip)],
-            default=math.inf,
-        )
-        if self._pending_responses:
-            return min(quiet, self._pending_responses[0][0])
-        return quiet
+    def scheduled_responses(self) -> list[Emission]:
+        """The probe responses that no window has delivered or dropped yet."""
+        return [em for _, _, em in self._pending_responses]
 
     def advance(self, duration_s: float) -> None:
         """Move the clock forward without listening (retune cost)."""

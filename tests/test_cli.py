@@ -73,6 +73,14 @@ class TestScan:
         assert main(["scan", "zwave-lora-multi", "--trials", "2"]) == 0
         assert (tmp_path / "results" / "zwave-lora-multi" / "summary.csv").exists()
 
+    def test_dwell_that_cannot_advance_the_clock_exit_1(self, tmp_path, capsys):
+        """At 1e17 s, clock + 1.0 == clock: the scan would never end."""
+        scn = tmp_path / "huge.scn"
+        scn.write_text(TINY.replace("scan-time 120", "scan-time 1e17"))
+        assert main(["scan", str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot advance" in err
+
     def test_validation_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
         bad.write_text(TINY.replace("channels zigbee:11\ndwell", "channels zigbee:12\ndwell", 1))

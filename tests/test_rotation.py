@@ -1,21 +1,26 @@
-"""The shared rotation loop jumps over windows that can hear nothing and
-stops generating devices whose every address is logged.
+"""The shared rotation loop queries only the windows that hear something,
+and stops generating devices whose every address is logged.
 
 A naive reference loop queries the environment for every window, with every
 device. Each scan must leave the same discovery log (first-seen times and
 addresses) and clock with either loop, under retune latency, frame loss,
 probe responses that land windows after the probe, window periods that are
-not exact in binary, budgets that end in a quiet gap, gaps longer than one
-jump, devices seen under two addresses, and every bundled scenario.
+not exact in binary, budgets that end in a quiet gap, gaps of many thousand
+windows, early stops followed by more listening, devices seen under two
+addresses, and every bundled scenario.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import time
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
-from iotsweep import experiment, scanning
+from iotsweep import experiment
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -25,7 +30,8 @@ from iotsweep.channels import (
     zigbee_channel,
     zwave_channel,
 )
-from iotsweep.scanning import _JUMP_CHUNK, DiscoveryLog, Scanner, SdrConfig, _quiet_jump
+from iotsweep.errors import ParameterError
+from iotsweep.scanning import DiscoveryLog, Scanner, SdrConfig, _Windows
 from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
 from iotsweep.simulation import DeviceSpec, EmitterKind, Role, SimDevice, build_environment
 
@@ -77,9 +83,7 @@ class NaiveScanner(Scanner):
 
 ALL = sort_channels(ZIGBEE + list(BLE) + list(SUB_GHZ))
 
-# (scan, whether it steps over most windows). Each rotation asks for the
-# quiet time of its own channels, so a device on a channel it never visits
-# does not hold the quiet time in the past. With the default 40 s response
+# (scan, whether it skips most windows). With the default 40 s response
 # delay the active scan's probe answers land after its probe windows, so it
 # has no passive phase to skip in; "active-answered" runs it with answers
 # inside the 0.2 s windows, so the hub's (and mostly the router's) channel
@@ -105,23 +109,30 @@ SCANS = {
 RESPONSE_DELAY_S = {"active-answered": 0.1}
 
 
-def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0):
-    env = build_environment(DEVICES, seed, loss_prob=LOSS, probe_response_delay_max_s=delay)
-    env.advance(start)
-    queries = 0
+def record_queries(env):
+    """The number of emissions each window query of ``env`` returns, as a
+    list that grows with every query."""
+    sizes = []
     query = env.emissions_in_parallel
 
-    def counted(*args, **kwargs):
-        nonlocal queries
-        queries += 1
-        return query(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        out = query(*args, **kwargs)
+        sizes.append(len(out))
+        return out
 
-    env.emissions_in_parallel = counted
+    env.emissions_in_parallel = recorded
+    return sizes
+
+
+def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0, loss=LOSS):
+    env = build_environment(DEVICES, seed, loss_prob=loss, probe_response_delay_max_s=delay)
+    env.advance(start)
+    sizes = record_queries(env)
     # the hub answers a probe sent before the scan, many windows later
     response = env.inject_probe(CH11)
     scanner = scanner_cls(env, sdr)
     scan(scanner, stop)
-    return scanner, env.clock, queries, response
+    return scanner, env.clock, len(sizes), response
 
 
 @pytest.mark.parametrize("stop", [None, NAMES], ids=["full-budget", "until-complete"])
@@ -147,8 +158,8 @@ def test_fast_forward_matches_naive_loop(scan, seed, stop):
 
 @pytest.mark.parametrize("scan", ["sequential", "active-multiprotocol"])
 def test_quiet_time_is_scoped_to_the_rotation(scan):
-    """Devices outside a rotation's channels do not pin its quiet time: with
-    one quiet time over every channel, seed 3 queried 4,105 of 4,616
+    """Devices outside a rotation's channels cost it no window: with one
+    quiet time over every channel, seed 3 once queried 4,105 of 4,616
     sequential windows and 2,290 of 2,310 active-multiprotocol ones."""
     do_scan, _ = SCANS[scan]
     *_, queries, _ = run(Scanner, do_scan, 3, None)
@@ -158,8 +169,8 @@ def test_quiet_time_is_scoped_to_the_rotation(scan):
 
 
 def test_late_probe_response_is_heard():
-    """The scheduled response lowers the quiet time, so the window it lands
-    in is queried although no device emits near it."""
+    """The scheduled response is an event of the rotation, so the window it
+    lands in is queried although no device emits near it."""
     listen_only = lambda s, stop: s.passive_scan([CH11], 1.0, 100.0)
     scanner, *_, response = run(Scanner, listen_only, 17, None, SdrConfig(8 * MHZ))
     assert len(response) == 1 and response[0].time_s > 10.0
@@ -185,31 +196,68 @@ START = 0.37
 CH20 = zigbee_channel(20)  # no device listens here
 
 
-def folded(clock, dwell, retune, quiet, t_start, scan_time_s, limit):
-    """The window-by-window walk that ``_quiet_jump`` replaces."""
-    k = 0
-    while k < limit and clock - t_start <= scan_time_s and clock + dwell <= quiet:
+def fold(clock, dwell, retune, t_start, budget):
+    """Window starts and ends by one IEEE addition at a time, as the naive
+    loop steps them; the last start is the first one past the budget."""
+    starts, ends = [], []
+    while clock - t_start <= budget:
+        starts.append(clock)
         t1 = clock + dwell
+        ends.append(t1)
         clock = t1 + retune
-        k += 1
-    return k, clock
+    starts.append(clock)
+    return starts, ends
+
+
+def check_edges(clock, dwell, retune, budget, rng):
+    """``_Windows`` from ``clock`` matches the fold in every edge, in the
+    first window past the budget and in the window of random times."""
+    starts, ends = fold(clock, dwell, retune, clock, budget)
+    windows = _Windows(clock, dwell, retune, clock, budget)
+    assert windows.count == len(ends)
+    assert [windows.edges(j) for j in range(len(ends))] == list(zip(starts, ends))
+    assert windows.edges(len(ends))[0] == starts[-1]
+    times = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)] + starts + ends
+    for t in times:
+        assert windows.index(t) == min(bisect_right(starts, t) - 1, len(ends)), t
+    return starts, ends
+
+
+# Rotation starts: fractional, zero, tiny, inexact, and just below a binade
+# edge, so that runs of windows cross binades.
+CLOCKS = [START, 0.0, 1e-9, 3.2000000000000006, 1023.9, 2.0**20 - 0.05]
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_jump_clock_is_the_window_fold(dwell, retune):
+    rng = random.Random(f"{dwell}/{retune}")
     period = dwell + retune
-    cases = [
-        (START, math.inf, 5000 * period, _JUMP_CHUNK),  # chunk-limited
-        (START, START + 777.7, 5000 * period, _JUMP_CHUNK),  # quiet-limited
-        (START, math.inf, 999.9, _JUMP_CHUNK),  # budget-limited
-        (START + 250 * period, math.inf, 999.9, _JUMP_CHUNK),  # budget, later start
-    ] + [(START, math.inf, 999.9, limit) for limit in range(1, 65)]  # every short jump
-    rounded = False
-    for clock, quiet, budget, limit in cases:
-        k, end = _quiet_jump(clock, dwell, retune, quiet, START, budget, limit)
-        assert (k, end) == folded(clock, dwell, retune, quiet, START, budget, limit)
-        rounded |= end != clock + k * period
-    assert rounded  # multiplying out the period would not pass
+    for clock in CLOCKS:
+        for budget in (5000 * period, 999.9, rng.uniform(0.0, 20_000 * period)):
+            check_edges(clock, dwell, retune, budget, rng)
+    starts, _ = check_edges(START, dwell, retune, 5000 * period, rng)
+    assert any(c != START + k * period for k, c in enumerate(starts))  # k * period would not pass
+
+
+def test_window_edges_on_random_settings():
+    rng = random.Random(2024)
+    for _ in range(40):
+        dwell = rng.choice([0.1, 0.2, 1 / 3, rng.uniform(0.01, 2.0)])
+        retune = rng.choice([0.0, 0.1, 0.25, 0.3, rng.uniform(0.0, 1.0)])
+        clock = rng.choice([0.0, 1e-9, 3.2000000000000006, rng.uniform(0.0, 1e4)])
+        check_edges(clock, dwell, retune, rng.uniform(0.0, 5000) * (dwell + retune), rng)
+
+
+def test_window_edges_through_tie_binades():
+    """dwell / u is a half-integer in the binade where u is twice the
+    dwell's lowest set bit, so there the sum rounds by the parity of the
+    clock; the retune's tie binade is the one below. Hundreds of windows lie
+    in each."""
+    dwell, retune = 1 + 2.0**-10, 0.25 + 2.0**-11
+    starts, _ = check_edges(2.0**43 - 400.0, dwell, retune, 800.0, random.Random(7))
+    u = math.ulp(2.0**43)
+    assert (dwell / u) % 1 == 0.5 and (retune / (u / 2)) % 1 == 0.5
+    assert starts[0] < 2.0**43 - 300 and starts[-1] > 2.0**43 + 300
 
 
 def sdr(retune):
@@ -233,67 +281,87 @@ def test_inexact_period_from_a_fractional_clock(scan, dwell, retune):
 
 
 def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
-    """Passive scan of one channel from ``START``, with no pending probe."""
+    """Passive scan of one channel from ``START``, with no pending probe and
+    no loss; returns the scanner, the environment and the emission count of
+    each window query."""
     env = build_environment(devices, 5)
     env.advance(START)
+    sizes = record_queries(env)
     scanner = scanner_cls(env, sdr(retune))
     scanner.passive_scan([channel], dwell, budget)
-    return scanner, env
-
-
-def spy_jumps(monkeypatch):
-    """Record every ``(k, clock)`` that ``_quiet_jump`` returns."""
-    jumps = []
-
-    def recorded(*args):
-        jumps.append(_quiet_jump(*args))
-        return jumps[-1]
-
-    monkeypatch.setattr(scanning, "_quiet_jump", recorded)
-    return jumps
+    return scanner, env, sizes
 
 
 @pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
 @pytest.mark.parametrize("dwell,retune", INEXACT)
-def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget, monkeypatch):
-    jumps = spy_jumps(monkeypatch)
-    fast, env = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
-    monkeypatch.undo()
-    naive, naive_env = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
-    assert jumps and env.clock == jumps[-1][1]  # the last windows were jumped
+def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
+    """Only a window that hears the keypad is queried (there is no loss),
+    and as it has one address, only the first; the clock still ends where
+    the naive loop's does."""
+    fast, env, sizes = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
+    naive, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
+    assert all(sizes) and len(sizes) == min(1, sum(map(bool, naive_sizes)))
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
-def test_channel_with_no_device_jumps_the_budget_in_chunks(dwell, retune, monkeypatch):
-    budget = 3.5 * _JUMP_CHUNK * (dwell + retune)
-    jumps = spy_jumps(monkeypatch)
-    _, env = lone_rotation(Scanner, DEVICES, CH20, dwell, retune, budget)
-    monkeypatch.undo()
-    assert [k for k, _ in jumps[:3]] == [_JUMP_CHUNK] * 3 and len(jumps) <= 5
-    _, naive_env = lone_rotation(NaiveScanner, DEVICES, CH20, dwell, retune, budget)
-    assert env.quiet_until((CH20,)) == math.inf
+def test_channel_with_no_device_jumps_the_budget_in_chunks(dwell, retune):
+    """A rotation over a channel nobody uses makes no environment query and
+    jumps to the clock of the naive loop's 14,337th window."""
+    budget = 14_336 * (dwell + retune)
+    _, env, sizes = lone_rotation(Scanner, DEVICES, CH20, dwell, retune, budget)
+    _, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, CH20, dwell, retune, budget)
+    assert sizes == [] and not any(naive_sizes)
     assert env.clock == naive_env.clock
     assert env.clock - START > budget
 
 
 def test_gap_longer_than_one_chunk():
     """A periodic device on the rotation's channel leaves gaps of 12,500
-    windows, about three jumps each, and is still heard in the window its
-    frame lands in."""
+    windows, and is still heard in the window its frame lands in."""
     beacon = DeviceSpec(
         "beacon", Protocol.ZIGBEE, Role.ROUTER, (CH20,), 5000.0, ZigbeeShort(0x1A62, 0x0020),
         emitter=EmitterKind.PERIODIC,
     )
-    fast, env = lone_rotation(Scanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
-    naive, naive_env = lone_rotation(NaiveScanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
-    assert 5000.0 / 0.4 > 3 * _JUMP_CHUNK
+    fast, env, _ = lone_rotation(Scanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
+    naive, naive_env, _ = lone_rotation(NaiveScanner, [beacon], CH20, 0.3, 0.1, 12_000.0)
     assert "beacon" in fast.log.first_seen
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
+
+
+NEVER = zigbee("never", 0x2001, CH20, 1e20)  # its first frame lands far past any budget here
+
+
+def test_huge_budget_costs_no_window():
+    """A 1e15 s budget on a channel that hears nothing ends at once, past
+    the budget by less than one window."""
+    began = time.perf_counter()
+    scanner, env, sizes = lone_rotation(Scanner, [NEVER], CH20, 1.0, 0.0, 1e15)
+    assert time.perf_counter() - began < 5.0  # about 1e15 windows for the naive loop
+    assert sizes == [] and not scanner.log.first_seen
+    assert 1e15 < env.clock - START <= 1e15 + 1.0
+
+
+def test_clock_after_a_million_windows_is_the_fold():
+    dwell, retune = 0.3, 0.1
+    budget = 1e6 * (dwell + retune)
+    _, env, sizes = lone_rotation(Scanner, [NEVER], CH20, dwell, retune, budget)
+    steps = np.empty(2 * 1_000_100 + 1)
+    steps[0], steps[1::2], steps[2::2] = START, dwell, retune
+    starts = np.add.accumulate(steps)[::2]
+    assert sizes == []
+    assert env.clock == starts[np.searchsorted(starts - START, budget, "right")]
+
+
+def test_dwell_that_cannot_advance_the_clock_is_refused():
+    """Past 2^53 dwells, clock + dwell == clock, so the rotation would never
+    end; it is refused before its first window."""
+    with pytest.raises(ParameterError, match="cannot advance"):
+        lone_rotation(Scanner, [NEVER], CH20, 1.0, 0.0, 1e17)
 
 
 # -- retired devices ------------------------------------------------------------
@@ -391,3 +459,37 @@ def test_bundled_scenarios_match_naive_loop(name):
             experiment._run_algorithm(cfg, scanner, targets)
             outcomes.append((scanner.log.first_seen, scanner.log.addresses, env.clock))
         assert outcomes[0] == outcomes[1], (name, trial)
+
+
+def test_listen_after_an_early_stop():
+    """The rotation drops nothing past the window it stopped after, so
+    listening on after an early stop hears what the naive loop's listens
+    hear."""
+
+    def stop_early_then_listen(scanner, stop):
+        scanner.passive_scan(ALL, 1.0, 3000.0, until_complete=frozenset({"tag"}))
+        for ch in ALL:
+            scanner.listen(ch, 200.0)
+
+    for seed in range(40):
+        fast, fast_clock, *_ = run(Scanner, stop_early_then_listen, seed, None)
+        naive, naive_clock, *_ = run(NaiveScanner, stop_early_then_listen, seed, None)
+        assert fast.log == naive.log, seed
+        assert fast_clock == naive_clock, seed
+
+
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_every_rotation_query_hears_a_frame_without_loss(scan, monkeypatch):
+    heard = []
+    listen = Scanner.listen_in_parallel
+
+    def spy(scanner, *args, **kwargs):
+        heard.append(listen(scanner, *args, **kwargs))
+        return heard[-1]
+
+    monkeypatch.setattr(Scanner, "listen_in_parallel", spy)
+    do_scan, _ = SCANS[scan]
+    run(Scanner, do_scan, 12, None, delay=RESPONSE_DELAY_S.get(scan, 40.0), loss=0.0)
+    assert all(heard)
+    # both active scans log the probed devices in their probe windows
+    assert heard or scan in ("active", "active-answered")
