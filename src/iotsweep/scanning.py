@@ -379,7 +379,8 @@ class Scanner:
         groups = [frozenset(group) for group in groups]  # hashed once, not per window
         n_groups = len(groups)
         hearers = [env.device_names_on(group) for group in groups]
-        windows = _Windows(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
+        retune = self.sdr.retune_latency_s
+        windows = _Windows(env.clock, dwell_time_s, retune, t_start, scan_time_s)
 
         def covered(targets):
             return targets is not None and log.covers(targets)
@@ -404,9 +405,9 @@ class Scanner:
                     dev.generate_until(c0)
                 push(n, dev)
         for n, em in enumerate(env.scheduled_responses()):
-            if c0 <= em.time_s:
-                j = windows.index(em.time_s)
-                if j < end and em.time_s < windows.edges(j)[1] and em.channel in groups[j % n_groups]:
+            j = windows.index(em.time_s) if em.time_s >= c0 else end
+            if j < end and em.time_s < windows.edges(j)[1]:  # inside window j, not its gap
+                if em.channel in groups[j % n_groups]:
                     heapq.heappush(events, (j, -1 - n, None))
         n_logged = len(log.addresses)
         while events and events[0][0] < end:

@@ -177,6 +177,19 @@ def test_late_probe_response_is_heard():
     assert scanner.log.first_seen == {"hub": response[0].time_s}
 
 
+def test_budget_spent_before_the_first_window():
+    """An active scan's probes can overrun its budget, leaving its passive
+    phase a negative one: the rotation then queries nothing and keeps the
+    clock, with the hub's response still pending."""
+    spent = lambda s, stop: s.passive_scan([CH11], 1.0, -1.0)
+    fast, fast_clock, queries, response = run(Scanner, spent, 17, None)
+    naive, naive_clock, naive_queries, _ = run(NaiveScanner, spent, 17, None)
+    assert response and response[0].time_s > 0.0
+    assert queries == naive_queries == 0
+    assert fast_clock == naive_clock == 0.0
+    assert fast.log == naive.log == DiscoveryLog()
+
+
 @pytest.mark.parametrize("scan", ["passive", "multiprotocol"])
 def test_complete_log_still_walks_one_window(scan):
     """A scan that starts with every target found runs one window, even
