@@ -193,7 +193,7 @@ def test_budget_spent_before_the_first_window():
 @pytest.mark.parametrize("scan", ["passive", "multiprotocol"])
 def test_complete_log_still_walks_one_window(scan):
     """A scan that starts with every target found runs one window, even
-    when that window would have been stepped over."""
+    when no device or response lands in it."""
     do_scan, _ = SCANS[scan]
     two_scans = lambda s, stop: (do_scan(s, stop), do_scan(s, stop))
     fast, fast_clock, _, _ = run(Scanner, two_scans, 3, frozenset({"hub"}))
@@ -209,9 +209,11 @@ START = 0.37
 CH20 = zigbee_channel(20)  # no device listens here
 
 
-def fold(clock, dwell, retune, t_start, budget):
-    """Window starts and ends by one IEEE addition at a time, as the naive
-    loop steps them; the last start is the first one past the budget."""
+def fold(clock, dwell, retune, budget):
+    """Window starts and ends from ``clock`` by one IEEE addition at a time,
+    as the naive loop steps them; the last start is the first one past the
+    budget."""
+    t_start = clock
     starts, ends = [], []
     while clock - t_start <= budget:
         starts.append(clock)
@@ -225,7 +227,7 @@ def fold(clock, dwell, retune, t_start, budget):
 def check_edges(clock, dwell, retune, budget, rng):
     """``_Windows`` from ``clock`` matches the fold in every edge, in the
     first window past the budget and in the window of random times."""
-    starts, ends = fold(clock, dwell, retune, clock, budget)
+    starts, ends = fold(clock, dwell, retune, budget)
     windows = _Windows(clock, dwell, retune, clock, budget)
     assert windows.count == len(ends)
     assert [windows.edges(j) for j in range(len(ends))] == list(zip(starts, ends))
