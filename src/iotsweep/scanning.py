@@ -26,13 +26,14 @@ Every window records what it hears in the scanner's ``DiscoveryLog``, which
 is a scan's one result: the scans return nothing, and a listen returns only
 whether any frame in its window carried an address.
 
-Passive scans, multiprotocol scans and each sequential phase are one
-round-robin over channel groups (a passive channel is a group of one), run
-by ``Scanner._rotate``. It queries only the windows in which a device that
-is not yet fully logged, or a pending probe response, lands on the window's
-channels, and finds them by next-event time advance over window edges in
-closed form; its docstring says why every output is the same as when each
-window is queried with every device.
+Every scan counts its budget from its own start: each window, probe or
+rotation, starts within it. Past the probes, a scan is one round-robin over
+channel groups (a passive channel is a group of one; a sequential scan runs
+one per phase), run by ``Scanner._rotate``. It stops once the log covers
+its stop set, and queries only the windows in which a device not yet fully
+logged, or a pending probe response, lands on the window's channels; its
+docstring says when it checks the stop set and why every output is the
+same as when each window is queried with every device.
 """
 
 from __future__ import annotations
@@ -130,10 +131,11 @@ class Scanner:
     ``until_complete`` (a set of canonical device names) lets an experiment
     runner stop a scan as soon as everything it is measuring has been found;
     windows past that point can never change a first-seen time, so recorded
-    discovery times are identical with or without it. The rotation applies
-    the same argument per device (see ``_rotate``): ``fully_logged`` names
-    the devices whose every address is in the log, and no rotation window
-    generates them again.
+    discovery times are identical with or without it, and a scan that starts
+    with it found opens no window. The rotation applies the same argument
+    per device (see ``_rotate``): ``fully_logged`` names the devices whose
+    every address is in the log, and no rotation window generates them
+    again.
     """
 
     def __init__(
@@ -224,7 +226,7 @@ class Scanner:
             raise ParameterError("passive scan needs a non-empty channel list")
         self._rotate(
             [(ch,) for ch in ch_list], dwell_time_s, scan_time_s, self.env.clock,
-            stop_after=until_complete,
+            stop=until_complete,
         )
 
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
@@ -248,14 +250,16 @@ class Scanner:
         *,
         until_complete: frozenset[str] | None = None,
     ) -> None:
-        """Probe first, then spend the remaining budget passively on the
-        channels that answered. With no active channels there is nothing to
-        revisit, so the scan ends after the probes."""
+        """Probe the channels whose probe windows start within the budget,
+        then listen passively on those that answered until it is spent. With
+        no active channels the scan ends after the probes."""
         t_start = self.env.clock
-        active = self.probe_channels(ch_list, self.probe_dwell_time_s)
-        remaining = scan_time_s - (self.env.clock - t_start)
+        probe = self.probe_dwell_time_s
+        n_probes = _Windows(t_start, probe, self.sdr.retune_latency_s, t_start, scan_time_s).count
+        active = self.probe_channels(ch_list[:n_probes], probe)
         if active:
-            self.passive_scan(active, dwell_time_s, remaining, until_complete=until_complete)
+            groups = [(ch,) for ch in active]
+            self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=until_complete)
 
     def multiprotocol_scan(
         self,
@@ -269,9 +273,7 @@ class Scanner:
         the groups with parallel listens. Single-channel groups make this
         behave exactly like a passive scan."""
         groups = plan_channel_groups(ch_list, self.sdr.instantaneous_bandwidth_hz)
-        self._rotate(
-            groups, dwell_time_s, scan_time_s, self.env.clock, stop_after=until_complete
-        )
+        self._rotate(groups, dwell_time_s, scan_time_s, self.env.clock, stop=until_complete)
 
     def active_multiprotocol_scan(
         self,
@@ -282,15 +284,17 @@ class Scanner:
         *,
         until_complete: frozenset[str] | None = None,
     ) -> None:
-        """Probe one protocol's channels, merge the responders with the
-        always-scanned list (sorted ascending), and multiprotocol-scan the
-        merge for the remaining budget."""
+        """Probe the channels of ``ch_probe_list`` whose probe windows start
+        within the budget, merge the responders with the always-scanned list
+        (sorted ascending), and multiprotocol-scan the merge until it is spent."""
         t_start = self.env.clock
-        active = self.probe_channels(ch_probe_list, self.probe_dwell_time_s)
+        probe = self.probe_dwell_time_s
+        n_probes = _Windows(t_start, probe, self.sdr.retune_latency_s, t_start, scan_time_s).count
+        active = self.probe_channels(ch_probe_list[:n_probes], probe)
         merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
-        remaining = scan_time_s - (self.env.clock - t_start)
         if merged:
-            self.multiprotocol_scan(merged, dwell_time_s, remaining, until_complete=until_complete)
+            groups = plan_channel_groups(merged, self.sdr.instantaneous_bandwidth_hz)
+            self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=until_complete)
 
     def sequential_passive_scan(
         self,
@@ -313,8 +317,7 @@ class Scanner:
             audible = self.env.device_names_on(phase)
             targets = audible if until_complete is None else audible & until_complete
             self._rotate(
-                [(ch,) for ch in phase], dwell_time_s, scan_time_s, t_start,
-                stop_before=targets,
+                [(ch,) for ch in phase], dwell_time_s, scan_time_s, t_start, stop=targets
             )
 
     def _rotate(
@@ -324,15 +327,16 @@ class Scanner:
         scan_time_s: float,
         t_start: float,
         *,
-        stop_before: frozenset[str] | None = None,
-        stop_after: frozenset[str] | None = None,
+        stop: frozenset[str] | None = None,
     ) -> None:
-        """The one round-robin every scan runs: listen to ``groups`` in turn,
-        one dwell each plus a retune, while at most ``scan_time_s`` has
-        passed since ``t_start``. The scan stops once the log covers
-        ``stop_before`` (checked before a window) or ``stop_after`` (checked
-        after one). Window j starts at c_j, ends at e_j = c_j + dwell, and
-        the next starts at c_{j+1} = e_j + retune.
+        """The one round-robin every scan runs: listen to ``groups`` in turn
+        from the clock on, one dwell each plus a retune, while at most
+        ``scan_time_s`` has passed since the scan's start ``t_start``. The
+        rotation stops once the log covers ``stop``, checked before the
+        first window and after each window: a rotation whose stop set is
+        already logged opens no window and keeps the clock. Window j starts
+        at c_j, ends at e_j = c_j + dwell, and the next starts at
+        c_{j+1} = e_j + retune.
 
         Every log, address set and final clock is the same as when each
         window is queried with every device, for these reasons:
@@ -362,19 +366,10 @@ class Scanner:
           left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
           the fold, and the same first index past the budget.
 
-        The log only grows in queried windows, so the stop checks are
+        The log only grows in queried windows, so the stop check is
         re-evaluated only after a window that logged a new address; a stop
-        after window j leaves the clock at c_{j+1}, and a ``stop_after``
-        that is already covered still walks exactly one window. A dwell that
-        cannot move the clock within the budget is refused before the first
-        window, as its rotation would never end.
+        after window j leaves the clock at c_{j+1}.
         """
-        if not 0.0 < dwell_time_s < math.inf:
-            raise ParameterError("dwell must be positive and finite")
-        if dwell_time_s <= math.ulp(t_start + scan_time_s) / 2:
-            raise ParameterError(
-                f"dwell {dwell_time_s} s cannot advance a clock of {t_start + scan_time_s} s"
-            )
         env, log = self.env, self.log
         groups = [frozenset(group) for group in groups]  # hashed once, not per window
         n_groups = len(groups)
@@ -382,28 +377,27 @@ class Scanner:
         retune = self.sdr.retune_latency_s
         windows = _Windows(env.clock, dwell_time_s, retune, t_start, scan_time_s)
 
-        def covered(targets):
-            return targets is not None and log.covers(targets)
+        def covered():
+            return stop is not None and log.covers(stop)
 
-        end = windows.count  # the clock stops at the start of window `end`
-        if covered(stop_before):
-            end = 0
-        elif covered(stop_after):
-            end = min(end, 1)
+        end = 0 if covered() else windows.count  # the clock stops at the start of window `end`
         c0 = env.clock
         scope = frozenset().union(*hearers)
         events: list[tuple[int, int, object]] = []  # (window, tiebreak, device or None)
 
-        def push(tiebreak, dev):
-            j = windows.index(dev.next_time)
-            if j < end:
-                heapq.heappush(events, (j, tiebreak, dev))
+        def push(tiebreak, dev, c):
+            """Drop the device's emissions before ``c``, then queue it under
+            the window of its next time, unless it is fully logged."""
+            if dev.name not in self.fully_logged:
+                if dev.next_time < c:
+                    dev.generate_until(c)
+                j = windows.index(dev.next_time)
+                if j < end:
+                    heapq.heappush(events, (j, tiebreak, dev))
 
         for n, dev in enumerate(env.devices):
-            if dev.name in scope and dev.name not in self.fully_logged:
-                if dev.next_time < c0:
-                    dev.generate_until(c0)
-                push(n, dev)
+            if dev.name in scope:
+                push(n, dev, c0)
         for n, em in enumerate(env.scheduled_responses()):
             j = windows.index(em.time_s) if em.time_s >= c0 else end
             if j < end and em.time_s < windows.edges(j)[1]:  # inside window j, not its gap
@@ -427,14 +421,11 @@ class Scanner:
                 self.listen_in_parallel(groups[j % n_groups], dwell_time_s, skip=self.fully_logged)
                 if len(log.addresses) > n_logged:
                     n_logged = len(log.addresses)
-                    if covered(stop_before) or covered(stop_after):
+                    if covered():
                         end = j + 1
             c_next = windows.edges(j + 1)[0]
             for n, dev in popped:
-                if dev.name not in self.fully_logged:
-                    if dev.next_time < c_next:
-                        dev.generate_until(c_next)
-                    push(n, dev)
+                push(n, dev, c_next)
         if end:
             env.clock = windows.edges(end)[0]
 
@@ -456,10 +447,16 @@ class _Windows:
     below 2^53. At a binade crossing, from clock 0 and on a tie, one window
     is taken by plain float steps instead, as a run of one in units of
     ulp(c_{j0}). So a rotation costs about two runs per binade its clock
-    crosses, whatever its number of windows.
+    crosses, whatever its number of windows. A dwell that cannot move the
+    clock within the budget is refused, as its windows would never end.
     """
 
     def __init__(self, clock, dwell, retune, t_start, scan_time_s):
+        if not 0.0 < dwell < math.inf:
+            raise ParameterError("dwell must be positive and finite")
+        last = t_start + scan_time_s
+        if dwell <= math.ulp(last) / 2:
+            raise ParameterError(f"dwell {dwell} s cannot advance a clock of {last} s")
         self._first: list[int] = []  # index of each run's first window
         self._starts: list[float] = []  # start of each run's first window
         self._runs: list[tuple[int, float, int, int]] = []  # (X, u, D, P) of each run

@@ -5,9 +5,10 @@ A naive reference loop queries the environment for every window, with every
 device. Each scan must leave the same discovery log (first-seen times and
 addresses) and clock with either loop, under retune latency, frame loss,
 probe responses that land windows after the probe, window periods that are
-not exact in binary, budgets that end in a quiet gap, gaps of many thousand
-windows, early stops followed by more listening, devices seen under two
-addresses, and every bundled scenario.
+not exact in binary, budgets that end after the last frame a rotation can
+hear, gaps of many thousand windows, early stops followed by more
+listening, scans that start with their targets logged, devices seen under
+two addresses, and every bundled scenario.
 """
 
 from __future__ import annotations
@@ -62,23 +63,20 @@ NAMES = frozenset(d.name for d in DEVICES)
 
 
 class NaiveScanner(Scanner):
-    """Reference rotation: one environment query per window, stop checks
-    around every window."""
+    """Reference rotation: one environment query per window, with every
+    device, and one stop check before every window."""
 
-    def _rotate(self, groups, dwell_time_s, scan_time_s, t_start, *,
-                stop_before=None, stop_after=None):
+    def _rotate(self, groups, dwell_time_s, scan_time_s, t_start, *, stop=None):
         env = self.env
         i = 0
         while env.clock - t_start <= scan_time_s:
-            if stop_before is not None and self.log.covers(stop_before):
+            if stop is not None and self.log.covers(stop):
                 break
             t0 = env.clock
             self._ingest(env.emissions_in_parallel(groups[i], t0, t0 + dwell_time_s))
             if self.sdr.retune_latency_s:
                 env.advance(self.sdr.retune_latency_s)
             i = (i + 1) % len(groups)
-            if stop_after is not None and self.log.covers(stop_after):
-                break
 
 
 ALL = sort_channels(ZIGBEE + list(BLE) + list(SUB_GHZ))
@@ -141,6 +139,8 @@ def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0, loss=LOSS
 # and by the multiprotocol scan at seed 22
 @pytest.mark.parametrize("seed", [12, 22])
 def test_fast_forward_matches_naive_loop(scan, seed, stop):
+    """Each scan leaves the naive loop's log and clock with no more window
+    queries, and under a third as many for the scans that skip most."""
     do_scan, hears_all = SCANS[scan]
     delay = RESPONSE_DELAY_S.get(scan, 40.0)
     fast, fast_clock, fast_queries, _ = run(Scanner, do_scan, seed, stop, delay=delay)
@@ -158,9 +158,9 @@ def test_fast_forward_matches_naive_loop(scan, seed, stop):
 
 @pytest.mark.parametrize("scan", ["sequential", "active-multiprotocol"])
 def test_quiet_time_is_scoped_to_the_rotation(scan):
-    """Devices outside a rotation's channels cost it no window: with one
-    quiet time over every channel, seed 3 once queried 4,105 of 4,616
-    sequential windows and 2,290 of 2,310 active-multiprotocol ones."""
+    """A device on none of a rotation's channels makes it query no window:
+    at seed 3 the sequential and active-multiprotocol scans query under a
+    tenth of the naive loop's 4,616 and 2,310 windows."""
     do_scan, _ = SCANS[scan]
     *_, queries, _ = run(Scanner, do_scan, 3, None)
     *_, naive_queries, _ = run(NaiveScanner, do_scan, 3, None)
@@ -178,9 +178,10 @@ def test_late_probe_response_is_heard():
 
 
 def test_budget_spent_before_the_first_window():
-    """An active scan's probes can overrun its budget, leaving its passive
-    phase a negative one: the rotation then queries nothing and keeps the
-    clock, with the hub's response still pending."""
+    """An active scan's last probe can end past its budget, so its rotation
+    starts with the budget spent (here, a negative budget): the rotation
+    then queries nothing and keeps the clock, with the hub's response still
+    pending."""
     spent = lambda s, stop: s.passive_scan([CH11], 1.0, -1.0)
     fast, fast_clock, queries, response = run(Scanner, spent, 17, None)
     naive, naive_clock, naive_queries, _ = run(NaiveScanner, spent, 17, None)
@@ -190,16 +191,36 @@ def test_budget_spent_before_the_first_window():
     assert fast.log == naive.log == DiscoveryLog()
 
 
-@pytest.mark.parametrize("scan", ["passive", "multiprotocol"])
-def test_complete_log_still_walks_one_window(scan):
-    """A scan that starts with every target found runs one window, even
-    when no device or response lands in it."""
+HUB = frozenset({"hub"})
+LOOPS = pytest.mark.parametrize("scanner_cls", [Scanner, NaiveScanner], ids=["fast", "naive"])
+
+
+@LOOPS
+@pytest.mark.parametrize("scan", ["passive", "multiprotocol", "sequential"])
+def test_scan_with_its_targets_logged_opens_no_window(scan, scanner_cls):
+    """A scan that starts with every target logged queries no window and
+    keeps the clock, even where a device would be heard."""
     do_scan, _ = SCANS[scan]
-    two_scans = lambda s, stop: (do_scan(s, stop), do_scan(s, stop))
-    fast, fast_clock, _, _ = run(Scanner, two_scans, 3, frozenset({"hub"}))
-    naive, naive_clock, _, _ = run(NaiveScanner, two_scans, 3, frozenset({"hub"}))
-    assert "hub" in fast.log.first_seen
-    assert fast_clock == naive_clock
+    scanner, clock, *_ = run(scanner_cls, do_scan, 3, HUB)
+    assert scanner.log.covers(HUB)
+    sizes = record_queries(scanner.env)
+    do_scan(scanner, HUB)
+    assert sizes == []
+    assert scanner.env.clock == clock
+
+
+@LOOPS
+def test_active_scan_whose_probes_log_its_targets_opens_no_window(scanner_cls):
+    """The hub answers inside its probe window, so the rotation after the
+    probes opens no window: the scan makes the probes' queries only and
+    ends at their clock."""
+    probe_only = lambda s, stop: s.probe_channels(ZIGBEE, s.probe_dwell_time_s)
+    _, probe_clock, probe_queries, _ = run(scanner_cls, probe_only, 3, None, delay=0.1)
+    do_scan, _ = SCANS["active-answered"]
+    scanner, clock, queries, _ = run(scanner_cls, do_scan, 3, HUB, delay=0.1)
+    assert scanner.log.covers(HUB)
+    assert queries == probe_queries == len(ZIGBEE)
+    assert clock == probe_clock
 
 
 # Dwell/retune pairs whose window period is not exact in binary, so the
@@ -245,6 +266,8 @@ CLOCKS = [START, 0.0, 1e-9, 3.2000000000000006, 1023.9, 2.0**20 - 0.05]
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_jump_clock_is_the_window_fold(dwell, retune):
+    """``_Windows`` gives every edge of the naive loop's fold from every
+    start clock, for periods that are not exact in binary."""
     rng = random.Random(f"{dwell}/{retune}")
     period = dwell + retune
     for clock in CLOCKS:
@@ -310,9 +333,10 @@ def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
 @pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
-    """Only a window that hears the keypad is queried (there is no loss),
-    and as it has one address, only the first; the clock still ends where
-    the naive loop's does."""
+    """Only the first window that hears the keypad is queried: there is no
+    loss, and its one address then leaves the rotation nothing to hear. The
+    budget ends with no device left, and the clock ends where the naive
+    loop's does."""
     fast, env, sizes = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
     naive, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
     assert all(sizes) and len(sizes) == min(1, sum(map(bool, naive_sizes)))
@@ -324,7 +348,7 @@ def test_budget_ends_inside_a_quiet_gap(dwell, retune, budget):
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_channel_with_no_device_jumps_the_budget_in_chunks(dwell, retune):
     """A rotation over a channel nobody uses makes no environment query and
-    jumps to the clock of the naive loop's 14,337th window."""
+    ends at the clock of the naive loop's 14,337th window."""
     budget = 14_336 * (dwell + retune)
     _, env, sizes = lone_rotation(Scanner, DEVICES, CH20, dwell, retune, budget)
     _, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, CH20, dwell, retune, budget)

@@ -10,6 +10,7 @@ from iotsweep.channels import (
     sort_channels,
     yolink_channel,
     zigbee_channel,
+    zigbee_channels,
     zwave_channel,
     zwave_channels,
 )
@@ -261,6 +262,27 @@ class TestProbeAndActive:
         scanner.active_scan(chans, 1.0, 10.0)
         assert scanner.log.addresses == set()
         assert env.clock == pytest.approx(0.4)  # the two probe windows, nothing after
+
+    @pytest.mark.parametrize("algorithm", ["active", "active-multiprotocol"])
+    def test_probe_windows_start_within_the_budget(self, algorithm):
+        """With 0.2 s probes and a 1 s budget, only the 6 probe windows that
+        start by 1.0 s run, of the 16 Zigbee channels, and the scan ends
+        after them."""
+        env = make_env(self.make_devs(), seed=51)
+        probed, inject = [], env.inject_probe
+
+        def spy(channel):
+            probed.append(channel)
+            return inject(channel)
+
+        env.inject_probe = spy
+        scanner = Scanner(env, SDR8)
+        if algorithm == "active":
+            scanner.active_scan(zigbee_channels(), 1.0, 1.0)
+        else:
+            scanner.active_multiprotocol_scan(ble_advertising_channels(), zigbee_channels(), 1.0, 1.0)
+        assert probed == zigbee_channels()[:6]
+        assert env.clock == 1.2
 
 
 class TestParallelListen:
