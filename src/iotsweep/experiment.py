@@ -29,7 +29,7 @@ from .analytics import OrderStatSummary, discretize, expected_order_statistics, 
 from .errors import ScenarioError
 from .scanning import Scanner, plan_channel_groups
 from .scenario import Algorithm, ScenarioConfig
-from .simulation import EmitterKind, Environment, build_environment
+from .simulation import EmitterKind, Environment, build_environment, stream_seeds
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,18 @@ class ComparisonReport:
     passed: bool  # expected value inside the CI for >= 75% of usable rows
 
 
-def trial_environment(cfg: ScenarioConfig, trial: int) -> Environment:
+def trial_environment(
+    cfg: ScenarioConfig, trial: int, streams: np.ndarray | None = None
+) -> Environment:
+    """Trial ``trial``'s environment; ``streams`` is its block of the
+    experiment's ``stream_seeds``, or None to seed this trial alone."""
     return build_environment(
         cfg.devices,
         seed=cfg.seed,
         trial=trial,
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,
+        streams=streams,
     )
 
 
@@ -105,8 +110,9 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
     started = time.perf_counter()
     targets = frozenset(d.name for d in cfg.devices)
     records: list[TrialRecord] = []
+    streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
     for trial in range(cfg.trials):
-        env = trial_environment(cfg, trial)
+        env = trial_environment(cfg, trial, streams[trial])
         scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
         _run_algorithm(cfg, scanner, targets)
         seen = sorted((t, name) for name, t in scanner.log.first_seen.items())

@@ -255,7 +255,8 @@ class Scanner:
         no active channels the scan ends after the probes."""
         t_start = self.env.clock
         probe = self.probe_dwell_time_s
-        n_probes = _Windows(t_start, probe, self.sdr.retune_latency_s, t_start, scan_time_s).count
+        retune, n = self.sdr.retune_latency_s, len(ch_list)
+        n_probes = _Windows(t_start, probe, retune, t_start, scan_time_s, limit=n).count
         active = self.probe_channels(ch_list[:n_probes], probe)
         if active:
             groups = [(ch,) for ch in active]
@@ -289,7 +290,8 @@ class Scanner:
         (sorted ascending), and multiprotocol-scan the merge until it is spent."""
         t_start = self.env.clock
         probe = self.probe_dwell_time_s
-        n_probes = _Windows(t_start, probe, self.sdr.retune_latency_s, t_start, scan_time_s).count
+        retune, n = self.sdr.retune_latency_s, len(ch_probe_list)
+        n_probes = _Windows(t_start, probe, retune, t_start, scan_time_s, limit=n).count
         active = self.probe_channels(ch_probe_list[:n_probes], probe)
         merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
         if merged:
@@ -449,9 +451,12 @@ class _Windows:
     ulp(c_{j0}). So a rotation costs about two runs per binade its clock
     crosses, whatever its number of windows. A dwell that cannot move the
     clock within the budget is refused, as its windows would never end.
+
+    With ``limit``, only the first ``limit`` windows are planned: ``count``
+    is then the smaller of the two, and no run past it is built.
     """
 
-    def __init__(self, clock, dwell, retune, t_start, scan_time_s):
+    def __init__(self, clock, dwell, retune, t_start, scan_time_s, limit=math.inf):
         if not 0.0 < dwell < math.inf:
             raise ParameterError("dwell must be positive and finite")
         last = t_start + scan_time_s
@@ -461,7 +466,7 @@ class _Windows:
         self._starts: list[float] = []  # start of each run's first window
         self._runs: list[tuple[int, float, int, int]] = []  # (X, u, D, P) of each run
         j = 0
-        while clock - t_start <= scan_time_s:
+        while clock - t_start <= scan_time_s and j < limit:
             u = math.ulp(clock or dwell)
             x, d, r = int(clock / u), dwell / u, retune / u
             k = 0
@@ -470,14 +475,7 @@ class _Windows:
                 k = (2**53 - 1 - x) // P
             if k:
                 if float(x + k * P) * u - t_start > scan_time_s:  # the budget ends in this run
-                    lo, hi = 0, k
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        if float(x + mid * P) * u - t_start > scan_time_s:
-                            hi = mid
-                        else:
-                            lo = mid
-                    k = hi
+                    k = _first_past(x, u, P, k, t_start, scan_time_s)
                 nxt = float(x + k * P) * u
             else:
                 t1 = clock + dwell
@@ -487,11 +485,14 @@ class _Windows:
             self._starts.append(clock)
             self._runs.append((x, u, D, P))
             clock, j = nxt, j + k
+        if j > limit:
+            j = limit
+            clock = self.edges(j)[0]
         self.count = j
         self._end = clock
 
     def edges(self, j: int) -> tuple[float, float]:
-        """(c_j, e_j), for 0 <= j <= count."""
+        """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
         i = bisect_right(self._first, j) - 1
         x, u, D, P = self._runs[i]
         y = x + (j - self._first[i]) * P
@@ -505,3 +506,20 @@ class _Windows:
         i = bisect_right(self._starts, t) - 1
         x, u, _, P = self._runs[i]
         return self._first[i] + (int(t / u) - x) // P
+
+
+def _first_past(x: int, u: float, P: int, k: int, t_start: float, scan_time_s: float) -> int:
+    """The first m in (0, k] with (x + m * P) * u - t_start > scan_time_s,
+    where m = 0 is within the budget and m = k is not. The test only turns
+    true as m grows, so m is solved from (t_start + scan_time_s) / u and then
+    stepped to the exact first m."""
+
+    def past(m):
+        return float(x + m * P) * u - t_start > scan_time_s
+
+    m = min(max(math.floor(((t_start + scan_time_s) / u - x) / P) + 1, 1), k)
+    while m > 1 and past(m - 1):
+        m -= 1
+    while not past(m):
+        m += 1
+    return m

@@ -11,7 +11,11 @@ tag): emission times, loss coins (only when ``loss_prob > 0``) and probe
 behavior (built on the first probe). Emission sequences therefore depend
 only on the scenario and seed, never on how the scanner queries the
 environment, which is what makes trials reproducible and scan algorithms
-comparable on identical traffic.
+comparable on identical traffic. A stream is PCG64 seeded with the words
+``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
+``stream_seeds`` computes those words for every key of an experiment in
+one numpy pass, since building a SeedSequence per stream cost more than
+the rest of a trial's set-up.
 
 A listen window generates the devices on its channels up to its end, encodes
 the entries that fall on its channels and inside its span, and keeps none of
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -41,11 +46,136 @@ from .errors import ScenarioError, SimulationError, UnsupportedProbe
 _STREAM_TIMES = 0
 _STREAM_LOSS = 1
 _STREAM_PROBE = 2
+_N_STREAMS = 3
 
 _EXP_CHUNK = 64  # exponential gaps drawn per RNG call
 
 #: Probe responses land uniformly within this many seconds of the probe.
 DEFAULT_PROBE_RESPONSE_DELAY_MAX_S = 0.1
+
+
+# -- stream seeding -------------------------------------------------------------
+#
+# numpy's SeedSequence is O'Neill's seed_seq hash (O'Neill 2014, "PCG: A
+# Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+# Random Number Generation"): the key's 32-bit words are hashed into a pool
+# of 4 words, every pool word is mixed into every other, any words past the
+# fourth are mixed into all 4, and the output words are hashed out of the
+# pool in turn. Each hash step multiplies a running constant by a fixed
+# factor, so the constants depend only on the key's word count, and all
+# keys of one word count take the same steps: plain uint32 arithmetic that
+# numpy runs over all of them at once.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # pool hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """h_0 .. h_n with h_0 = init and h_(k+1) = h_k * mult mod 2^32, as a
+    column: hash step k xors with h_k and multiplies by h_(k+1)."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, np.uint32)[:, None]
+
+
+#: generate_state(4, np.uint64) hashes out 8 words, cycling over the pool.
+_OUTPUT_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _int_words(n: int) -> list[int]:
+    """SeedSequence's coercion of one int: its 32-bit little-endian words."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Hash steps k .. k+n-1 of ``value``, one per row."""
+    value = (value ^ h[k : k + n]) * h[k + 1 : k + n + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(key).generate_state(4, np.uint64)`` for every
+    key, given their 32-bit words as the rows of ``entropy`` (all keys of
+    one word count). Returns one C-contiguous row of 4 words per key."""
+    n_keys, n_words = entropy.shape
+    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * max(n_words - _POOL_SIZE, 0))
+    pool = np.zeros((_POOL_SIZE, n_keys), np.uint32)  # one row per pool word
+    head = min(n_words, _POOL_SIZE)
+    pool[:head] = entropy[:, :head].T
+    pool = _hashmix(pool, h, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # pool[src] is unchanged while it mixes into the others
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h, k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, n_words):
+        pool = _mix(pool, _hashmix(entropy[:, src], h, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    out = _hashmix(np.concatenate([pool, pool]), _OUTPUT_CONSTANTS, 0, 2 * _POOL_SIZE)
+    state = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << np.uint64(32)
+    return np.ascontiguousarray(state.T)
+
+
+def stream_seeds(seed: int, trials: Iterable[int], n_devices: int) -> np.ndarray:
+    """The PCG64 seed words of every device stream of ``trials``.
+
+    Entry ``[m, i, tag]`` is the row of 4 uint64 words that
+    ``np.random.SeedSequence([seed, trials[m], i, tag]).generate_state(4,
+    np.uint64)`` gives, for device i < 2^32 and tag 0 (times), 1 (loss) or
+    2 (probe); the shape is (number of trials, n_devices, 3, 4). All keys
+    are hashed in one pass per word count, so a batch should span as many
+    trials as the caller will build.
+    """
+    trial_words = [_int_words(t) for t in trials]
+    seed_words = _int_words(seed)
+    n_seed = len(seed_words)
+    out = np.empty((len(trial_words), n_devices, _N_STREAMS, 4), np.uint64)
+    by_width: dict[int, list[int]] = {}
+    for m, words in enumerate(trial_words):
+        by_width.setdefault(len(words), []).append(m)
+    for width, rows in by_width.items():
+        keys = np.empty((len(rows), n_devices, _N_STREAMS, n_seed + width + 2), np.uint32)
+        keys[..., :n_seed] = seed_words
+        keys[..., n_seed:-2] = np.array([trial_words[m] for m in rows], np.uint32)[:, None, None]
+        keys[..., -2] = np.arange(n_devices, dtype=np.uint32)[:, None]
+        keys[..., -1] = np.arange(_N_STREAMS, dtype=np.uint32)
+        state = _seed_state(keys.reshape(-1, keys.shape[-1]))
+        out[rows] = state.reshape(len(rows), n_devices, _N_STREAMS, 4)
+    return out
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """One row of ``stream_seeds``, handed to PCG64 as its seed sequence:
+    PCG64 asks for 4 uint64 words and reads the row's buffer."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a stream seed holds only PCG64's 4 uint64 words")
+        return self._state
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_StreamSeed(state)))
 
 
 class Role(Enum):
@@ -163,23 +293,21 @@ class Emission:
 
 
 class SimDevice:
-    """Runtime state for one device: RNG streams and its next emission."""
+    """Runtime state for one device: RNG streams and its next emission.
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        seed: int,
-        trial: int,
-        index: int,
-        loss_prob: float,
-    ):
+    ``streams`` is the device's block of ``stream_seeds``: one row of seed
+    words per tag, the words ``SeedSequence([seed, trial, index, tag])``
+    would give. The loss stream is built only when ``loss_prob > 0``, and
+    the probe stream on the first probe."""
+
+    def __init__(self, spec: DeviceSpec, streams: np.ndarray, loss_prob: float):
         self.spec = spec
         self.name = spec.name
         self._addresses = spec.all_addresses()
         self._loss_prob = loss_prob
-        self._stream_key = [seed, trial, index]
-        self._times = self._stream(_STREAM_TIMES)
-        self._loss = self._stream(_STREAM_LOSS) if loss_prob > 0 else None
+        self._streams = streams
+        self._times = _stream(streams[_STREAM_TIMES])
+        self._loss = _stream(streams[_STREAM_LOSS]) if loss_prob > 0 else None
         self._probe_rng: np.random.Generator | None = None
         self._gap_buffer: list[float] = []
         self._emit_index = 0
@@ -188,13 +316,10 @@ class SimDevice:
         else:
             self.next_time = self._draw_gap()
 
-    def _stream(self, tag: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self._stream_key + [tag]))
-
     @property
     def probe_rng(self) -> np.random.Generator:
         if self._probe_rng is None:
-            self._probe_rng = self._stream(_STREAM_PROBE)
+            self._probe_rng = _stream(self._streams[_STREAM_PROBE])
         return self._probe_rng
 
     def _draw_gap(self) -> float:
@@ -316,11 +441,14 @@ class Environment:
         self,
         devices: Sequence[DeviceSpec],
         *,
-        seed: int,
-        trial: int = 0,
+        streams: np.ndarray,
         loss_prob: float = 0.0,
         probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
     ):
+        """``streams`` is this trial's block of ``stream_seeds``, one entry
+        per device."""
+        if len(streams) != len(devices):
+            raise SimulationError(f"{len(streams)} stream blocks for {len(devices)} devices")
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
         if not 0.0 <= probe_response_delay_max_s < math.inf:
@@ -330,8 +458,7 @@ class Environment:
         self.loss_prob = loss_prob
         self.probe_response_delay_max_s = probe_response_delay_max_s
         self.devices = [
-            SimDevice(spec, seed=seed, trial=trial, index=i, loss_prob=loss_prob)
-            for i, spec in enumerate(devices)
+            SimDevice(spec, block, loss_prob) for spec, block in zip(devices, streams)
         ]
         # channel -> (device, the device's own equal Channel object), in device order
         self._by_channel: dict[Channel, list[tuple[SimDevice, Channel]]] = {}
@@ -471,14 +598,20 @@ def build_environment(
     trial: int = 0,
     loss_prob: float = 0.0,
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
+    streams: np.ndarray | None = None,
 ) -> Environment:
-    """Deterministic environment factory: same inputs, same event sequence."""
+    """Deterministic environment factory: same inputs, same event sequence.
+
+    ``streams`` is the trial's block of ``stream_seeds(seed, ..., len(devices))``
+    when the caller seeds many trials at once; without it the trial is
+    seeded alone, as a batch of one, with the same words."""
     if seed < 0 or trial < 0:
         raise ScenarioError("seed and trial index must be non-negative")
+    if streams is None:
+        streams = stream_seeds(seed, (trial,), len(devices))[0]
     return Environment(
         devices,
-        seed=seed,
-        trial=trial,
+        streams=streams,
         loss_prob=loss_prob,
         probe_response_delay_max_s=probe_response_delay_max_s,
     )
