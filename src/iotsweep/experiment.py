@@ -161,9 +161,11 @@ def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
             f"{cfg.algorithm.value}"
         )
     total = len(groups)
+    group_sets = [frozenset(g) for g in groups]
     divisors = []
     for dev in cfg.devices:
-        audible = sum(1 for g in groups if set(g) & set(dev.channels))
+        channels = frozenset(dev.channels)
+        audible = sum(1 for g in group_sets if not g.isdisjoint(channels))
         if audible == 0:
             raise ScenarioError(f"device {dev.name} inaudible to the scan rotation")
         divisors.append(total / audible)

@@ -38,6 +38,7 @@ same as when each window is queried with every device.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -95,6 +96,11 @@ def find_channels_in_range(ch_list: Sequence[Channel], bandwidth_hz: int) -> lis
     if not ch_list:
         raise ParameterError("channel list is empty")
     _require_ascending(ch_list)
+    return _fit_from_first(ch_list, bandwidth_hz)
+
+
+def _fit_from_first(ch_list: Sequence[Channel], bandwidth_hz: int) -> list[Channel]:
+    """``find_channels_in_range`` on a non-empty list already known to ascend."""
     first = ch_list[0]
     anchor2 = 2 * first.center_freq_hz - first.bandwidth_hz  # 2 * lower edge
     out = [first]
@@ -112,7 +118,7 @@ def plan_channel_groups(ch_list: Sequence[Channel], bandwidth_hz: int) -> list[l
     unscanned = list(ch_list)
     groups: list[list[Channel]] = []
     while unscanned:
-        group = find_channels_in_range(unscanned, bandwidth_hz)
+        group = _fit_from_first(unscanned, bandwidth_hz)  # a subsequence still ascends
         groups.append(group)
         taken = set(group)
         unscanned = [ch for ch in unscanned if ch not in taken]
@@ -123,6 +129,21 @@ def _require_ascending(ch_list: Sequence[Channel]) -> None:
     keys = [channel_sort_key(ch) for ch in ch_list]
     if keys != sorted(keys):
         raise ParameterError("channel list must be sorted by ascending frequency")
+
+
+@functools.lru_cache(maxsize=4096)
+def _frame_address(
+    protocol: Protocol, data: bytes, zwave_crc16: bool | None
+) -> DeviceAddress | None:
+    """The source address a received frame carries, if any.
+
+    A pure function of its arguments, and a scan hears the same few frames
+    over and over, so each distinct frame is decoded once per process. A
+    frame that fails to decode raises on every call: exceptions are not
+    cached. ``frames.decode`` and ``frames.extract_address`` are looked up
+    on the module at each miss, so a wrapper installed there sees them.
+    """
+    return frames.extract_address(frames.decode(protocol, data, zwave_crc16=zwave_crc16))
 
 
 class Scanner:
@@ -163,13 +184,9 @@ class Scanner:
         log = self.log
         heard = False
         for em in emissions:
-            hint = (
-                zwave_uses_crc16(em.channel)
-                if em.channel.protocol is Protocol.ZWAVE
-                else None
-            )
-            frame = frames.decode(em.channel.protocol, em.frame, zwave_crc16=hint)
-            addr = frames.extract_address(frame)
+            protocol = em.channel.protocol
+            hint = zwave_uses_crc16(em.channel) if protocol is Protocol.ZWAVE else None
+            addr = _frame_address(protocol, em.frame, hint)
             if addr is None:
                 continue
             heard = True

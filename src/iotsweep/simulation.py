@@ -20,7 +20,10 @@ the rest of a trial's set-up.
 A listen window generates the devices on its channels up to its end, encodes
 the entries that fall on its channels and inside its span, and keeps none of
 them: emissions nobody hears are never encoded, and a device holds only its
-next emission time and index between windows. The clock forbids a window
+next emission time and index between windows. A frame's bytes depend only
+on its device, sequence byte and address slot, so a delivered frame is
+encoded once per ``DeviceSpec``, which keeps it for every trial, and the
+scanner decodes each distinct frame once per process. The clock forbids a window
 that starts before the last one ended, so nothing a window dropped can be
 asked for again. A window can also ``skip`` named devices: they are
 neither generated nor delivered (``Scanner._rotate`` says why that changes
@@ -29,6 +32,7 @@ no scan's output).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -264,6 +268,16 @@ class DeviceSpec:
     def all_addresses(self) -> tuple[DeviceAddress, ...]:
         return (self.address,) + self.aliases
 
+    @functools.cached_property
+    def _encoded(self) -> dict[tuple[int, int | None], bytes]:
+        """``_encode_frame(self, seq, slot)`` by ``(seq, slot)``, filled as
+        frames are delivered: at most 256 per address plus 256 beacons.
+        Every trial's SimDevice of this spec shares it; a spec rebuilt with
+        other fields starts empty. It lives on the spec rather than in a
+        cache keyed by the spec, since hashing a spec costs about as much
+        as an encode."""
+        return {}
+
 
 def address_table(devices: Sequence[DeviceSpec]) -> dict[DeviceAddress, str]:
     """Every address a device is seen under -> its name. Device names and
@@ -292,6 +306,73 @@ class Emission:
     device: str
 
 
+def _encode_frame(spec: DeviceSpec, seq: int, slot: int | None) -> bytes:
+    """Wire bytes of ``spec``'s frame with sequence byte ``seq``, sent from
+    address ``spec.all_addresses()[slot]``; ``slot`` None is the probe
+    response, a beacon from the canonical address. A pure function of its
+    arguments, so ``DeviceSpec._encoded`` can keep its results."""
+    if slot is None:
+        addr = spec.address
+        if isinstance(addr, ZigbeeExtended):
+            beacon = frames.ZigbeeFrame(
+                frame_type=frames.ZigbeeFrameType.BEACON,
+                seq=seq,
+                src_pan=0xFFFF,
+                src_addr=addr.addr,
+                src_extended=True,
+            )
+        else:
+            beacon = frames.zigbee_beacon(seq=seq, src_pan=addr.pan_id, src_addr=addr.addr)
+        return frames.encode_zigbee(beacon)
+    addr = spec.all_addresses()[slot]
+    if spec.protocol is Protocol.ZIGBEE:
+        pan = spec.address.pan_id if isinstance(spec.address, ZigbeeShort) else 0xFFFF
+        if isinstance(addr, ZigbeeExtended):
+            f = frames.ZigbeeFrame(
+                frame_type=frames.ZigbeeFrameType.DATA,
+                seq=seq,
+                dest_pan=pan,
+                dest_addr=0x0000,
+                src_pan=pan,
+                src_addr=addr.addr,
+                src_extended=True,
+                payload=b"\x01",
+            )
+        else:
+            f = frames.ZigbeeFrame(
+                frame_type=frames.ZigbeeFrameType.DATA,
+                seq=seq,
+                dest_pan=addr.pan_id,
+                dest_addr=0x0000,
+                src_pan=addr.pan_id,
+                src_addr=addr.addr,
+                payload=b"\x01",
+            )
+        return frames.encode_zigbee(f)
+    if spec.protocol is Protocol.BLE_ADVERTISING:
+        pdu = frames.BleAdvPdu(
+            pdu_type=frames.BlePduType.ADV_IND,
+            adv_a=addr.addr,
+            adv_data=b"\x02\x01\x06",
+        )
+        return frames.encode_ble(pdu)
+    if spec.protocol is Protocol.LORA:
+        body = bytearray(5)
+        body[0] = 0x40
+        body[frames.LORA_DEVICE_ID_INDEX] = addr.device_id
+        body[-1] = seq
+        return frames.encode_lora(frames.LoRaFrame(addr.sync_word, bytes(body)))
+    zw = frames.ZWaveFrame(
+        home_id=addr.home_id,
+        source_id=addr.source_id,
+        frame_control=0x4101,
+        dest_id=0xFF,
+        payload=bytes([0x20, 0x01, seq]),
+        crc16=zwave_uses_crc16(spec.channels[0]),
+    )
+    return frames.encode_zwave(zw)
+
+
 class SimDevice:
     """Runtime state for one device: RNG streams and its next emission.
 
@@ -303,7 +384,8 @@ class SimDevice:
     def __init__(self, spec: DeviceSpec, streams: np.ndarray, loss_prob: float):
         self.spec = spec
         self.name = spec.name
-        self._addresses = spec.all_addresses()
+        self._n_addresses = len(spec.all_addresses())
+        self._encoded = spec._encoded
         self._loss_prob = loss_prob
         self._streams = streams
         self._times = _stream(streams[_STREAM_TIMES])
@@ -331,79 +413,16 @@ class SimDevice:
         gap = self._gap_buffer.pop()
         return gap if gap > 0.0 else 1e-12  # keep event times strictly increasing
 
-    def _build_frame(self, emit_index: int) -> bytes:
-        """Wire bytes of emission ``emit_index``: its sequence byte is the
-        index's low byte, and the address rotates through canonical plus
-        aliases."""
-        seq = emit_index & 0xFF
-        addr = self._addresses[emit_index % len(self._addresses)]
-        spec = self.spec
-        if spec.protocol is Protocol.ZIGBEE:
-            pan = spec.address.pan_id if isinstance(spec.address, ZigbeeShort) else 0xFFFF
-            if isinstance(addr, ZigbeeExtended):
-                f = frames.ZigbeeFrame(
-                    frame_type=frames.ZigbeeFrameType.DATA,
-                    seq=seq,
-                    dest_pan=pan,
-                    dest_addr=0x0000,
-                    src_pan=pan,
-                    src_addr=addr.addr,
-                    src_extended=True,
-                    payload=b"\x01",
-                )
-            else:
-                f = frames.ZigbeeFrame(
-                    frame_type=frames.ZigbeeFrameType.DATA,
-                    seq=seq,
-                    dest_pan=addr.pan_id,
-                    dest_addr=0x0000,
-                    src_pan=addr.pan_id,
-                    src_addr=addr.addr,
-                    payload=b"\x01",
-                )
-            return frames.encode_zigbee(f)
-        if spec.protocol is Protocol.BLE_ADVERTISING:
-            pdu = frames.BleAdvPdu(
-                pdu_type=frames.BlePduType.ADV_IND,
-                adv_a=addr.addr,
-                adv_data=b"\x02\x01\x06",
-            )
-            return frames.encode_ble(pdu)
-        if spec.protocol is Protocol.LORA:
-            body = bytearray(5)
-            body[0] = 0x40
-            body[frames.LORA_DEVICE_ID_INDEX] = addr.device_id
-            body[-1] = seq
-            return frames.encode_lora(frames.LoRaFrame(addr.sync_word, bytes(body)))
-        zw = frames.ZWaveFrame(
-            home_id=addr.home_id,
-            source_id=addr.source_id,
-            frame_control=0x4101,
-            dest_id=0xFF,
-            payload=bytes([0x20, 0x01, seq]),
-            crc16=self._zwave_crc16(),
-        )
-        return frames.encode_zwave(zw)
-
-    def _zwave_crc16(self) -> bool:
-        return zwave_uses_crc16(self.spec.channels[0])
-
     def beacon_frame(self) -> bytes:
         """Probe response; beacons always carry the canonical source address."""
-        addr = self.spec.address
-        if isinstance(addr, ZigbeeExtended):
-            f = frames.ZigbeeFrame(
-                frame_type=frames.ZigbeeFrameType.BEACON,
-                seq=self._emit_index & 0xFF,
-                src_pan=0xFFFF,
-                src_addr=addr.addr,
-                src_extended=True,
-            )
-        else:
-            f = frames.zigbee_beacon(
-                seq=self._emit_index & 0xFF, src_pan=addr.pan_id, src_addr=addr.addr
-            )
-        return frames.encode_zigbee(f)
+        return self._frame(self._emit_index & 0xFF, None)
+
+    def _frame(self, seq: int, slot: int | None) -> bytes:
+        """``_encode_frame(spec, seq, slot)``, encoded once per spec."""
+        frame = self._encoded.get((seq, slot))
+        if frame is None:
+            frame = self._encoded[seq, slot] = _encode_frame(self.spec, seq, slot)
+        return frame
 
     def generate_until(self, t_end: float) -> list[tuple[float, Channel, int]]:
         """The emissions at times < t_end not yet generated, as time-sorted
@@ -425,9 +444,11 @@ class SimDevice:
         return entries
 
     def emission(self, entry: tuple[float, Channel, int]) -> Emission:
-        """Encode one entry returned by ``generate_until``."""
+        """One entry returned by ``generate_until``, with its frame: the
+        sequence byte is the index's low byte, and the address rotates
+        through canonical plus aliases."""
         t, ch, idx = entry
-        return Emission(t, ch, self._build_frame(idx), self.name)
+        return Emission(t, ch, self._frame(idx & 0xFF, idx % self._n_addresses), self.name)
 
 
 class Environment:

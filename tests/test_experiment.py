@@ -17,7 +17,13 @@ from iotsweep.experiment import (
     trial_environment,
     events_csv,
 )
-from iotsweep.scenario import load_bundled_scenario, parse_scenario
+from iotsweep.scanning import plan_channel_groups
+from iotsweep.scenario import (
+    Algorithm,
+    load_bundled_scenario,
+    parse_scenario,
+    resolve_channel_list,
+)
 
 ONE_DEVICE = """
 scenario one
@@ -108,6 +114,25 @@ class TestModel:
     def test_single_group_divisor_is_1(self):
         cfg = load_bundled_scenario("zwave-lora-multi")
         assert set(device_channel_divisors(cfg)) == {1.0}
+
+    @pytest.mark.parametrize("bandwidth_mhz", [1, 2, 8, 26, 100])
+    def test_divisors_match_the_group_intersection_count(self, bandwidth_mhz):
+        """Each divisor is the number of groups over the number whose
+        channels meet the device's, on a two-protocol rotation."""
+        testbed = load_bundled_scenario("zigbee-ble-active-multi")
+        cfg = dataclasses.replace(
+            testbed,
+            algorithm=Algorithm.MULTIPROTOCOL,
+            channels=tuple(resolve_channel_list("zigbee:11..26,ble-adv:37..39")),
+            probe_channels=(),
+            sdr=dataclasses.replace(testbed.sdr, instantaneous_bandwidth_hz=bandwidth_mhz * 10**6),
+        )
+        groups = plan_channel_groups(list(cfg.channels), cfg.sdr.instantaneous_bandwidth_hz)
+        expected = [
+            len(groups) / sum(1 for g in groups if set(g) & set(dev.channels))
+            for dev in cfg.devices
+        ]
+        assert device_channel_divisors(cfg) == expected
 
     def test_model_rows(self):
         cfg = load_bundled_scenario("zigbee-passive")

@@ -1,7 +1,10 @@
 import math
+import random
 
 import pytest
 
+from frame_random import random_ble, random_lora, random_zigbee, random_zwave
+from iotsweep import frames
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -14,11 +17,12 @@ from iotsweep.channels import (
     zwave_channel,
     zwave_channels,
 )
-from iotsweep.errors import ParameterError, UnsupportedProbe
-from iotsweep.frames import beacon_request, encode
+from iotsweep.errors import ChecksumError, ParameterError, UnsupportedProbe
+from iotsweep.frames import beacon_request, decode, encode, extract_address, zigbee_beacon
 from iotsweep.scanning import (
     Scanner,
     SdrConfig,
+    _frame_address,
     find_channels_in_range,
     plan_channel_groups,
 )
@@ -110,6 +114,26 @@ class TestGroupPlanning:
         chans = sort_channels([CH11, CH15, CH20])
         groups = plan_channel_groups(chans, 2 * MHZ)
         assert [len(g) for g in groups] == [1, 1, 1]
+
+    @pytest.mark.parametrize("bandwidth_mhz", [1, 3, 8, 30])
+    def test_groups_are_repeated_range_finds(self, bandwidth_mhz):
+        """Each group is ``find_channels_in_range`` on the channels the
+        earlier groups left."""
+        rng = random.Random(bandwidth_mhz)
+        pool = zigbee_channels() + ble_advertising_channels()
+        for _ in range(50):
+            chans = sort_channels(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
+            expected, left = [], chans
+            while left:
+                expected.append(find_channels_in_range(left, bandwidth_mhz * MHZ))
+                left = [ch for ch in left if ch not in expected[-1]]
+            assert plan_channel_groups(chans, bandwidth_mhz * MHZ) == expected
+
+    def test_requires_ascending_and_nonempty(self):
+        with pytest.raises(ParameterError):
+            plan_channel_groups([CH15, CH11], 8 * MHZ)
+        with pytest.raises(ParameterError):
+            plan_channel_groups([], 8 * MHZ)
 
 
 def make_env(devs, seed=100, **kw):
@@ -443,3 +467,55 @@ class TestProbeRetune:
         scanner = Scanner(env, SdrConfig(8 * MHZ, retune_latency_s=0.3))
         scanner.probe_channels([CH11, CH15], dwell_time_s=0.2)
         assert env.clock == pytest.approx(1.0)  # 2 x (0.2 dwell + 0.3 hop)
+
+
+class TestFrameAddressCache:
+    """The scanner decodes each distinct frame once; a cached address is the
+    one a fresh decode gives."""
+
+    @pytest.mark.parametrize(
+        "protocol,make",
+        [
+            (Protocol.ZIGBEE, random_zigbee),
+            (Protocol.BLE_ADVERTISING, random_ble),
+            (Protocol.LORA, random_lora),
+            (Protocol.ZWAVE, random_zwave),
+        ],
+    )
+    def test_cached_address_equals_fresh_decode(self, protocol, make):
+        _frame_address.cache_clear()
+        rng = random.Random(20261018)
+        for _ in range(300):
+            frame = make(rng)
+            hint = rng.choice((frame.crc16, None)) if protocol is Protocol.ZWAVE else None
+            data = encode(frame)
+            fresh = extract_address(decode(protocol, data, zwave_crc16=hint))
+            hits = _frame_address.cache_info().hits
+            assert _frame_address(protocol, data, hint) == fresh
+            assert _frame_address(protocol, data, hint) == fresh
+            assert _frame_address.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("at", [-1, -2])
+    def test_corrupt_frame_raises_on_every_call(self, at):
+        data = bytearray(encode(zigbee_beacon(seq=9, src_pan=0x1A62, src_addr=0x0003)))
+        data[at] ^= 0x40
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ChecksumError) as caught:
+                _frame_address(Protocol.ZIGBEE, bytes(data), None)
+            errors.append((str(caught.value), caught.value.offset))
+        assert errors[0] == errors[1]
+
+    def test_a_frame_is_decoded_once_through_the_frames_module(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(frames, "decode", counted)
+        _frame_address.cache_clear()
+        data = encode(zigbee_beacon(seq=4, src_pan=0x1A62, src_addr=0x0009))
+        for _ in range(3):
+            assert _frame_address(Protocol.ZIGBEE, data, None) == ZigbeeShort(0x1A62, 0x0009)
+        assert len(calls) == 1

@@ -13,6 +13,7 @@ from iotsweep.channels import (
     yolink_channel,
     zigbee_channel,
     zwave_channel,
+    zwave_uses_crc16,
 )
 from iotsweep.errors import ScenarioError, SimulationError, UnsupportedProbe
 from iotsweep.frames import decode, extract_address
@@ -22,6 +23,7 @@ from iotsweep.simulation import (
     EmitterKind,
     Environment,
     Role,
+    _encode_frame,
     build_environment,
 )
 
@@ -401,3 +403,118 @@ class TestLazyEncoding:
         experiment.run_experiment(cfg)
         assert counts["delivered"] > 0
         assert counts["encoded"] <= counts["delivered"] + counts["responses"]
+
+
+class TestEncodedFrames:
+    """Each spec keeps the frames it has encoded; a cached frame is the
+    bytes a fresh encode gives."""
+
+    EXTENDED = ZigbeeExtended(0x000B57FFFE1732AA)
+
+    def specs(self):
+        yield zigbee_device("short", 0x1501, aliases=(self.EXTENDED,), role=Role.ROUTER)
+        yield DeviceSpec(
+            name="extended",
+            protocol=Protocol.ZIGBEE,
+            role=Role.COORDINATOR,
+            channels=(CH11,),
+            mean_interarrival_s=2.0,
+            address=self.EXTENDED,
+            aliases=(ZigbeeShort(0x1A62, 0x0002),),
+        )
+        yield ble_device("adv", 0xC0FFEE123456)
+        yield DeviceSpec(
+            name="leak",
+            protocol=Protocol.LORA,
+            role=Role.END_DEVICE,
+            channels=(yolink_channel("up"),),
+            mean_interarrival_s=5.0,
+            address=LoRaId(0x1324, 0x42),
+            aliases=(LoRaId(0x1324, 0x43),),
+        )
+        for phy in ("R2", "R3"):
+            yield DeviceSpec(
+                name=f"zw-{phy}",
+                protocol=Protocol.ZWAVE,
+                role=Role.GATEWAY,
+                channels=(zwave_channel(phy),),
+                mean_interarrival_s=5.0,
+                address=ZWaveId(0x9E0B1D42, 0x01),
+                aliases=(ZWaveId(0x9E0B1D42, 0x05),),
+            )
+
+    @staticmethod
+    def device(spec):
+        return build_environment([spec], seed=3).devices[0]
+
+    def test_cached_frames_equal_fresh_encodes(self):
+        for spec in self.specs():
+            ch = spec.channels[0]
+            hint = zwave_uses_crc16(ch) if spec.protocol is Protocol.ZWAVE else None
+            twin = dataclasses.replace(spec)  # an equal spec with nothing cached
+            dev = self.device(spec)
+            addresses = spec.all_addresses()
+            for seq in range(256):
+                for slot in range(len(addresses)):
+                    fresh = _encode_frame(twin, seq, slot)
+                    first = dev._frame(seq, slot)
+                    assert first == fresh
+                    assert dev._frame(seq, slot) is first
+                    frame = decode(spec.protocol, first, zwave_crc16=hint)
+                    assert extract_address(frame) == addresses[slot]
+                    assert getattr(frame, "seq", seq) == seq
+                    idx = 256 * slot + seq
+                    assert dev.emission((1.0, ch, idx)).frame == _encode_frame(
+                        twin, seq, idx % len(addresses)
+                    )
+            assert twin._encoded is not spec._encoded
+
+    def test_cached_beacons_equal_fresh_encodes(self):
+        for spec in self.specs():
+            if spec.protocol is not Protocol.ZIGBEE:
+                continue
+            addr = spec.address
+            dev = self.device(spec)
+            for seq in range(256):
+                if isinstance(addr, ZigbeeExtended):
+                    beacon = frames.ZigbeeFrame(
+                        frame_type=frames.ZigbeeFrameType.BEACON,
+                        seq=seq,
+                        src_pan=0xFFFF,
+                        src_addr=addr.addr,
+                        src_extended=True,
+                    )
+                else:
+                    beacon = frames.zigbee_beacon(seq=seq, src_pan=addr.pan_id, src_addr=addr.addr)
+                dev._emit_index = seq + 256
+                assert dev.beacon_frame() == frames.encode_zigbee(beacon)
+                assert spec._encoded[seq, None] == frames.encode_zigbee(beacon)
+                assert extract_address(decode(Protocol.ZIGBEE, dev.beacon_frame())) == addr
+
+    def test_rebuilt_spec_sees_only_its_own_frames(self):
+        spec = zigbee_device("a", 0x0001, aliases=(ZigbeeShort(0x1A62, 0x0101),))
+        rebuilt = dataclasses.replace(spec, aliases=(ZigbeeShort(0x1A62, 0x0202),))
+        assert spec == dataclasses.replace(spec) and spec != rebuilt
+        old = self.device(spec)
+        new = self.device(rebuilt)
+        for seq in range(256):
+            assert old._frame(seq, 1) != new._frame(seq, 1)
+            assert extract_address(decode(Protocol.ZIGBEE, new._frame(seq, 1))) == ZigbeeShort(
+                0x1A62, 0x0202
+            )
+        assert spec._encoded is not rebuilt._encoded
+
+    def test_trials_of_one_spec_share_its_frames(self, monkeypatch):
+        spec = ble_device("adv", 0x0000AABBCCDD, mu=0.5)
+        first = build_environment([spec], seed=1).emissions_in_parallel(ADV, 0.0, 50.0)
+        encoded = Counter()
+
+        def counted(f):
+            encoded["ble"] += 1
+            return encode_ble(f)
+
+        encode_ble = frames.encode_ble
+        monkeypatch.setattr(frames, "encode_ble", counted)
+        again = build_environment([spec], seed=1).emissions_in_parallel(ADV, 0.0, 50.0)
+        assert first and again == first
+        assert encoded["ble"] == 0
