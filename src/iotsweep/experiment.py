@@ -29,7 +29,7 @@ from .analytics import OrderStatSummary, discretize, expected_order_statistics, 
 from .errors import ScenarioError
 from .scanning import Scanner, plan_channel_groups
 from .scenario import Algorithm, ScenarioConfig
-from .simulation import EmitterKind, Environment, build_environment, stream_seeds
+from .simulation import EmitterKind, Environment, Testbed, build_environment, stream_seeds
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,15 @@ class ComparisonReport:
 
 
 def trial_environment(
-    cfg: ScenarioConfig, trial: int, streams: np.ndarray | None = None
+    cfg: ScenarioConfig,
+    trial: int,
+    streams: np.ndarray | None = None,
+    testbed: Testbed | None = None,
 ) -> Environment:
     """Trial ``trial``'s environment; ``streams`` is its block of the
-    experiment's ``stream_seeds``, or None to seed this trial alone."""
+    experiment's ``stream_seeds``, or None to seed this trial alone, and
+    ``testbed`` is the experiment's ``Testbed(cfg.devices)``, or None to
+    build one for this trial alone."""
     return build_environment(
         cfg.devices,
         seed=cfg.seed,
@@ -84,6 +89,7 @@ def trial_environment(
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,
         streams=streams,
+        testbed=testbed,
     )
 
 
@@ -106,13 +112,17 @@ def _run_algorithm(cfg: ScenarioConfig, scanner: Scanner, targets: frozenset[str
 
 
 def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run all trials of a scenario; optionally write the CSV outputs."""
+    """Run all trials of a scenario; optionally write the CSV outputs.
+
+    Trials differ only in their RNG streams, so what depends on the device
+    list alone (the ``Testbed``) is built once and shared by every trial."""
     started = time.perf_counter()
     targets = frozenset(d.name for d in cfg.devices)
     records: list[TrialRecord] = []
     streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
+    testbed = Testbed(cfg.devices)
     for trial in range(cfg.trials):
-        env = trial_environment(cfg, trial, streams[trial])
+        env = trial_environment(cfg, trial, streams[trial], testbed)
         scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
         _run_algorithm(cfg, scanner, targets)
         seen = sorted((t, name) for name, t in scanner.log.first_seen.items())

@@ -174,7 +174,9 @@ class Scanner:
         self.log = DiscoveryLog()
         self._t0 = env.clock
         # per device, the addresses not yet in the log
-        self._unlogged = {dev.name: set(dev.spec.all_addresses()) for dev in env.devices}
+        self._unlogged = {
+            dev.name: set(addresses) for dev, addresses in zip(env.devices, env.testbed.addresses)
+        }
         self.fully_logged: frozenset[str] = frozenset()
 
     # -- building blocks ------------------------------------------------------
@@ -248,13 +250,23 @@ class Scanner:
 
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
         """Probe every channel and listen briefly; returns the channels that
-        produced any reception (a beacon reply or ordinary traffic)."""
+        produced any reception (a beacon reply or ordinary traffic).
+
+        A probe window in which no device on the channel has an emission
+        left before its end, and no pending response lands, is not queried:
+        the clock just moves to its end (``Environment.may_deliver``)."""
+        env = self.env
         active: list[Channel] = []
         for ch in ch_list:
-            self.env.inject_probe(ch)
-            heard = self.listen(ch, dwell_time_s)
+            env.inject_probe(ch)
+            t0 = env.clock
+            t1 = t0 + dwell_time_s
+            if not t0 <= t1 < math.inf or env.may_deliver(ch, t0, t1):
+                heard = self.listen(ch, dwell_time_s)  # a bad dwell raises here
+            else:
+                heard, env.clock = False, t1
             if self.sdr.retune_latency_s:
-                self.env.advance(self.sdr.retune_latency_s)
+                env.advance(self.sdr.retune_latency_s)
             if heard:
                 active.append(ch)
         return active
@@ -273,7 +285,7 @@ class Scanner:
         t_start = self.env.clock
         probe = self.probe_dwell_time_s
         retune, n = self.sdr.retune_latency_s, len(ch_list)
-        n_probes = _Windows(t_start, probe, retune, t_start, scan_time_s, limit=n).count
+        n_probes = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
         active = self.probe_channels(ch_list[:n_probes], probe)
         if active:
             groups = [(ch,) for ch in active]
@@ -308,7 +320,7 @@ class Scanner:
         t_start = self.env.clock
         probe = self.probe_dwell_time_s
         retune, n = self.sdr.retune_latency_s, len(ch_probe_list)
-        n_probes = _Windows(t_start, probe, retune, t_start, scan_time_s, limit=n).count
+        n_probes = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
         active = self.probe_channels(ch_probe_list[:n_probes], probe)
         merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
         if merged:
@@ -383,7 +395,11 @@ class Scanner:
           listen or probe hears every one.
         - Exact edges. ``_Windows`` gives c_j and e_j bit for bit as the
           left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
-          the fold, and the same first index past the budget.
+          the fold, and the same first index past the budget. A plan
+          depends on those six numbers alone, so every trial's rotation
+          that starts at the same clock reads the same one (``_plan``).
+          The channel sets' devices come from the experiment's testbed;
+          only the heap, the clock and the log belong to the trial.
 
         The log only grows in queried windows, so the stop check is
         re-evaluated only after a window that logged a new address; a stop
@@ -394,7 +410,7 @@ class Scanner:
         n_groups = len(groups)
         hearers = [env.device_names_on(group) for group in groups]
         retune = self.sdr.retune_latency_s
-        windows = _Windows(env.clock, dwell_time_s, retune, t_start, scan_time_s)
+        windows = _plan(env.clock, dwell_time_s, retune, t_start, scan_time_s)
 
         def covered():
             return stop is not None and log.covers(stop)
@@ -471,7 +487,12 @@ class _Windows:
 
     With ``limit``, only the first ``limit`` windows are planned: ``count``
     is then the smaller of the two, and no run past it is built.
+
+    A plan is read-only once built, so one plan serves every rotation with
+    the same six numbers: ``_plan`` keeps the recent ones.
     """
+
+    __slots__ = ("_first", "_starts", "_runs", "count", "_end")
 
     def __init__(self, clock, dwell, retune, t_start, scan_time_s, limit=math.inf):
         if not 0.0 < dwell < math.inf:
@@ -507,6 +528,9 @@ class _Windows:
             clock = self.edges(j)[0]
         self.count = j
         self._end = clock
+        self._first, self._starts, self._runs = (
+            tuple(self._first), tuple(self._starts), tuple(self._runs)
+        )
 
     def edges(self, j: int) -> tuple[float, float]:
         """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
@@ -523,6 +547,20 @@ class _Windows:
         i = bisect_right(self._starts, t) - 1
         x, u, _, P = self._runs[i]
         return self._first[i] + (int(t / u) - x) // P
+
+
+#: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few
+#: (the probe prefix, and each rotation that starts at a fixed clock).
+_PLAN_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(clock, dwell, retune, t_start, scan_time_s, limit=math.inf) -> _Windows:
+    """``_Windows(clock, dwell, retune, t_start, scan_time_s, limit)``, built
+    once per distinct six numbers while it stays among the last
+    ``_PLAN_CACHE_SIZE`` asked for. A refused dwell raises on every call:
+    exceptions are not cached."""
+    return _Windows(clock, dwell, retune, t_start, scan_time_s, limit)
 
 
 def _first_past(x: int, u: float, P: int, k: int, t_start: float, scan_time_s: float) -> int:

@@ -28,6 +28,13 @@ that starts before the last one ended, so nothing a window dropped can be
 asked for again. A window can also ``skip`` named devices: they are
 neither generated nor delivered (``Scanner._rotate`` says why that changes
 no scan's output).
+
+The trials of an experiment differ only in their RNG streams. What depends
+on the device list alone, the ``Testbed`` (address table, the devices on
+each channel, the listener scope of each channel set), is built once per
+experiment and read by every trial. Each trial's ``Environment`` owns what
+it changes: its SimDevices (streams, next emission times), its clock and
+its pending probe responses.
 """
 
 from __future__ import annotations
@@ -451,11 +458,70 @@ class SimDevice:
         return Emission(t, ch, self._frame(idx & 0xFF, idx % self._n_addresses), self.name)
 
 
+class Testbed:
+    """What every trial of one experiment shares: the device specs, their
+    validated address table, which devices listen on each channel, and the
+    caches built from those.
+
+    Every field is a function of the device list alone and is never
+    changed once filled, so ``run_experiment`` builds one Testbed and hands
+    it to each trial's Environment; a trial owns only its SimDevices, clock
+    and probe responses. Devices appear by position in ``devices``, never as
+    a trial's SimDevice. Building one checks that names and addresses are
+    unique.
+    """
+
+    def __init__(self, devices: Sequence[DeviceSpec]):
+        self.devices = tuple(devices)
+        self.address_table = address_table(self.devices)
+        #: per device, every address it is seen under
+        self.addresses = tuple(frozenset(spec.all_addresses()) for spec in self.devices)
+        #: channel -> (device position, the device's own equal Channel object),
+        #: in device order
+        self.by_channel: dict[Channel, list[tuple[int, Channel]]] = {}
+        for pos, spec in enumerate(self.devices):
+            for ch in spec.channels:
+                self.by_channel.setdefault(ch, []).append((pos, ch))
+        #: channel -> positions of the devices on it that answer a probe
+        self.responders = {
+            ch: [pos for pos, _ in entries if self.devices[pos].probe_responder()]
+            for ch, entries in self.by_channel.items()
+        }
+        self._scopes: dict[frozenset[Channel], list[tuple[int, set[int]]]] = {}
+        self._names_on: dict[frozenset[Channel], frozenset[str]] = {}
+
+    def scope(self, channels: frozenset[Channel]) -> list[tuple[int, set[int]]]:
+        """Per device on ``channels``: its position and the ids of its own
+        Channel objects in the set, in device order. A window's entries
+        carry those objects, so they match by identity and no Channel is
+        hashed per entry. The ids hold for every trial, since every trial's
+        SimDevices share these specs."""
+        listeners = self._scopes.get(channels)
+        if listeners is None:
+            heard: dict[int, set[int]] = {}
+            for ch in channels:
+                for pos, own in self.by_channel.get(ch, ()):
+                    heard.setdefault(pos, set()).add(id(own))
+            listeners = self._scopes[channels] = sorted(heard.items())
+        return listeners
+
+    def device_names_on(self, channels: frozenset[Channel]) -> frozenset[str]:
+        names = self._names_on.get(channels)
+        if names is None:
+            names = frozenset(self.devices[pos].name for pos, _ in self.scope(channels))
+            self._names_on[channels] = names
+        return names
+
+
 class Environment:
     """One trial's radio world: devices, a clock, and probe plumbing.
 
-    Single-threaded by design (the clock and RNG streams mutate); run one
-    Environment per trial and as many trials in parallel as you like.
+    A trial owns what it changes: its SimDevices (RNG streams, next
+    emission times), its clock and its pending probe responses. What only
+    depends on the device list, the ``Testbed``, is shared: pass the
+    experiment's to every trial, or leave it out and the environment
+    builds its own. Single-threaded by design; run one Environment per
+    trial and as many trials in parallel as you like.
     """
 
     def __init__(
@@ -465,33 +531,35 @@ class Environment:
         streams: np.ndarray,
         loss_prob: float = 0.0,
         probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
+        testbed: Testbed | None = None,
     ):
         """``streams`` is this trial's block of ``stream_seeds``, one entry
-        per device."""
+        per device; ``testbed`` must have been built from these very
+        ``DeviceSpec`` objects, since its scopes match Channel objects by
+        identity."""
+        if testbed is None:
+            testbed = Testbed(devices)
+        elif len(testbed.devices) != len(devices) or any(
+            a is not b for a, b in zip(testbed.devices, devices)
+        ):
+            raise SimulationError("testbed was built for other devices")
         if len(streams) != len(devices):
             raise SimulationError(f"{len(streams)} stream blocks for {len(devices)} devices")
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
         if not 0.0 <= probe_response_delay_max_s < math.inf:
             raise ScenarioError("probe response delay must be finite and >= 0")
-        self.address_table = address_table(devices)
+        self.testbed = testbed
         self.clock = 0.0
         self.loss_prob = loss_prob
         self.probe_response_delay_max_s = probe_response_delay_max_s
         self.devices = [
             SimDevice(spec, block, loss_prob) for spec, block in zip(devices, streams)
         ]
-        # channel -> (device, the device's own equal Channel object), in device order
-        self._by_channel: dict[Channel, list[tuple[SimDevice, Channel]]] = {}
-        for dev in self.devices:
-            for ch in dev.spec.channels:
-                self._by_channel.setdefault(ch, []).append((dev, ch))
-        # channel set -> (device, ids of its own Channel objects in the set) per
-        # device on those channels. A window's entries carry those objects, so
-        # they match by identity and no Channel is hashed per entry. The values
-        # are lists: a tuple built from a generator is allocated over-size and
-        # shrunk, and filling this cache that way parked about 3 MB on
-        # CPython's per-size tuple free lists.
+        # the testbed's scopes resolved to this trial's devices: a handful of
+        # channel sets per trial. The values are lists: a tuple built from a
+        # generator is allocated over-size and shrunk, and filling this cache
+        # that way parked about 3 MB on CPython's per-size tuple free lists.
         self._scopes: dict[frozenset[Channel], list[tuple[SimDevice, set[int]]]] = {}
         self._pending_responses: list[tuple[float, int, Emission]] = []
         self._response_counter = 0
@@ -500,20 +568,32 @@ class Environment:
 
     def resolve(self, addr: DeviceAddress) -> str:
         """Canonical device name for an observed address."""
-        return self.address_table[addr]
+        return self.testbed.address_table[addr]
 
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
-        return frozenset(dev.name for dev, _ in self._listeners(frozenset(channels)))
+        return self.testbed.device_names_on(frozenset(channels))
 
     def _listeners(self, channels: frozenset[Channel]) -> list[tuple[SimDevice, set[int]]]:
         listeners = self._scopes.get(channels)
         if listeners is None:
-            heard: dict[SimDevice, set[int]] = {}
-            for ch in channels:
-                for dev, own in self._by_channel.get(ch, ()):
-                    heard.setdefault(dev, set()).add(id(own))
-            listeners = self._scopes[channels] = list(heard.items())
+            devices = self.devices
+            listeners = self._scopes[channels] = [
+                (devices[pos], own) for pos, own in self.testbed.scope(channels)
+            ]
         return listeners
+
+    def may_deliver(self, channel: Channel, t0: float, t1: float) -> bool:
+        """False only if a window [t0, t1) on ``channel`` alone would deliver
+        nothing: no device on the channel has an emission left to generate
+        before t1, and no pending probe response on it lands in [t0, t1).
+        Nothing is generated or consumed, so skipping such a window and
+        moving the clock to t1 leaves every later window as it would be."""
+        devices = self.devices
+        if any(devices[pos].next_time < t1 for pos, _ in self.testbed.by_channel.get(channel, ())):
+            return True
+        return any(
+            t0 <= t < t1 and em.channel == channel for t, _, em in self._pending_responses
+        )
 
     def emissions_in_parallel(
         self,
@@ -584,9 +664,8 @@ class Environment:
                 f"{channel.protocol.value} has no broadcast probe (channel {channel.label})"
             )
         scheduled: list[Emission] = []
-        for dev, _ in self._by_channel.get(channel, ()):
-            if not dev.spec.probe_responder():
-                continue
+        for pos in self.testbed.responders.get(channel, ()):
+            dev = self.devices[pos]
             delay = float(dev.probe_rng.uniform(0.0, self.probe_response_delay_max_s))
             lost = bool(dev.probe_rng.random() < self.loss_prob)
             if lost:
@@ -620,12 +699,15 @@ def build_environment(
     loss_prob: float = 0.0,
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
     streams: np.ndarray | None = None,
+    testbed: Testbed | None = None,
 ) -> Environment:
     """Deterministic environment factory: same inputs, same event sequence.
 
     ``streams`` is the trial's block of ``stream_seeds(seed, ..., len(devices))``
     when the caller seeds many trials at once; without it the trial is
-    seeded alone, as a batch of one, with the same words."""
+    seeded alone, as a batch of one, with the same words. ``testbed`` is
+    the experiment's ``Testbed(devices)`` when many trials share one;
+    without it the environment builds its own."""
     if seed < 0 or trial < 0:
         raise ScenarioError("seed and trial index must be non-negative")
     if streams is None:
@@ -635,4 +717,5 @@ def build_environment(
         streams=streams,
         loss_prob=loss_prob,
         probe_response_delay_max_s=probe_response_delay_max_s,
+        testbed=testbed,
     )

@@ -17,7 +17,7 @@ from iotsweep.channels import (
     zwave_channel,
     zwave_channels,
 )
-from iotsweep.errors import ChecksumError, ParameterError, UnsupportedProbe
+from iotsweep.errors import ChecksumError, ParameterError, SimulationError, UnsupportedProbe
 from iotsweep.frames import beacon_request, decode, encode, extract_address, zigbee_beacon
 from iotsweep.scanning import (
     Scanner,
@@ -307,6 +307,36 @@ class TestProbeAndActive:
             scanner.active_multiprotocol_scan(ble_advertising_channels(), zigbee_channels(), 1.0, 1.0)
         assert probed == zigbee_channels()[:6]
         assert env.clock == 1.2
+
+    def test_quiet_probe_windows_are_stepped_not_queried(self):
+        """Of 16 probe windows, only those with a response or an emission
+        of the channel's devices due in them are queried; the others move
+        the clock to the same floats one query at a time would, and the
+        answers are the queried ones'."""
+        chans = [zigbee_channel(k) for k in range(11, 27)]
+        sdr = SdrConfig(8 * MHZ, retune_latency_s=0.3)
+        env = make_env(self.make_devs(), seed=50)
+        queried, query = [], env.emissions_in_parallel
+
+        def spy(channels, t0, t1, **kwargs):
+            queried.append(tuple(channels))
+            return query(channels, t0, t1, **kwargs)
+
+        env.emissions_in_parallel = spy
+        env.advance(0.37)
+        active = Scanner(env, sdr).probe_channels(chans, 0.2)
+        assert active == [CH11, CH15, CH20]
+        assert queried == [(CH11,), (CH15,), (CH20,)]
+        clock = 0.37
+        for _ in chans:
+            clock = clock + 0.2 + 0.3
+        assert env.clock == clock
+
+    @pytest.mark.parametrize("dwell", [math.inf, -1.0, math.nan])
+    def test_bad_probe_dwell_raises_in_a_quiet_window(self, dwell):
+        scanner = Scanner(make_env([], seed=50), SDR8)
+        with pytest.raises(SimulationError):
+            scanner.probe_channels([CH11], dwell)
 
 
 class TestParallelListen:

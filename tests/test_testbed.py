@@ -1,0 +1,159 @@
+"""State an experiment builds once and shares with every trial: the testbed
+(address table, channel index, listener scopes) and the rotation's window
+plans. Trials own only their RNG streams, clocks, pending probe responses
+and logs, so a trial run on shared state must equal the same trial run on
+state built for it alone.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import random
+
+import pytest
+
+from iotsweep import experiment, simulation
+from iotsweep.address import ZigbeeShort
+from iotsweep.channels import Protocol, zigbee_channel
+from iotsweep.errors import ParameterError, ScenarioError, SimulationError
+from iotsweep.scanning import Scanner, _plan, _Windows
+from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
+from iotsweep.simulation import DeviceSpec, Role, build_environment
+
+LOSSY_ACTIVE = {
+    f"{name}+loss": (name, 0.3) for name in ("zigbee-active", "zigbee-ble-active-multi")
+}
+CASES = {name: (name, None) for name in bundled_scenario_names()} | LOSSY_ACTIVE
+
+
+def lone_trial(cfg, trial):
+    """Trial ``trial`` on an environment seeded alone, with its own testbed
+    and no state left by any other trial."""
+    env = experiment.trial_environment(cfg, trial)
+    scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
+    experiment._run_algorithm(cfg, scanner, frozenset(d.name for d in cfg.devices))
+    return tuple(sorted((t, name) for name, t in scanner.log.first_seen.items()))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_trial_equals_a_trial_run_alone(case):
+    name, loss = CASES[case]
+    cfg = load_bundled_scenario(name)
+    if loss is not None:
+        cfg = dataclasses.replace(cfg, loss_prob=loss)
+    result = experiment.run_experiment(cfg)
+    assert len(result.trials) == cfg.trials
+    for record in result.trials:
+        assert record.first_seen == lone_trial(cfg, record.trial), (case, record.trial)
+
+
+def test_run_experiment_shares_one_testbed(monkeypatch):
+    """Every trial's environment comes through ``build_environment`` with the
+    same testbed, built from the scenario's devices."""
+    seen = []
+    build = experiment.build_environment
+
+    def spy(*args, **kwargs):
+        env = build(*args, **kwargs)
+        seen.append((kwargs["testbed"], env))
+        return env
+
+    monkeypatch.setattr(experiment, "build_environment", spy)
+    cfg = load_bundled_scenario("zigbee-ble-active-multi")
+    experiment.run_experiment(cfg)
+    assert len(seen) == cfg.trials
+    testbed = seen[0][0]
+    assert testbed.devices == cfg.devices
+    for shared, env in seen:
+        assert shared is testbed and env.testbed is testbed
+    devices = [id(dev) for _, env in seen for dev in env.devices]
+    assert len(set(devices)) == len(devices)  # no trial reuses another's SimDevice
+
+
+def zigbee(name, addr):
+    ch = zigbee_channel(11)
+    return DeviceSpec(name, Protocol.ZIGBEE, Role.ROUTER, (ch,), 5.0, ZigbeeShort(0x1A62, addr))
+
+
+@pytest.mark.parametrize(
+    "devices,match",
+    [
+        ((zigbee("a", 1), zigbee("a", 2)), "names must be unique"),
+        ((zigbee("a", 1), zigbee("b", 1)), "already used by a"),
+    ],
+    ids=["names", "addresses"],
+)
+def test_duplicates_refused_with_or_without_a_testbed(devices, match):
+    with pytest.raises(ScenarioError, match=match):
+        build_environment(devices, seed=1)
+    with pytest.raises(ScenarioError, match=match):
+        simulation.Testbed(devices)
+
+
+def test_testbed_of_other_devices_refused():
+    a, b = zigbee("a", 1), zigbee("b", 2)
+    with pytest.raises(SimulationError, match="other devices"):
+        build_environment((a, b), seed=1, testbed=simulation.Testbed((b, a)))
+    with pytest.raises(SimulationError, match="other devices"):
+        build_environment((a,), seed=1, testbed=simulation.Testbed((a, b)))
+    env = build_environment((a, b), seed=1, testbed=simulation.Testbed((a, b)))
+    assert env.resolve(ZigbeeShort(0x1A62, 2)) == "b"
+
+
+# Dwell/retune pairs whose window period is not exact in binary, as in
+# test_rotation.py.
+INEXACT = [(0.3, 0.1), (0.7, 0.0), (1.0, 0.25)]
+
+
+def assert_same_plan(plan, fresh, rng):
+    assert plan.count == fresh.count
+    assert [plan.edges(j) for j in range(plan.count)] == [
+        fresh.edges(j) for j in range(fresh.count)
+    ]
+    assert plan.edges(plan.count)[0] == fresh.edges(fresh.count)[0]
+    end = fresh.edges(fresh.count)[0]
+    for t in [rng.uniform(fresh.edges(0)[0], end + 1.0) for _ in range(50)] + [end]:
+        assert plan.index(t) == fresh.index(t)
+
+
+@pytest.mark.parametrize("dwell,retune", INEXACT)
+def test_memoized_plan_is_a_fresh_plan(dwell, retune):
+    """Plans that share their clock and dwell but differ in retune, budget
+    or limit are told apart, on the first call and on a repeat."""
+    rng = random.Random(f"{dwell}/{retune}")
+    for clock in (0.0, 0.37, 1023.9):
+        for budget in (5000 * (dwell + retune), 999.9, 4 * dwell):
+            for limit in (math.inf, 1, 16):
+                args = (clock, dwell, retune, clock, budget, limit)
+                fresh = _Windows(*args)
+                assert_same_plan(_plan(*args), fresh, rng)
+                assert _plan(*args) is _plan(*args)
+            other = _Windows(clock, dwell, retune + 0.5, clock, budget)
+            assert_same_plan(_plan(clock, dwell, retune + 0.5, clock, budget), other, rng)
+
+
+def test_memoized_plan_with_no_windows():
+    """A plan of no windows, by limit or by a spent budget, is kept apart
+    from the plans around it."""
+    assert _plan(0.0, 0.2, 0.0, 0.0, 10.0, 0).count == 0
+    assert _plan(0.0, 0.2, 0.0, 0.0, 10.0, 3).count == 3
+    assert _plan(0.0, 0.2, 0.0, 0.0, -1.0).count == 0
+
+
+def test_refused_dwell_raises_on_every_call():
+    """A dwell that cannot move a clock of 2^60 s is refused each time it is
+    asked for; a refusal is not remembered as a plan."""
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="cannot advance"):
+            _plan(0.0, 1.0, 0.0, 2.0**60, 10.0)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        _plan(0.0, math.inf, 0.0, 0.0, 10.0)
+
+
+def test_plans_are_read_only():
+    plan = _plan(0.0, 1.0, 0.25, 0.0, 100.0)
+    with pytest.raises((AttributeError, TypeError)):
+        plan._runs.append((0, 1.0, 1, 1))
+    with pytest.raises(AttributeError):
+        plan.extra = 1
