@@ -396,8 +396,9 @@ class Scanner:
         - Exact edges. ``_Windows`` gives c_j and e_j bit for bit as the
           left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
           the fold, and the same first index past the budget. A plan
-          depends on those six numbers alone, so every trial's rotation
-          that starts at the same clock reads the same one (``_plan``).
+          depends only on the clock, dwell, retune, scan start and budget,
+          so every trial's rotation that starts at the same clock reads
+          the same one (``_plan``).
           The channel sets' devices come from the experiment's testbed;
           only the heap, the clock and the log belong to the trial.
 
