@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
 from .errors import ScenarioError
-from .scanning import Scanner, plan_channel_groups
-from .scenario import Algorithm, ScenarioConfig
+from .scanning import Scanner
+from .scenario import ScenarioConfig
 from .simulation import EmitterKind, Environment, Testbed, build_environment, stream_seeds
 
 
@@ -93,24 +93,6 @@ def trial_environment(
     )
 
 
-def _run_algorithm(cfg: ScenarioConfig, scanner: Scanner, targets: frozenset[str]) -> None:
-    dwell, scan = cfg.dwell_time_s, cfg.scan_time_s
-    if cfg.algorithm is Algorithm.PASSIVE:
-        scanner.passive_scan(cfg.channels, dwell, scan, until_complete=targets)
-    elif cfg.algorithm is Algorithm.ACTIVE:
-        scanner.active_scan(cfg.channels, dwell, scan, until_complete=targets)
-    elif cfg.algorithm is Algorithm.MULTIPROTOCOL:
-        scanner.multiprotocol_scan(cfg.channels, dwell, scan, until_complete=targets)
-    elif cfg.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL:
-        scanner.active_multiprotocol_scan(
-            cfg.channels, cfg.probe_channels, dwell, scan, until_complete=targets
-        )
-    elif cfg.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
-        scanner.sequential_passive_scan(cfg.phases, dwell, scan, until_complete=targets)
-    else:  # pragma: no cover
-        raise ScenarioError(f"no runner for algorithm {cfg.algorithm}")
-
-
 def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all trials of a scenario; optionally write the CSV outputs.
 
@@ -121,10 +103,11 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
     records: list[TrialRecord] = []
     streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
     testbed = Testbed(cfg.devices)
+    plan = cfg.plan()
     for trial in range(cfg.trials):
         env = trial_environment(cfg, trial, streams[trial], testbed)
         scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-        _run_algorithm(cfg, scanner, targets)
+        scanner.scan(plan, cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
         seen = sorted((t, name) for name, t in scanner.log.first_seen.items())
         records.append(TrialRecord(trial=trial, first_seen=tuple(seen)))
     times = [[t for t, _ in rec.first_seen] for rec in records]
@@ -155,21 +138,21 @@ def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
     3-advertising-channel rotation gets 1 (every slot can hear it, because
     each advertising event covers all three channels).
 
-    Defined for the scans whose rotation is fixed up front: passive visits
-    one channel at a time, multiprotocol visits bandwidth groups. Active
-    scans change their rotation based on probe results mid-run, and the
-    sequential baseline is phase-structured, so neither maps onto a single
-    per-timestep probability vector.
+    Defined for a plan of one fixed rotation: one phase and no probes, as
+    in passive and multiprotocol scans (and a sequential scan of one
+    phase, which is a passive scan). Active scans change their rotation
+    with the probes' answers, and a sequential scan of several phases
+    switches rotation when a phase's devices are found, so neither maps
+    onto a single per-timestep probability vector.
     """
-    if cfg.algorithm is Algorithm.PASSIVE:
-        groups = [[ch] for ch in cfg.channels]
-    elif cfg.algorithm is Algorithm.MULTIPROTOCOL:
-        groups = plan_channel_groups(list(cfg.channels), cfg.sdr.instantaneous_bandwidth_hz)
-    else:
+    plan = cfg.plan()
+    if plan.probes or len(plan.phases) > 1:
+        why = "probes first" if plan.probes else f"runs {len(plan.phases)} phases"
         raise ScenarioError(
-            f"analytic model covers passive and multiprotocol scans, not "
-            f"{cfg.algorithm.value}"
+            f"analytic model covers scans of one fixed rotation; this "
+            f"{cfg.algorithm.value} scan {why}"
         )
+    groups = plan.groups(plan.phases[0], (), cfg.sdr.instantaneous_bandwidth_hz)
     total = len(groups)
     group_sets = [frozenset(g) for g in groups]
     divisors = []

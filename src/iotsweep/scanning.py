@@ -5,35 +5,40 @@ walks channels under an SDR model whose one hard constraint is the
 instantaneous bandwidth: channels whose spans fit inside it together can be
 received in parallel for the price of a single dwell.
 
-Algorithms build on each other:
+Building blocks:
 
   listen                one channel, one dwell window
-  passive_scan          round-robin listen over a channel list
+  listen_in_parallel    one dwell window across a bandwidth-fitting group
   probe_channels        probe + short listen per channel; returns the
                         channels that showed any traffic
-  active_scan           probe first, then passive only on active channels
-  listen_in_parallel    one dwell window across a bandwidth-fitting group
-  multiprotocol_scan    partition channels into bandwidth groups, then
-                        round-robin groups with parallel listens
-  active_multiprotocol_scan
-                        probe one protocol, merge its active channels with
-                        the always-scanned list, multiprotocol over the merge
-  sequential_passive_scan
-                        baseline: finish one protocol's passive scan before
-                        starting the next
+
+Every algorithm is a ``ScanPlan``: channels to probe first, then one or
+more phases, each a round-robin over channel groups. ``Scanner.scan`` runs
+any plan, and only the plan differs from one algorithm to the next:
+
+  algorithm                   probes          phases             groups of
+  passive_scan                none            the channel list   one channel
+  active_scan                 the channels    one, empty         one channel
+  multiprotocol_scan          none            the channel list   bandwidth
+  active_multiprotocol_scan   the probe list  the channel list   bandwidth
+  sequential_passive_scan     none            one per protocol   one channel
+
+A plan that probes adds the channels that answered to its phase, and the
+merge is listened on in ascending order. A bandwidth group is what
+``plan_channel_groups`` cuts from a phase. A sequential scan moves on to
+its next phase once every device audible in the current one is found.
 
 Every window records what it hears in the scanner's ``DiscoveryLog``, which
 is a scan's one result: the scans return nothing, and a listen returns only
 whether any frame in its window carried an address.
 
 Every scan counts its budget from its own start: each window, probe or
-rotation, starts within it. Past the probes, a scan is one round-robin over
-channel groups (a passive channel is a group of one; a sequential scan runs
-one per phase), run by ``Scanner._rotate``. It stops once the log covers
-its stop set, and queries only the windows in which a device not yet fully
-logged, or a pending probe response, lands on the window's channels; its
-docstring says when it checks the stop set and why every output is the
-same as when each window is queried with every device.
+rotation, starts within it. Each phase is run by ``Scanner._rotate``. It
+stops once the log covers its stop set, and queries only the windows in
+which a device not yet fully logged, or a pending probe response, lands on
+the window's channels; its docstring says when it checks the stop set and
+why every output is the same as when each window is queried with every
+device.
 """
 
 from __future__ import annotations
@@ -131,6 +136,44 @@ def _require_ascending(ch_list: Sequence[Channel]) -> None:
         raise ParameterError("channel list must be sorted by ascending frequency")
 
 
+@dataclass(frozen=True)
+class ScanPlan:
+    """What a scan probes and which channel groups it rotates over.
+
+    A scan probes ``probes`` first, then runs one rotation per phase, in
+    order, over ``groups(phase, responders, bandwidth_hz)``. Only a plan
+    that probes may have an empty phase: its rotation then hears only the
+    channels that answered, and none if none did.
+    """
+
+    phases: tuple[tuple[Channel, ...], ...]
+    probes: tuple[Channel, ...] = ()
+    grouped: bool = False  # bandwidth groups, not one channel at a time
+
+    def __post_init__(self):
+        object.__setattr__(self, "phases", tuple(tuple(phase) for phase in self.phases))
+        object.__setattr__(self, "probes", tuple(self.probes))
+        if not self.phases or not (self.probes or all(self.phases)):
+            raise ParameterError("a scan needs phases, each with channels unless it probes")
+
+    def groups(
+        self, phase: Sequence[Channel], responders: Iterable[Channel], bandwidth_hz: int
+    ) -> list[Sequence[Channel]]:
+        """The groups one phase rotates over: the phase's channels, or, in a
+        plan that probes, their union with the responders in ascending
+        order; one channel each, or the phase's bandwidth groups."""
+        channels: Sequence[Channel] = phase
+        if self.probes:
+            channels = sorted(set(phase).union(responders), key=channel_sort_key)
+        if not self.grouped:
+            return [(ch,) for ch in channels]
+        return plan_channel_groups(channels, bandwidth_hz) if channels else []
+
+    def channels(self) -> frozenset[Channel]:
+        """Every channel the scan can probe or listen on."""
+        return frozenset(self.probes).union(*self.phases)
+
+
 @functools.lru_cache(maxsize=4096)
 def _frame_address(
     protocol: Protocol, data: bytes, zwave_crc16: bool | None
@@ -226,28 +269,6 @@ class Scanner:
             self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s, skip=skip)
         )
 
-    # -- scan algorithms -------------------------------------------------------
-
-    def passive_scan(
-        self,
-        ch_list: Sequence[Channel],
-        dwell_time_s: float,
-        scan_time_s: float,
-        *,
-        until_complete: frozenset[str] | None = None,
-    ) -> None:
-        """Round-robin listen over ``ch_list`` until the scan budget is spent.
-
-        The elapsed check happens before each listen, so the final window may
-        overrun ``scan_time_s`` by up to one dwell.
-        """
-        if not ch_list:
-            raise ParameterError("passive scan needs a non-empty channel list")
-        self._rotate(
-            [(ch,) for ch in ch_list], dwell_time_s, scan_time_s, self.env.clock,
-            stop=until_complete,
-        )
-
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
         """Probe every channel and listen briefly; returns the channels that
         produced any reception (a beacon reply or ordinary traffic).
@@ -271,85 +292,74 @@ class Scanner:
                 active.append(ch)
         return active
 
-    def active_scan(
-        self,
-        ch_list: Sequence[Channel],
-        dwell_time_s: float,
-        scan_time_s: float,
-        *,
-        until_complete: frozenset[str] | None = None,
-    ) -> None:
-        """Probe the channels whose probe windows start within the budget,
-        then listen passively on those that answered until it is spent. With
-        no active channels the scan ends after the probes."""
-        t_start = self.env.clock
-        probe = self.probe_dwell_time_s
-        retune, n = self.sdr.retune_latency_s, len(ch_list)
-        n_probes = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
-        active = self.probe_channels(ch_list[:n_probes], probe)
-        if active:
-            groups = [(ch,) for ch in active]
-            self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=until_complete)
+    # -- scan algorithms -------------------------------------------------------
 
-    def multiprotocol_scan(
+    def scan(
         self,
-        ch_list: Sequence[Channel],
+        plan: ScanPlan,
         dwell_time_s: float,
         scan_time_s: float,
         *,
         until_complete: frozenset[str] | None = None,
     ) -> None:
-        """Group channels by instantaneous bandwidth once, then round-robin
-        the groups with parallel listens. Single-channel groups make this
-        behave exactly like a passive scan."""
-        groups = plan_channel_groups(ch_list, self.sdr.instantaneous_bandwidth_hz)
-        self._rotate(groups, dwell_time_s, scan_time_s, self.env.clock, stop=until_complete)
+        """Run ``plan`` within a budget of ``scan_time_s`` from the scan's start.
+
+        First the probes whose probe windows start within the budget, one
+        probe dwell and a retune each; the budget may end before every
+        channel is probed. Then one rotation per phase over the plan's
+        groups, each checking the budget before its windows, so the final
+        window may overrun ``scan_time_s`` by up to one dwell. Every phase
+        but the last ends once every device audible on its channels (among
+        ``until_complete``, if given) is found, so that the next can start.
+        The last phase, like a scan of one phase, ends once the log covers
+        ``until_complete`` or the budget is spent.
+        """
+        env, sdr = self.env, self.sdr
+        t_start = env.clock
+        responders: list[Channel] = []
+        if plan.probes:
+            probe = self.probe_dwell_time_s
+            retune, n = sdr.retune_latency_s, len(plan.probes)
+            n = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
+            responders = self.probe_channels(plan.probes[:n], probe)
+        last = len(plan.phases) - 1
+        for i, phase in enumerate(plan.phases):
+            groups = plan.groups(phase, responders, sdr.instantaneous_bandwidth_hz)
+            stop = until_complete
+            if i < last:
+                audible = env.device_names_on(ch for group in groups for ch in group)
+                stop = audible if stop is None else audible & stop
+            if groups:
+                self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=stop)
+
+    # Each named scan builds its plan from its channel arguments; the rest of
+    # its arguments (dwell, budget, ``until_complete``) are ``scan``'s.
+
+    def passive_scan(self, ch_list: Sequence[Channel], *args, **kwargs) -> None:
+        """Round-robin listen over ``ch_list``, one channel at a time."""
+        self.scan(ScanPlan((ch_list,)), *args, **kwargs)
+
+    def active_scan(self, ch_list: Sequence[Channel], *args, **kwargs) -> None:
+        """Probe ``ch_list``, then listen on the channels that answered, one
+        at a time; with none, the scan ends after the probes."""
+        self.scan(ScanPlan(((),), probes=ch_list), *args, **kwargs)
+
+    def multiprotocol_scan(self, ch_list: Sequence[Channel], *args, **kwargs) -> None:
+        """Round-robin the bandwidth groups of ``ch_list`` with parallel
+        listens. Single-channel groups make this a passive scan."""
+        self.scan(ScanPlan((ch_list,), grouped=True), *args, **kwargs)
 
     def active_multiprotocol_scan(
-        self,
-        ch_list: Sequence[Channel],
-        ch_probe_list: Sequence[Channel],
-        dwell_time_s: float,
-        scan_time_s: float,
-        *,
-        until_complete: frozenset[str] | None = None,
+        self, ch_list: Sequence[Channel], ch_probe_list: Sequence[Channel], *args, **kwargs
     ) -> None:
-        """Probe the channels of ``ch_probe_list`` whose probe windows start
-        within the budget, merge the responders with the always-scanned list
-        (sorted ascending), and multiprotocol-scan the merge until it is spent."""
-        t_start = self.env.clock
-        probe = self.probe_dwell_time_s
-        retune, n = self.sdr.retune_latency_s, len(ch_probe_list)
-        n_probes = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
-        active = self.probe_channels(ch_probe_list[:n_probes], probe)
-        merged = sorted(set(active) | set(ch_list), key=channel_sort_key)
-        if merged:
-            groups = plan_channel_groups(merged, self.sdr.instantaneous_bandwidth_hz)
-            self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=until_complete)
+        """Probe ``ch_probe_list``, then multiprotocol-scan the responders
+        merged with the always-scanned ``ch_list``."""
+        self.scan(ScanPlan((ch_list,), probes=ch_probe_list, grouped=True), *args, **kwargs)
 
-    def sequential_passive_scan(
-        self,
-        phases: Sequence[Sequence[Channel]],
-        dwell_time_s: float,
-        scan_time_s: float,
-        *,
-        until_complete: frozenset[str] | None = None,
-    ) -> None:
-        """Passive-scan each phase in turn, moving on once every device
-        audible in the current phase has been found (or the budget runs out).
-
-        This is the one-protocol-after-another baseline the parallel scans
-        are measured against.
-        """
-        if not phases or any(not p for p in phases):
-            raise ParameterError("sequential scan needs non-empty phases")
-        t_start = self.env.clock
-        for phase in phases:
-            audible = self.env.device_names_on(phase)
-            targets = audible if until_complete is None else audible & until_complete
-            self._rotate(
-                [(ch,) for ch in phase], dwell_time_s, scan_time_s, t_start, stop=targets
-            )
+    def sequential_passive_scan(self, phases: Sequence[Sequence[Channel]], *args, **kwargs) -> None:
+        """Passive-scan each phase in turn: the one-protocol-after-another
+        baseline the parallel scans are measured against."""
+        self.scan(ScanPlan(phases), *args, **kwargs)
 
     def _rotate(
         self,

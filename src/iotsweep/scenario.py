@@ -42,10 +42,12 @@ Each key is declared once, in a table that maps it to its ``ScenarioConfig``,
 ``SdrConfig`` or ``DeviceSpec`` field and its value parser; a key the file
 leaves out takes that field's default, and a key no table knows is refused.
 A ``ScenarioConfig`` validates itself, also when made by
-``dataclasses.replace``. Every device must sit on a channel its algorithm
-visits: ``channels`` for passive, active and multiprotocol scans,
-``channels`` plus ``probe-channels`` for active-multiprotocol, and
-``phases`` for sequential-passive.
+``dataclasses.replace``. ``ScenarioConfig.plan`` turns the algorithm and
+its channel keys into the ``ScanPlan`` the scanner runs, and validation
+reads that plan: every device must sit on a channel it probes or listens
+on (``channels`` for passive, active and multiprotocol scans, ``channels``
+plus ``probe-channels`` for active-multiprotocol, and ``phases`` for
+sequential-passive).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .channels import (
     zwave_channel,
 )
 from .errors import ParameterError, ScenarioError
-from .scanning import DEFAULT_PROBE_DWELL_S, SdrConfig
+from .scanning import DEFAULT_PROBE_DWELL_S, ScanPlan, SdrConfig
 from .simulation import (
     DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
     DeviceSpec,
@@ -121,13 +123,26 @@ class ScenarioConfig:
     def __post_init__(self):
         validate_scenario(self)
 
-    def scanned_channels(self) -> frozenset[Channel]:
-        """The channels this scenario's algorithm listens on."""
-        if self.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
-            return frozenset(ch for phase in self.phases for ch in phase)
-        if self.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL:
-            return frozenset(self.channels + self.probe_channels)
-        return frozenset(self.channels)
+    def plan(self) -> ScanPlan:
+        """What this scenario's algorithm probes and rotates over: the one
+        place that reads ``algorithm``. Refuses a scenario that lacks the
+        channels its algorithm needs."""
+        algorithm = self.algorithm
+        if algorithm is Algorithm.SEQUENTIAL_PASSIVE:
+            if not self.phases or any(not p for p in self.phases):
+                raise ScenarioError("phases: sequential-passive needs non-empty phases")
+            return ScanPlan(self.phases)
+        if not self.channels:
+            raise ScenarioError("channels: required for this algorithm")
+        if algorithm is Algorithm.PASSIVE:
+            return ScanPlan((self.channels,))
+        if algorithm is Algorithm.ACTIVE:
+            return ScanPlan(((),), probes=self.channels)
+        if algorithm is Algorithm.MULTIPROTOCOL:
+            return ScanPlan((self.channels,), grouped=True)
+        if not self.probe_channels:
+            raise ScenarioError("probe-channels: required for active-multiprotocol")
+        return ScanPlan((self.channels,), probes=self.probe_channels, grouped=True)
 
 
 def _parse_hz(text: str) -> int:
@@ -343,20 +358,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
     if not 0.0 < cfg.max_multi_arrival_prob <= 1.0:
         raise ScenarioError("max-multi-arrival-prob: must lie in (0, 1]")
 
-    if cfg.algorithm is Algorithm.SEQUENTIAL_PASSIVE:
-        if not cfg.phases or any(not p for p in cfg.phases):
-            raise ScenarioError("phases: sequential-passive needs non-empty phases")
-    elif not cfg.channels:
-        raise ScenarioError("channels: required for this algorithm")
-    if cfg.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL and not cfg.probe_channels:
-        raise ScenarioError("probe-channels: required for active-multiprotocol")
-
-    probed: tuple[Channel, ...] = ()
-    if cfg.algorithm is Algorithm.ACTIVE:
-        probed = cfg.channels  # phase one probes the scan list itself
-    elif cfg.algorithm is Algorithm.ACTIVE_MULTIPROTOCOL:
-        probed = cfg.probe_channels
-    unprobeable = sorted({ch.label for ch in probed if ch.protocol not in PROBEABLE_PROTOCOLS})
+    plan = cfg.plan()
+    unprobeable = sorted({ch.label for ch in plan.probes if ch.protocol not in PROBEABLE_PROTOCOLS})
     if unprobeable:
         raise ScenarioError(
             "probe channels without a broadcast probe (only zigbee supports "
@@ -364,7 +367,7 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         )
 
     address_table(cfg.devices)
-    scanned = cfg.scanned_channels()
+    scanned = plan.channels()
     unreachable = [dev.name for dev in cfg.devices if scanned.isdisjoint(dev.channels)]
     if unreachable:
         raise ScenarioError(

@@ -149,7 +149,7 @@ def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0, loss=LOSS
 # the response to the pre-scan probe is heard by the passive scan at seed 12
 # and by the multiprotocol scan at seed 22
 @pytest.mark.parametrize("seed", [12, 22])
-def test_fast_forward_matches_naive_loop(scan, seed, stop):
+def test_scan_matches_naive_loop_with_fewer_queries(scan, seed, stop):
     """Each scan leaves the naive loop's log and clock with no more window
     queries, and under a third as many for the scans that skip most."""
     do_scan, hears_all = SCANS[scan]
@@ -531,7 +531,7 @@ def test_bundled_scenarios_match_naive_loop(name):
         for scanner_cls in (Scanner, NaiveScanner):
             env = experiment.trial_environment(cfg, trial)
             scanner = scanner_cls(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-            experiment._run_algorithm(cfg, scanner, targets)
+            scanner.scan(cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
             outcomes.append((scanner.log.first_seen, scanner.log.addresses, env.clock))
         assert outcomes[0] == outcomes[1], (name, trial)
 

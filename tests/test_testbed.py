@@ -32,7 +32,8 @@ def lone_trial(cfg, trial):
     and no state left by any other trial."""
     env = experiment.trial_environment(cfg, trial)
     scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-    experiment._run_algorithm(cfg, scanner, frozenset(d.name for d in cfg.devices))
+    targets = frozenset(d.name for d in cfg.devices)
+    scanner.scan(cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
     return tuple(sorted((t, name) for name, t in scanner.log.first_seen.items()))
 
 
