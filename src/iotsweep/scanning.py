@@ -35,8 +35,8 @@ whether any frame in its window carried an address.
 Every scan counts its budget from its own start: each window, probe or
 rotation, starts within it. Each phase is run by ``Scanner._rotate``. It
 stops once the log covers its stop set, and queries only the windows in
-which a device not yet fully logged, or a pending probe response, lands on
-the window's channels; its docstring says when it checks the stop set and
+which an emission or probe response of a device not yet fully logged lands
+on the window's channels; its docstring says when it checks the stop set and
 why every output is the same as when each window is queried with every
 device.
 """
@@ -54,7 +54,7 @@ from . import frames
 from .address import DeviceAddress
 from .channels import Channel, Protocol, channel_sort_key, zwave_uses_crc16
 from .errors import ParameterError
-from .simulation import Environment
+from .simulation import Environment, SimDevice
 
 DEFAULT_PROBE_DWELL_S = 0.2
 DEFAULT_BANDWIDTH_HZ = 8_000_000
@@ -273,16 +273,16 @@ class Scanner:
         """Probe every channel and listen briefly; returns the channels that
         produced any reception (a beacon reply or ordinary traffic).
 
-        A probe window in which no device on the channel has an emission
-        left before its end, and no pending response lands, is not queried:
-        the clock just moves to its end (``Environment.may_deliver``)."""
+        A probe window in which no device on the channel has an emission or
+        a probe response left before its end is not queried: the clock just
+        moves to its end (``Environment.may_deliver``)."""
         env = self.env
         active: list[Channel] = []
         for ch in ch_list:
             env.inject_probe(ch)
             t0 = env.clock
             t1 = t0 + dwell_time_s
-            if not t0 <= t1 < math.inf or env.may_deliver(ch, t0, t1):
+            if not t0 <= t1 < math.inf or env.may_deliver(ch, t1):
                 heard = self.listen(ch, dwell_time_s)  # a bad dwell raises here
             else:
                 heard, env.clock = False, t1
@@ -384,12 +384,13 @@ class Scanner:
 
         - Next-event time advance. Each device of the groups that is not
           fully logged sits in a heap under the index j of the window whose
-          span [c_j, c_{j+1}) holds its next emission time, and so does each
-          pending probe response that lands inside a window that hears its
-          channel. The rotation goes straight to the smallest index and
-          queries window j only if a response is due in it or a popped
-          device's next time lies in [c_j, e_j) on a channel of the group.
-          Any other window can hear nothing, so it is not queried.
+          span [c_j, c_{j+1}) holds its next time: its next emission or
+          pending probe response, whichever is first. The rotation goes
+          straight to the smallest index and queries window j only if a
+          popped device's next time lies in [c_j, e_j) and the group hears
+          the device. Any other window can hear nothing, so it is not
+          queried. A response is on its device's one channel (only Zigbee
+          answers probes), so a group hears it if it hears the device.
         - Drops only behind the rotation. After window j, a popped device's
           emissions before c_{j+1} are generated and thrown away: they land
           in the gap or on channels window j does not hear, and every later
@@ -401,8 +402,10 @@ class Scanner:
           rotation's windows neither generate nor deliver them, and they
           leave the heap. Their frames could only re-log addresses the log
           has, and their streams are drawn in order by whichever window
-          generates them next. Only the rotation skips devices; a direct
-          listen or probe hears every one.
+          generates them next. A skipped device's probe response is a
+          beacon from its canonical address, which the log also has. Only
+          the rotation skips devices; a direct listen or probe hears every
+          one.
         - Exact edges. ``_Windows`` gives c_j and e_j bit for bit as the
           left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
           the fold, and the same first index past the budget. A plan
@@ -429,26 +432,21 @@ class Scanner:
         end = 0 if covered() else windows.count  # the clock stops at the start of window `end`
         c0 = env.clock
         scope = frozenset().union(*hearers)
-        events: list[tuple[int, int, object]] = []  # (window, tiebreak, device or None)
+        events: list[tuple[int, int, SimDevice]] = []  # (window, device position, device)
 
-        def push(tiebreak, dev, c):
-            """Drop the device's emissions before ``c``, then queue it under
+        def push(n, dev, c):
+            """Drop the device's events before ``c``, then queue it under
             the window of its next time, unless it is fully logged."""
             if dev.name not in self.fully_logged:
                 if dev.next_time < c:
                     dev.generate_until(c)
                 j = windows.index(dev.next_time)
                 if j < end:
-                    heapq.heappush(events, (j, tiebreak, dev))
+                    heapq.heappush(events, (j, n, dev))
 
         for n, dev in enumerate(env.devices):
             if dev.name in scope:
                 push(n, dev, c0)
-        for n, em in enumerate(env.scheduled_responses()):
-            j = windows.index(em.time_s) if em.time_s >= c0 else end
-            if j < end and em.time_s < windows.edges(j)[1]:  # inside window j, not its gap
-                if em.channel in groups[j % n_groups]:
-                    heapq.heappush(events, (j, -1 - n, None))
         n_logged = len(log.addresses)
         while events and events[0][0] < end:
             j = events[0][0]
@@ -457,11 +455,8 @@ class Scanner:
             popped, heard = [], False
             while events and events[0][0] == j:
                 _, n, dev = heapq.heappop(events)
-                if dev is None:
-                    heard = True
-                else:
-                    popped.append((n, dev))
-                    heard |= dev.next_time < e_j and dev.name in names
+                popped.append((n, dev))
+                heard |= dev.next_time < e_j and dev.name in names
             if heard:
                 env.clock = c_j
                 self.listen_in_parallel(groups[j % n_groups], dwell_time_s, skip=self.fully_logged)

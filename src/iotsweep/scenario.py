@@ -347,8 +347,8 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
         raise ScenarioError("loss-prob: must lie in [0, 1]")
     if not cfg.dwell_time_s > 0:
         raise ScenarioError("dwell-time: must be positive")
-    if not cfg.probe_dwell_time_s > 0:
-        raise ScenarioError("probe-dwell-time: must be positive")
+    if not 0.0 < cfg.probe_dwell_time_s < math.inf:
+        raise ScenarioError("probe-dwell-time: must be positive and finite")
     if not cfg.dwell_time_s <= cfg.scan_time_s < math.inf:
         raise ScenarioError("scan-time: must be finite and at least one dwell")
     if not 0.0 <= cfg.probe_response_delay_max_s < math.inf:

@@ -17,10 +17,12 @@ comparable on identical traffic. A stream is PCG64 seeded with the words
 one numpy pass, since building a SeedSequence per stream cost more than
 the rest of a trial's set-up.
 
-A listen window generates the devices on its channels up to its end, encodes
-the entries that fall on its channels and inside its span, and keeps none of
-them: emissions nobody hears are never encoded, and a device holds only its
-next emission time and index between windows. A frame's bytes depend only
+Each device is one event stream: its emissions and its probe responses,
+which are beacons it owes. A listen window generates the devices on its
+channels up to its end, encodes the entries that fall on its channels and
+inside its span, and keeps none of them: emissions nobody hears are never
+encoded, and between windows a device holds only its next emission time
+and index and its pending responses. A frame's bytes depend only
 on its device, sequence byte and address slot, so a delivered frame is
 encoded once per ``DeviceSpec``, which keeps it for every trial, and the
 scanner decodes each distinct frame once per process. The clock forbids a window
@@ -33,8 +35,8 @@ The trials of an experiment differ only in their RNG streams. What depends
 on the device list alone, the ``Testbed`` (address table, the devices on
 each channel, the listener scope of each channel set), is built once per
 experiment and read by every trial. Each trial's ``Environment`` owns what
-it changes: its SimDevices (streams, next emission times), its clock and
-its pending probe responses.
+it changes: its SimDevices (streams, next emission times, pending probe
+responses) and its clock.
 """
 
 from __future__ import annotations
@@ -381,7 +383,9 @@ def _encode_frame(spec: DeviceSpec, seq: int, slot: int | None) -> bytes:
 
 
 class SimDevice:
-    """Runtime state for one device: RNG streams and its next emission.
+    """Runtime state for one device: RNG streams, its next emission and its
+    pending probe responses. ``next_time``, the time of the device's next
+    event, is the earlier of the next emission and the next response.
 
     ``streams`` is the device's block of ``stream_seeds``: one row of seed
     words per tag, the words ``SeedSequence([seed, trial, index, tag])``
@@ -400,10 +404,12 @@ class SimDevice:
         self._probe_rng: np.random.Generator | None = None
         self._gap_buffer: list[float] = []
         self._emit_index = 0
+        self._responses: list[tuple[float, int, int]] = []  # heap of (time, index, channel slot)
         if spec.emitter is EmitterKind.PERIODIC:
-            self.next_time = float(self._times.uniform(0.0, spec.mean_interarrival_s))
+            self._next_emission = float(self._times.uniform(0.0, spec.mean_interarrival_s))
         else:
-            self.next_time = self._draw_gap()
+            self._next_emission = self._draw_gap()
+        self.next_time = self._next_emission
 
     @property
     def probe_rng(self) -> np.random.Generator:
@@ -420,9 +426,15 @@ class SimDevice:
         gap = self._gap_buffer.pop()
         return gap if gap > 0.0 else 1e-12  # keep event times strictly increasing
 
-    def beacon_frame(self) -> bytes:
-        """Probe response; beacons always carry the canonical source address."""
-        return self._frame(self._emit_index & 0xFF, None)
+    def respond(self, t: float, channel: Channel) -> tuple[float, Channel, int]:
+        """Schedule a probe response at ``t`` on ``channel``, one of the
+        device's own: a beacon whose sequence byte is that of the next
+        emission, taken now. Returns its ``generate_until`` entry."""
+        slot = self.spec.channels.index(channel)
+        idx = (self._emit_index & 0xFF) - 256
+        heapq.heappush(self._responses, (t, idx, slot))
+        self.next_time = min(self.next_time, t)
+        return t, self.spec.channels[slot], idx
 
     def _frame(self, seq: int, slot: int | None) -> bytes:
         """``_encode_frame(spec, seq, slot)``, encoded once per spec."""
@@ -432,30 +444,40 @@ class SimDevice:
         return frame
 
     def generate_until(self, t_end: float) -> list[tuple[float, Channel, int]]:
-        """The emissions at times < t_end not yet generated, as time-sorted
-        ``(time, channel, emission index)`` entries that survive loss.
+        """The events at times < t_end not yet generated, as ``(time,
+        channel, index)`` entries: the emissions that survive loss in time
+        order, then the pending probe responses in time order. A response's
+        index is negative, with its beacon's sequence byte as its low byte.
 
         One loss coin per channel per emission, in channel order, whether or
-        not any window will listen there."""
+        not any window will listen there; a response's coin was drawn when
+        it was scheduled."""
         entries: list[tuple[float, Channel, int]] = []
         channels = self.spec.channels
         loss, loss_prob = self._loss, self._loss_prob
-        t, idx = self.next_time, self._emit_index
+        t, idx = self._next_emission, self._emit_index
         while t < t_end:
             for ch in channels:
                 if loss is None or not loss.random() < loss_prob:
                     entries.append((t, ch, idx))
             idx += 1
             t = t + self._draw_gap()
-        self.next_time, self._emit_index = t, idx
+        self._next_emission, self._emit_index = t, idx
+        responses = self._responses
+        while responses and responses[0][0] < t_end:
+            t_r, i, slot = heapq.heappop(responses)
+            entries.append((t_r, channels[slot], i))
+        self.next_time = min(t, responses[0][0]) if responses else t
         return entries
 
     def emission(self, entry: tuple[float, Channel, int]) -> Emission:
         """One entry returned by ``generate_until``, with its frame: the
         sequence byte is the index's low byte, and the address rotates
-        through canonical plus aliases."""
+        through canonical plus aliases, or is the canonical one of a probe
+        response's beacon."""
         t, ch, idx = entry
-        return Emission(t, ch, self._frame(idx & 0xFF, idx % self._n_addresses), self.name)
+        slot = None if idx < 0 else idx % self._n_addresses
+        return Emission(t, ch, self._frame(idx & 0xFF, slot), self.name)
 
 
 class Testbed:
@@ -465,10 +487,9 @@ class Testbed:
 
     Every field is a function of the device list alone and is never
     changed once filled, so ``run_experiment`` builds one Testbed and hands
-    it to each trial's Environment; a trial owns only its SimDevices, clock
-    and probe responses. Devices appear by position in ``devices``, never as
-    a trial's SimDevice. Building one checks that names and addresses are
-    unique.
+    it to each trial's Environment; a trial owns only its SimDevices and
+    clock. Devices appear by position in ``devices``, never as a trial's
+    SimDevice. Building one checks that names and addresses are unique.
     """
 
     def __init__(self, devices: Sequence[DeviceSpec]):
@@ -517,7 +538,7 @@ class Environment:
     """One trial's radio world: devices, a clock, and probe plumbing.
 
     A trial owns what it changes: its SimDevices (RNG streams, next
-    emission times), its clock and its pending probe responses. What only
+    emission times, pending probe responses) and its clock. What only
     depends on the device list, the ``Testbed``, is shared: pass the
     experiment's to every trial, or leave it out and the environment
     builds its own. Single-threaded by design; run one Environment per
@@ -561,8 +582,6 @@ class Environment:
         # generator is allocated over-size and shrunk, and filling this cache
         # that way parked about 3 MB on CPython's per-size tuple free lists.
         self._scopes: dict[frozenset[Channel], list[tuple[SimDevice, set[int]]]] = {}
-        self._pending_responses: list[tuple[float, int, Emission]] = []
-        self._response_counter = 0
 
     # -- queries ------------------------------------------------------------
 
@@ -582,18 +601,13 @@ class Environment:
             ]
         return listeners
 
-    def may_deliver(self, channel: Channel, t0: float, t1: float) -> bool:
-        """False only if a window [t0, t1) on ``channel`` alone would deliver
-        nothing: no device on the channel has an emission left to generate
-        before t1, and no pending probe response on it lands in [t0, t1).
-        Nothing is generated or consumed, so skipping such a window and
+    def may_deliver(self, channel: Channel, t1: float) -> bool:
+        """False only if a window on ``channel`` alone that ends at t1 would
+        deliver nothing: no device on the channel has an event left before
+        t1. Nothing is generated or consumed, so skipping such a window and
         moving the clock to t1 leaves every later window as it would be."""
-        devices = self.devices
-        if any(devices[pos].next_time < t1 for pos, _ in self.testbed.by_channel.get(channel, ())):
-            return True
-        return any(
-            t0 <= t < t1 and em.channel == channel for t, _, em in self._pending_responses
-        )
+        listeners = self.testbed.by_channel.get(channel, ())
+        return any(self.devices[pos].next_time < t1 for pos, _ in listeners)
 
     def emissions_in_parallel(
         self,
@@ -607,13 +621,12 @@ class Environment:
 
         Exactly equivalent to listening to every channel in the set at once;
         the clock advances once, to t1. Each device on these channels is
-        generated once, up to t1; its entries before t0 or on channels outside
-        the set are dropped, as are probe responses before t1 that this
-        window cannot hear. Nothing is kept for a later window: the clock
-        checks below refuse any window that starts before the last one
-        ended, which is what makes dropping them exact. Devices named in
-        ``skip`` are not generated and deliver nothing; probe responses are
-        delivered whoever sent them.
+        generated once, up to t1, its probe responses included; its entries
+        before t0 or on channels outside the set are dropped. Nothing is
+        kept for a later window: the clock checks below refuse any window
+        that starts before the last one ended, which is what makes dropping
+        them exact. Devices named in ``skip`` are not generated and deliver
+        nothing, their probe responses included.
         """
         if not t0 <= t1 < math.inf:
             raise SimulationError(f"window must end at a finite time >= its start: [{t0}, {t1})")
@@ -630,17 +643,9 @@ class Environment:
                     for e in dev.generate_until(t1)
                     if e[0] >= t0 and id(e[1]) in heard
                 )
-        while self._pending_responses and self._pending_responses[0][0] < t1:
-            t, _, em = heapq.heappop(self._pending_responses)
-            if t >= t0 and em.channel in wanted:
-                out.append(em)
         self.clock = t1
         out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
         return out
-
-    def scheduled_responses(self) -> list[Emission]:
-        """The probe responses that no window has delivered or dropped yet."""
-        return [em for _, _, em in self._pending_responses]
 
     def advance(self, duration_s: float) -> None:
         """Move the clock forward without listening (retune cost)."""
@@ -651,13 +656,14 @@ class Environment:
     # -- active probing -----------------------------------------------------
 
     def inject_probe(self, channel: Channel) -> list[Emission]:
-        """Broadcast a probe on ``channel``; responders schedule beacons.
+        """Broadcast a probe on ``channel``; responders schedule beacons on
+        their own event streams (``SimDevice.respond``).
 
         Only protocols with a broadcast probe support this (Zigbee beacon
         requests). Responses land at clock + U(0, probe_response_delay_max) and
-        are subject to the same per-frame loss as regular traffic. Returns
-        the responses that survive loss; they are also delivered through the
-        normal listen path.
+        are subject to the same per-frame loss as regular traffic, both drawn
+        from the responder's probe stream. Returns the responses that survive
+        loss; windows deliver them as they deliver emissions.
         """
         if channel.protocol not in PROBEABLE_PROTOCOLS:
             raise UnsupportedProbe(
@@ -667,13 +673,8 @@ class Environment:
         for pos in self.testbed.responders.get(channel, ()):
             dev = self.devices[pos]
             delay = float(dev.probe_rng.uniform(0.0, self.probe_response_delay_max_s))
-            lost = bool(dev.probe_rng.random() < self.loss_prob)
-            if lost:
-                continue
-            em = Emission(self.clock + delay, channel, dev.beacon_frame(), dev.name)
-            self._response_counter += 1
-            heapq.heappush(self._pending_responses, (em.time_s, self._response_counter, em))
-            scheduled.append(em)
+            if not dev.probe_rng.random() < self.loss_prob:
+                scheduled.append(dev.emission(dev.respond(self.clock + delay, channel)))
         return scheduled
 
     # -- bulk export ----------------------------------------------------------

@@ -146,12 +146,14 @@ class TestScenarioErrors:
             ("channels zigbee:11\ndwell", "channels zigbee:12\nprobe-channels zigbee:11\ndwell",
              "never visits"),
             ("dwell-time 1.0", "dwell-time nan", "dwell-time: must be positive"),
+            ("seed 5", "seed 5\nprobe-dwell-time inf",
+             "probe-dwell-time: must be positive and finite"),
             ("seed 5", "seed 5\nlora-id-index 2", "unknown key 'lora-id-index'"),
             ("seed 5", "seed 5\ntime-scale 10", "line 9: unknown key 'time-scale'"),
         ],
         ids=[
-            "top-level-typo", "device-typo", "unreachable", "dwell-time-nan", "lora-id-index",
-            "time-scale",
+            "top-level-typo", "device-typo", "unreachable", "dwell-time-nan",
+            "probe-dwell-time-inf", "lora-id-index", "time-scale",
         ],
     )
     def test_bad_scenario_exit_1(self, tmp_path, capsys, command, old, new, message):

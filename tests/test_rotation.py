@@ -180,12 +180,40 @@ def test_device_off_the_rotation_queries_no_window(scan):
 
 
 def test_late_probe_response_is_heard():
-    """The scheduled response is an event of the rotation, so the window it
-    lands in is queried although no device emits near it."""
+    """The response is an event of the hub's own stream, so the window it
+    lands in is queried although the hub emits nowhere near it."""
     listen_only = lambda s, stop: s.passive_scan([CH11], 1.0, 100.0)
     scanner, *_, response = run(Scanner, listen_only, 17, None, SdrConfig(8 * MHZ))
     assert len(response) == 1 and response[0].time_s > 10.0
     assert scanner.log.first_seen == {"hub": response[0].time_s}
+
+
+def test_response_of_a_fully_logged_responder_is_skipped():
+    """The hub is logged within its first windows and its probe response
+    lands later on its channel. The rotation then skips the hub, so only
+    the naive loop delivers the response, and the two leave the same log
+    and clock."""
+    hub = zigbee("hub", 0x0000, CH11, 1.0, Role.COORDINATOR)
+    runs = {}
+    for scanner_cls in (Scanner, NaiveScanner):
+        env = build_environment([hub], 5, probe_response_delay_max_s=40.0)
+        (response,) = env.inject_probe(CH11)
+        delivered, query = [], env.emissions_in_parallel
+
+        def recorded(*args, query=query, delivered=delivered, **kwargs):
+            out = query(*args, **kwargs)
+            delivered.extend(out)
+            return out
+
+        env.emissions_in_parallel = recorded
+        scanner = scanner_cls(env, SdrConfig(8 * MHZ))
+        scanner.passive_scan([CH11], 1.0, 100.0)
+        runs[scanner_cls] = scanner.log, env.clock, response in delivered
+    (fast_log, fast_clock, fast_heard), (naive_log, naive_clock, naive_heard) = runs.values()
+    assert fast_log.first_seen["hub"] < response.time_s
+    assert naive_heard and not fast_heard
+    assert fast_log == naive_log
+    assert fast_clock == naive_clock
 
 
 def test_budget_spent_before_the_first_window():

@@ -153,13 +153,11 @@ class TestListen:
         assert scanner.log.addresses == {ZigbeeShort(0x1A62, 1)}
         assert 0.0 <= scanner.log.first_seen["a"] <= 51.0
 
-    def test_sourceless_frames_ignored(self):
+    def test_sourceless_frames_ignored(self, monkeypatch):
         env = make_env([])
-        # plant a sourceless frame (a stray beacon request) into the air
-        import heapq
-
+        # a window that hears a sourceless frame (a stray beacon request)
         em = Emission(0.5, CH11, encode(beacon_request()), device="ghost")
-        heapq.heappush(env._pending_responses, (em.time_s, 0, em))
+        monkeypatch.setattr(env, "emissions_in_parallel", lambda *args, **kwargs: [em])
         scanner = Scanner(env, SDR8)
         assert scanner.listen(CH11, 1.0) is False
         assert scanner.log.first_seen == {}

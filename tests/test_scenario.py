@@ -236,6 +236,7 @@ end
         [
             ("dwell-time", "nan"),
             ("probe-dwell-time", "nan"),
+            ("probe-dwell-time", "inf"),
             ("scan-time", "nan"),
             ("scan-time", "inf"),
             ("delta-t", "nan"),

@@ -287,6 +287,30 @@ class TestProbes:
         env = build_environment([self.coordinator()], seed=11, loss_prob=1.0)
         assert env.inject_probe(CH11) == []
 
+    def test_skipped_responder_delivers_no_response(self):
+        """A response is an event of its device's own stream, so a window
+        that skips the device neither delivers it nor keeps it for later."""
+        env = build_environment([self.coordinator()], seed=6, probe_response_delay_max_s=0.1)
+        (response,) = env.inject_probe(CH11)
+        assert env.emissions_in_parallel((CH11,), 0.0, 0.2, skip=frozenset({"coord"})) == []
+        assert response not in env.emissions_in_parallel((CH11,), 0.2, 1000.0)
+
+    def test_response_while_another_channel_is_heard_is_never_delivered(self):
+        devs = [self.coordinator(), zigbee_device("other", 1, channel=CH15, mu=1000.0)]
+        env = build_environment(devs, seed=6, probe_response_delay_max_s=0.5)
+        (response,) = env.inject_probe(CH11)
+        assert response.time_s < 1.0
+        assert response not in env.emissions_in_parallel((CH15,), 0.0, 1.0)
+        assert response not in env.emissions_in_parallel((CH11,), 1.0, 2.0)
+
+    def test_response_is_delivered_with_its_device(self):
+        env = build_environment([self.coordinator()], seed=6, probe_response_delay_max_s=0.5)
+        (response,) = env.inject_probe(CH11)
+        dev = env.devices[0]
+        assert dev.next_time == response.time_s
+        assert env.emissions_in_parallel((CH11,), 0.0, 1.0) == [response]
+        assert dev.next_time > 1.0
+
     def test_unsupported_protocols(self):
         env = build_environment([], seed=12)
         with pytest.raises(UnsupportedProbe):
@@ -487,9 +511,10 @@ class TestEncodedFrames:
                 else:
                     beacon = frames.zigbee_beacon(seq=seq, src_pan=addr.pan_id, src_addr=addr.addr)
                 dev._emit_index = seq + 256
-                assert dev.beacon_frame() == frames.encode_zigbee(beacon)
+                response = dev.emission(dev.respond(1.0, spec.channels[0]))
+                assert response.frame == frames.encode_zigbee(beacon)
                 assert spec._encoded[seq, None] == frames.encode_zigbee(beacon)
-                assert extract_address(decode(Protocol.ZIGBEE, dev.beacon_frame())) == addr
+                assert extract_address(decode(Protocol.ZIGBEE, response.frame)) == addr
 
     def test_rebuilt_spec_sees_only_its_own_frames(self):
         spec = zigbee_device("a", 0x0001, aliases=(ZigbeeShort(0x1A62, 0x0101),))

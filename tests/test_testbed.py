@@ -1,8 +1,8 @@
 """State an experiment builds once and shares with every trial: the testbed
 (address table, channel index, listener scopes) and the rotation's window
-plans. Trials own only their RNG streams, clocks, pending probe responses
-and logs, so a trial run on shared state must equal the same trial run on
-state built for it alone.
+plans. Trials own only their devices' RNG streams and pending probe
+responses, their clocks and their logs, so a trial run on shared state
+must equal the same trial run on state built for it alone.
 """
 
 from __future__ import annotations
