@@ -208,7 +208,9 @@ def mc_order_statistic(
     rng = np.random.default_rng(seed)
     n_dev = pv.n_devices
     # Buffers reused across steps; column-major, so the running sum over
-    # devices adds whole columns. An episode's heard devices have mass 0.
+    # devices adds whole columns, one np.add each: the same additions in the
+    # same order as np.cumsum along a row, which walks the strided rows.
+    # An episode's heard devices have mass 0.
     fresh = np.empty((episodes, n_dev), order="F")
     fresh[:] = pv.p
     fresh_mass = np.empty_like(fresh)
@@ -216,7 +218,9 @@ def mc_order_statistic(
     rows = np.arange(episodes)
     draws = np.zeros(episodes, dtype=float)
     for _ in range(n):
-        np.cumsum(fresh, axis=1, out=fresh_mass)
+        fresh_mass[:, 0] = fresh[:, 0]
+        for k in range(1, n_dev):
+            np.add(fresh_mass[:, k - 1], fresh[:, k], out=fresh_mass[:, k])
         live = fresh_mass[:, -1]  # probability a draw hears a new device
         if np.any(live <= 0.0):
             raise DegenerateVectorError("zero probability of hearing a new device")

@@ -30,7 +30,10 @@ its next phase once every device audible in the current one is found.
 
 Every window records what it hears in the scanner's ``DiscoveryLog``, which
 is a scan's one result: the scans return nothing, and a listen returns only
-whether any frame in its window carried an address.
+whether any frame in its window carried an address. Every delivered frame is
+decoded (once per process for each distinct frame), but only one whose
+address the log lacks is resolved to its device and recorded: a known
+address can change neither the log nor a first-seen time.
 
 Every scan counts its budget from its own start: each window, probe or
 rotation, starts within it. Each phase is run by ``Scanner._rotate``. It
@@ -161,17 +164,36 @@ class ScanPlan:
     ) -> list[Sequence[Channel]]:
         """The groups one phase rotates over: the phase's channels, or, in a
         plan that probes, their union with the responders in ascending
-        order; one channel each, or the phase's bandwidth groups."""
-        channels: Sequence[Channel] = phase
-        if self.probes:
-            channels = sorted(set(phase).union(responders), key=channel_sort_key)
-        if not self.grouped:
-            return [(ch,) for ch in channels]
-        return plan_channel_groups(channels, bandwidth_hz) if channels else []
+        order; one channel each, or the phase's bandwidth groups. Every
+        trial of an experiment asks for the same few, so they are built
+        once per process (``_phase_groups``)."""
+        probes = bool(self.probes)
+        responders = tuple(responders) if probes else ()
+        return list(_phase_groups(probes, self.grouped, tuple(phase), responders, bandwidth_hz))
 
     def channels(self) -> frozenset[Channel]:
         """Every channel the scan can probe or listen on."""
         return frozenset(self.probes).union(*self.phases)
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_groups(
+    probes: bool,
+    grouped: bool,
+    phase: tuple[Channel, ...],
+    responders: tuple[Channel, ...],
+    bandwidth_hz: int,
+) -> tuple[tuple[Channel, ...], ...]:
+    """``ScanPlan.groups`` of a plan that probes (or not) and groups (or
+    not), as tuples; a refused channel list raises on every call."""
+    channels: Sequence[Channel] = phase
+    if probes:
+        channels = sorted(set(phase).union(responders), key=channel_sort_key)
+    if not grouped:
+        return tuple((ch,) for ch in channels)
+    if not channels:
+        return ()
+    return tuple(tuple(group) for group in plan_channel_groups(channels, bandwidth_hz))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -199,7 +221,8 @@ class Scanner:
     with it found opens no window. The rotation applies the same argument
     per device (see ``_rotate``): ``fully_logged`` names the devices whose
     every address is in the log, and no rotation window generates them
-    again.
+    again. A device joins it when a new address of its is logged and its
+    address set in the experiment's ``Testbed`` is then all in the log.
     """
 
     def __init__(
@@ -216,32 +239,36 @@ class Scanner:
         self.probe_dwell_time_s = probe_dwell_time_s
         self.log = DiscoveryLog()
         self._t0 = env.clock
-        # per device, the addresses not yet in the log
-        self._unlogged = {
-            dev.name: set(addresses) for dev, addresses in zip(env.devices, env.testbed.addresses)
-        }
         self.fully_logged: frozenset[str] = frozenset()
 
     # -- building blocks ------------------------------------------------------
 
     def _ingest(self, emissions) -> bool:
-        """Record every addressed frame; True if there was one."""
-        log = self.log
+        """Record every addressed frame; True if there was one.
+
+        Every frame is decoded (once per process, by ``_frame_address``),
+        but only a frame whose address the log lacks is resolved and
+        recorded: the log already holds the address and its device's
+        first-seen time, which only an earlier frame could have set. A
+        device is fully logged once its testbed address set is in the log.
+        """
+        log, logged = self.log, self.log.addresses
+        addresses = self.env.testbed.addresses
         heard = False
         for em in emissions:
-            protocol = em.channel.protocol
-            hint = zwave_uses_crc16(em.channel) if protocol is Protocol.ZWAVE else None
+            channel = em.channel
+            protocol = channel.protocol
+            hint = zwave_uses_crc16(channel) if protocol is Protocol.ZWAVE else None
             addr = _frame_address(protocol, em.frame, hint)
             if addr is None:
                 continue
             heard = True
+            if addr in logged:
+                continue
             name = self.env.resolve(addr)
-            if addr not in log.addresses:
-                unlogged = self._unlogged[name]
-                unlogged.discard(addr)
-                if not unlogged:
-                    self.fully_logged |= {name}
             log.record(name, em.time_s - self._t0, addr)
+            if addresses[name] <= logged:
+                self.fully_logged |= {name}
         return heard
 
     def listen(self, channel: Channel, dwell_time_s: float) -> bool:

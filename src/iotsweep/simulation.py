@@ -11,7 +11,10 @@ tag): emission times, loss coins (only when ``loss_prob > 0``) and probe
 behavior (built on the first probe). Emission sequences therefore depend
 only on the scenario and seed, never on how the scanner queries the
 environment, which is what makes trials reproducible and scan algorithms
-comparable on identical traffic. A stream is PCG64 seeded with the words
+comparable on identical traffic. A Poisson device draws a few gaps at
+set-up and more in larger chunks as it runs: most devices are found within
+their first gaps, and a generator's draws do not depend on how they are
+chunked. A stream is PCG64 seeded with the words
 ``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
 ``stream_seeds`` computes those words for every key of an experiment in
 one numpy pass, since building a SeedSequence per stream cost more than
@@ -20,16 +23,17 @@ the rest of a trial's set-up.
 Each device is one event stream: its emissions and its probe responses,
 which are beacons it owes. A listen window generates the devices on its
 channels up to its end, encodes the entries that fall on its channels and
-inside its span, and keeps none of them: emissions nobody hears are never
-encoded, and between windows a device holds only its next emission time
-and index and its pending responses. A frame's bytes depend only
-on its device, sequence byte and address slot, so a delivered frame is
-encoded once per ``DeviceSpec``, which keeps it for every trial, and the
-scanner decodes each distinct frame once per process. The clock forbids a window
-that starts before the last one ended, so nothing a window dropped can be
-asked for again. A window can also ``skip`` named devices: they are
-neither generated nor delivered (``Scanner._rotate`` says why that changes
-no scan's output).
+inside its span, and returns them as ``Emission`` named tuples ordered by
+time, device name and channel label. It keeps none of them: emissions
+nobody hears are never encoded, and between windows a device holds only
+its next emission time and index and its pending responses. A frame's
+bytes depend only on its device, sequence byte and address slot, so a
+delivered frame is encoded once per ``DeviceSpec``, which keeps it for
+every trial, and the scanner decodes each distinct frame once per process.
+The clock forbids a window that starts before the last one ended, so
+nothing a window dropped can be asked for again. A window can also
+``skip`` named devices: they are neither generated nor delivered
+(``Scanner._rotate`` says why that changes no scan's output).
 
 The trials of an experiment differ only in their RNG streams. What depends
 on the device list alone, the ``Testbed`` (address table, the devices on
@@ -47,7 +51,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +65,11 @@ _STREAM_LOSS = 1
 _STREAM_PROBE = 2
 _N_STREAMS = 3
 
-_EXP_CHUNK = 64  # exponential gaps drawn per RNG call
+#: Exponential gaps a Poisson device draws at set-up, then per later RNG
+#: call. Most devices are found within a few gaps, so the first chunk is
+#: small; a generator's draws do not depend on how they are chunked.
+_FIRST_CHUNK = 8
+_EXP_CHUNK = 64
 
 #: Probe responses land uniformly within this many seconds of the probe.
 DEFAULT_PROBE_RESPONSE_DELAY_MAX_S = 0.1
@@ -305,14 +313,17 @@ def address_table(devices: Sequence[DeviceSpec]) -> dict[DeviceAddress, str]:
     return table
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """One frame on the air: timestamp, channel, wire bytes, ground truth."""
 
     time_s: float
     channel: Channel
     frame: bytes
     device: str
+
+
+#: The order a window delivers its frames in.
+_EMISSION_ORDER = operator.attrgetter("time_s", "device", "channel.label")
 
 
 def _encode_frame(spec: DeviceSpec, seq: int, slot: int | None) -> bytes:
@@ -408,6 +419,7 @@ class SimDevice:
         if spec.emitter is EmitterKind.PERIODIC:
             self._next_emission = float(self._times.uniform(0.0, spec.mean_interarrival_s))
         else:
+            self._draw_gaps(_FIRST_CHUNK)
             self._next_emission = self._draw_gap()
         self.next_time = self._next_emission
 
@@ -417,12 +429,15 @@ class SimDevice:
             self._probe_rng = _stream(self._streams[_STREAM_PROBE])
         return self._probe_rng
 
+    def _draw_gaps(self, n: int) -> None:
+        gaps = self._times.exponential(self.spec.mean_interarrival_s, size=n)
+        self._gap_buffer = gaps[::-1].tolist()
+
     def _draw_gap(self) -> float:
         if self.spec.emitter is EmitterKind.PERIODIC:
             return self.spec.mean_interarrival_s
         if not self._gap_buffer:
-            gaps = self._times.exponential(self.spec.mean_interarrival_s, size=_EXP_CHUNK)
-            self._gap_buffer = gaps[::-1].tolist()
+            self._draw_gaps(_EXP_CHUNK)
         gap = self._gap_buffer.pop()
         return gap if gap > 0.0 else 1e-12  # keep event times strictly increasing
 
@@ -495,8 +510,8 @@ class Testbed:
     def __init__(self, devices: Sequence[DeviceSpec]):
         self.devices = tuple(devices)
         self.address_table = address_table(self.devices)
-        #: per device, every address it is seen under
-        self.addresses = tuple(frozenset(spec.all_addresses()) for spec in self.devices)
+        #: device name -> every address it is seen under
+        self.addresses = {spec.name: frozenset(spec.all_addresses()) for spec in self.devices}
         #: channel -> (device position, the device's own equal Channel object),
         #: in device order
         self.by_channel: dict[Channel, list[tuple[int, Channel]]] = {}
@@ -644,7 +659,7 @@ class Environment:
                     if e[0] >= t0 and id(e[1]) in heard
                 )
         self.clock = t1
-        out.sort(key=lambda e: (e.time_s, e.device, e.channel.label))
+        out.sort(key=_EMISSION_ORDER)
         return out
 
     def advance(self, duration_s: float) -> None:

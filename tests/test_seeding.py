@@ -77,6 +77,19 @@ def test_stream_seed_refuses_other_requests():
         stream_seeds(-1, [0], 1)
 
 
+@pytest.mark.parametrize("first, second", [(8, 56), (8, 64)])
+def test_exponential_draws_do_not_depend_on_chunking(first, second):
+    """A Poisson device draws a small first chunk of gaps at set-up and
+    larger chunks later. Its stream then gives the same gaps, and ends in
+    the same state, as one draw of the total would."""
+    for state in stream_seeds(11, [0, 1], 3).reshape(-1, 4):
+        for scale in (0.05, 3.0, 3600.0):
+            split, whole = _stream(state), _stream(state)
+            drawn = [*split.exponential(scale, first), *split.exponential(scale, second)]
+            assert drawn == whole.exponential(scale, first + second).tolist()
+            assert split.bit_generator.state == whole.bit_generator.state
+
+
 LOSSY_ACTIVE = """
 scenario lossy-active
 algorithm active

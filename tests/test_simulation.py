@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -24,7 +25,9 @@ from iotsweep.simulation import (
     Environment,
     Role,
     _encode_frame,
+    _stream,
     build_environment,
+    stream_seeds,
 )
 
 CH11 = zigbee_channel(11)
@@ -137,6 +140,14 @@ class TestEmissionProcess:
         ]
         assert np.mean(counts) == pytest.approx(lam, rel=0.05)
 
+    def test_gaps_are_one_draw_of_the_times_stream(self):
+        """A device draws its gaps in chunks of varying size; its emission
+        times are still the running sum of one draw of its times stream."""
+        env = build_environment([zigbee_device("a", 1, mu=2.0)], seed=29)
+        times = [t for t, _, _ in env.devices[0].generate_until(600.0)][:200]
+        gaps = _stream(stream_seeds(29, [0], 1)[0, 0, 0]).exponential(2.0, 200)
+        assert times == list(itertools.accumulate(gaps.tolist()))
+
     def test_periodic_emitter(self):
         dev = zigbee_device("a", 1, mu=10.0, emitter=EmitterKind.PERIODIC)
         env = build_environment([dev], seed=3)
@@ -180,6 +191,33 @@ class TestWindows:
                 heard += [(e.time_s, e.channel, e.frame, e.device) for e in window]
             assert len(heard) > 50
             assert heard == expected, plan
+
+    def test_frames_ordered_by_time_device_and_label(self):
+        """A window over Zigbee and BLE channels delivers its frames by
+        time, then device name, then channel label. Three devices share one
+        times stream, so every event ties on time across devices, and each
+        BLE event's three frames tie within a device; the listeners run in
+        another order, and one device lists its channels out of label order."""
+        shared = [
+            zigbee_device("zz", 1, mu=3.0),
+            dataclasses.replace(ble_device("b2", 0xC011_2200_0002, mu=3.0), channels=ADV[::-1]),
+            ble_device("b1", 0xC011_2200_0001, mu=3.0),
+        ]
+        devs = shared + [zigbee_device("a", 2, mu=1.0)]
+        block = stream_seeds(4, [0], 2)[0]
+        streams = np.stack([block[0]] * len(shared) + [block[1]])
+        env = Environment(devs, streams=streams)
+        window = env.emissions_in_parallel([CH11, *ADV], 0.0, 60.0)
+        keys = [(e.time_s, e.device, e.channel.label) for e in window]
+        assert keys == sorted(keys)
+        per_time = Counter(t for t, _, _ in keys)
+        assert sorted(set(per_time.values())) == [1, 7]  # "a" alone; 3 + 3 + 1 tied
+        tied = [(d, label) for t, d, label in keys if per_time[t] == 7][:7]
+        assert tied == [
+            ("b1", "ble-adv:37"), ("b1", "ble-adv:38"), ("b1", "ble-adv:39"),
+            ("b2", "ble-adv:37"), ("b2", "ble-adv:38"), ("b2", "ble-adv:39"),
+            ("zz", "zigbee:11"),
+        ]
 
     def test_no_device_on_channel(self):
         env = build_environment([zigbee_device("a", 1)], seed=1)
