@@ -161,7 +161,7 @@ class ScanPlan:
 
     def groups(
         self, phase: Sequence[Channel], responders: Iterable[Channel], bandwidth_hz: int
-    ) -> list[Sequence[Channel]]:
+    ) -> Sequence[Sequence[Channel]]:
         """The groups one phase rotates over: the phase's channels, or, in a
         plan that probes, their union with the responders in ascending
         order; one channel each, or the phase's bandwidth groups. Every
@@ -169,7 +169,7 @@ class ScanPlan:
         once per process (``_phase_groups``)."""
         probes = bool(self.probes)
         responders = tuple(responders) if probes else ()
-        return list(_phase_groups(probes, self.grouped, tuple(phase), responders, bandwidth_hz))
+        return _phase_groups(probes, self.grouped, tuple(phase), responders, bandwidth_hz)
 
     def channels(self) -> frozenset[Channel]:
         """Every channel the scan can probe or listen on."""

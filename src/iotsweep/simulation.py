@@ -12,9 +12,10 @@ behavior (built on the first probe). Emission sequences therefore depend
 only on the scenario and seed, never on how the scanner queries the
 environment, which is what makes trials reproducible and scan algorithms
 comparable on identical traffic. A Poisson device draws a few gaps at
-set-up and more in larger chunks as it runs: most devices are found within
-their first gaps, and a generator's draws do not depend on how they are
-chunked. A stream is PCG64 seeded with the words
+set-up and more in larger chunks as it runs: most devices are heard, and
+then skipped, or reach the end of the scan within their first few gaps, and
+a generator's draws do not depend on how they are chunked. A stream is
+PCG64 seeded with the words
 ``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
 ``stream_seeds`` computes those words for every key of an experiment in
 one numpy pass, since building a SeedSequence per stream cost more than
@@ -66,8 +67,9 @@ _STREAM_PROBE = 2
 _N_STREAMS = 3
 
 #: Exponential gaps a Poisson device draws at set-up, then per later RNG
-#: call. Most devices are found within a few gaps, so the first chunk is
-#: small; a generator's draws do not depend on how they are chunked.
+#: call. Over the 24 scenario seeds of the dense-2g4 and sparse-900
+#: benchmarks, 93% and 95% of a trial's devices use at most 8 gaps and 99%
+#: at most 16; a generator's draws do not depend on how they are chunked.
 _FIRST_CHUNK = 8
 _EXP_CHUNK = 64
 

@@ -245,5 +245,5 @@ def test_scan_with_no_channel_is_refused(scan):
 def test_probing_plan_may_have_an_empty_phase():
     plan = ScanPlan(((),), probes=[CH11])
     assert plan.phases == ((),) and plan.probes == (CH11,)
-    assert plan.groups((), [], 8_000_000) == []
+    assert plan.groups((), [], 8_000_000) == ()
     assert plan.channels() == {CH11}
