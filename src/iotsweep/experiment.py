@@ -16,16 +16,19 @@ two algorithms run on the same scenario see identical device traffic.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
+from .channels import Channel
 from .errors import ScenarioError
 from .scanning import Scanner
 from .scenario import ScenarioConfig
@@ -154,15 +157,31 @@ def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
         )
     groups = plan.groups(plan.phases[0], (), cfg.sdr.instantaneous_bandwidth_hz)
     total = len(groups)
-    group_sets = [frozenset(g) for g in groups]
+    audible_groups = _audible_group_counter(groups)
     divisors = []
     for dev in cfg.devices:
-        channels = frozenset(dev.channels)
-        audible = sum(1 for g in group_sets if not g.isdisjoint(channels))
+        audible = audible_groups(dev.channels)
         if audible == 0:
             raise ScenarioError(f"device {dev.name} inaudible to the scan rotation")
         divisors.append(total / audible)
     return divisors
+
+
+@functools.lru_cache(maxsize=64)
+def _audible_group_counter(
+    groups: tuple[tuple[Channel, ...], ...],
+) -> Callable[[tuple[Channel, ...]], int]:
+    """For one rotation's groups (memoized by ``ScanPlan.groups``), the
+    number of groups that can hear a device on the given channels, counted
+    once per distinct channel set: every model call of a scenario asks
+    about the same few."""
+    group_sets = [frozenset(g) for g in groups]
+
+    @functools.cache
+    def audible(channels: tuple[Channel, ...]) -> int:
+        return sum(1 for g in group_sets if not g.isdisjoint(channels))
+
+    return audible
 
 
 def run_model(

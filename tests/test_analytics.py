@@ -95,21 +95,29 @@ def worst_relative_error(values, exact) -> float:
     return max(abs(v - float(e)) / float(e) for v, e in zip(values, exact, strict=True))
 
 
-def order_statistics_reference(pv: ProbabilityVector) -> list[float]:
-    """The exact model written with fresh arrays each device step and one
-    np.cumsum: the same IEEE operations in the same order as the in-place
-    recursion of ``expected_order_statistics``, so results match it exactly."""
-    p = np.asarray(pv.p, dtype=float)
-    n_dev = p.size
+def dense_layout(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """A reference quadrature over the model's [t_lo, t_hi]: 32-node panels
+    half an e-fold wide all the way, 64 nodes per e-fold and no wide head
+    panels, for N up to a few hundred far denser than ``analytics._quadrature``."""
     t_lo = analytics._HEAD_MASS / p.sum()
     u_lo = math.log(t_lo)
-    u_hi = math.log((math.log(n_dev) + analytics._TAIL_EXPONENT) / p.min())
-    width = analytics._PANEL_WIDTH
+    u_hi = math.log((math.log(p.size) + analytics._TAIL_EXPONENT) / p.min())
+    width = 0.5
     panels = math.ceil((u_hi - u_lo) / width)
-    nodes, node_weights = analytics._panel_rule()
+    nodes, node_weights = np.polynomial.legendre.leggauss(32)
     u = u_lo + width * np.arange(panels)[:, None] + 0.5 * width * (nodes + 1.0)
     t = np.exp(u.ravel())
-    weights = np.tile(0.5 * width * node_weights, panels) * t
+    return t_lo, t, np.tile(0.5 * width * node_weights, panels) * t
+
+
+def order_statistics_reference(pv: ProbabilityVector, layout=analytics._quadrature) -> list[float]:
+    """The exact model written with fresh arrays each device step and one
+    np.cumsum: the same IEEE operations in the same order as the in-place
+    recursion of ``expected_order_statistics``, so on the model's own
+    ``layout`` results match it exactly."""
+    p = np.asarray(pv.p, dtype=float)
+    n_dev = p.size
+    t_lo, t, weights = layout(p)
     heard = np.zeros((n_dev, t.size))
     heard[0] = 1.0
     for i, p_i in enumerate(p):
@@ -206,7 +214,18 @@ class TestExactExpectation:
         pv = random_vector(np.random.default_rng(n_dev), n_dev)
         assert expected_order_statistics(pv) == order_statistics_reference(pv)
 
-    @pytest.mark.parametrize("n_dev", [100, 200])
+    def test_layout_matches_dense_reference(self):
+        # guards the wide head panels and the body width, which the bit-for-bit
+        # tests above cannot see: they share the model's layout
+        rng = np.random.default_rng(23)
+        vectors = [random_vector(rng, n_dev) for n_dev in range(1, 151, 7)]
+        raw = np.concatenate((np.ones(300), np.logspace(-3.0, 0.0, 10)))
+        vectors.append(ProbabilityVector(p0=0.4, p=tuple(raw / raw.sum() * 0.6), delta_t_s=0.1))
+        for pv in vectors:
+            dense = order_statistics_reference(pv, layout=dense_layout)
+            assert worst_relative_error(expected_order_statistics(pv), dense) <= 1e-13, pv.n_devices
+
+    @pytest.mark.parametrize("n_dev", [100, 200, 500, 1000])
     def test_uniform_closed_form_without_device_cap(self, n_dev):
         p0 = 0.3
         pv = ProbabilityVector(p0=p0, p=((1 - p0) / n_dev,) * n_dev, delta_t_s=1.0)
