@@ -3,6 +3,10 @@
 Center frequencies and bandwidths are stored as integer hertz: every plan
 value used here (including 910.29 MHz) is a whole number of Hz, so channel
 edge arithmetic is exact and grouping comparisons never hit float error.
+
+A channel is one object: every way of building it returns the same
+interned ``Channel``, so the scanner and the simulator key their channel
+lookups by identity.
 """
 
 from __future__ import annotations
@@ -27,12 +31,22 @@ class Protocol(Enum):
 PROBEABLE_PROTOCOLS = frozenset({Protocol.ZIGBEE})
 
 
-@dataclass(frozen=True)
+#: Every Channel built so far, by its four fields: a channel is one object.
+_CHANNELS: dict[tuple, Channel] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Channel:
     """A scannable channel: center frequency, width, owning protocol, label.
 
     The label is the protocol-native name (``zigbee:15``, ``ble-adv:37``,
     ``zwave:R2``, ...) and is unique within a protocol.
+
+    A channel is interned: building one with the fields of an existing
+    channel returns that object, whichever way it is built (a factory, the
+    constructor, ``dataclasses.replace``, ``copy.deepcopy``, ``pickle``).
+    So equality is identity and the hash is ``object``'s, both in C, and a
+    channel keys sets and dicts at no more cost than any object.
     """
 
     center_freq_hz: int
@@ -40,30 +54,24 @@ class Channel:
     protocol: Protocol
     label: str
 
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.center_freq_hz <= self.bandwidth_hz // 2:
-            raise ValueError("channel lower edge below zero")
-        # Channels key every window's scope lookup; hash the fields once.
-        fields = (self.center_freq_hz, self.bandwidth_hz, self.protocol, self.label)
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, center_freq_hz: int, bandwidth_hz: int, protocol: Protocol, label: str):
+        fields = (center_freq_hz, bandwidth_hz, protocol, label)
+        channel = _CHANNELS.get(fields)
+        if channel is None:
+            if bandwidth_hz <= 0:
+                raise ValueError(f"bandwidth must be positive, got {bandwidth_hz}")
+            if center_freq_hz <= bandwidth_hz // 2:
+                raise ValueError("channel lower edge below zero")
+            channel = object.__new__(cls)
+            for name, value in zip(("center_freq_hz", "bandwidth_hz", "protocol", "label"), fields):
+                object.__setattr__(channel, name, value)
+            channel = _CHANNELS.setdefault(fields, channel)
+        return channel
 
     def __reduce__(self):
-        # Rebuild through __init__: the stored hash is only valid in the
-        # process that computed it (str and Enum hashes are salted).
+        # copies and unpickled channels are rebuilt through __new__, so
+        # they are the interned object
         return Channel, (self.center_freq_hz, self.bandwidth_hz, self.protocol, self.label)
-
-    @property
-    def lower_edge_hz(self) -> float:
-        return self.center_freq_hz - self.bandwidth_hz / 2
-
-    @property
-    def upper_edge_hz(self) -> float:
-        return self.center_freq_hz + self.bandwidth_hz / 2
 
     def __str__(self) -> str:
         return self.label

@@ -5,7 +5,8 @@
     iotsweep compare <scenario> [--seed N] [--out DIR]
     iotsweep dissect <protocol> <hex>
 
-Exit codes: 0 success, 1 validation/input error, 2 model-vs-measurement
+Exit codes: 0 success, 1 validation/input error (an unreadable scenario or an
+output directory that cannot be written included), 2 model-vs-measurement
 acceptance failure (compare only).
 """
 
@@ -206,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IotSweepError as exc:
+    except (IotSweepError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,19 +16,16 @@ two algorithms run on the same scenario see identical device traffic.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
-from .channels import Channel
 from .errors import ScenarioError
 from .scanning import Scanner
 from .scenario import ScenarioConfig
@@ -68,8 +65,6 @@ class CompareRow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    result: ExperimentResult
-    model: tuple[tuple[int, float], ...]
     rows: tuple[CompareRow, ...]
     in_ci_fraction: float
     passed: bool  # expected value inside the CI for >= 75% of usable rows
@@ -156,32 +151,14 @@ def device_channel_divisors(cfg: ScenarioConfig) -> list[float]:
             f"{cfg.algorithm.value} scan {why}"
         )
     groups = plan.groups(plan.phases[0], (), cfg.sdr.instantaneous_bandwidth_hz)
-    total = len(groups)
-    audible_groups = _audible_group_counter(groups)
+    group_of = {ch: i for i, group in enumerate(groups) for ch in group}  # groups partition
     divisors = []
     for dev in cfg.devices:
-        audible = audible_groups(dev.channels)
+        audible = len({group_of[ch] for ch in dev.channels if ch in group_of})
         if audible == 0:
             raise ScenarioError(f"device {dev.name} inaudible to the scan rotation")
-        divisors.append(total / audible)
+        divisors.append(len(groups) / audible)
     return divisors
-
-
-@functools.lru_cache(maxsize=64)
-def _audible_group_counter(
-    groups: tuple[tuple[Channel, ...], ...],
-) -> Callable[[tuple[Channel, ...]], int]:
-    """For one rotation's groups (memoized by ``ScanPlan.groups``), the
-    number of groups that can hear a device on the given channels, counted
-    once per distinct channel set: every model call of a scenario asks
-    about the same few."""
-    group_sets = [frozenset(g) for g in groups]
-
-    @functools.cache
-    def audible(channels: tuple[Channel, ...]) -> int:
-        return sum(1 for g in group_sets if not g.isdisjoint(channels))
-
-    return audible
 
 
 def run_model(
@@ -241,8 +218,6 @@ def compare(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Compariso
         rows.append(CompareRow(row.n, row.mean_s, row.ci_lo_s, row.ci_hi_s, exp, hit))
     fraction = in_ci_count / usable if usable else 0.0
     report = ComparisonReport(
-        result=result,
-        model=tuple(model),
         rows=tuple(rows),
         in_ci_fraction=fraction,
         passed=usable > 0 and fraction >= 0.75,

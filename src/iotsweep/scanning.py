@@ -164,7 +164,8 @@ class ScanPlan:
     ) -> Sequence[Sequence[Channel]]:
         """The groups one phase rotates over: the phase's channels, or, in a
         plan that probes, their union with the responders in ascending
-        order; one channel each, or the phase's bandwidth groups. Every
+        order; one channel each, or the phase's bandwidth groups. The
+        groups partition those channels: each is in exactly one group. Every
         trial of an experiment asks for the same few, so they are built
         once per process (``_phase_groups``)."""
         probes = bool(self.probes)
@@ -186,9 +187,10 @@ def _phase_groups(
 ) -> tuple[tuple[Channel, ...], ...]:
     """``ScanPlan.groups`` of a plan that probes (or not) and groups (or
     not), as tuples; a refused channel list raises on every call."""
-    channels: Sequence[Channel] = phase
     if probes:
         channels = sorted(set(phase).union(responders), key=channel_sort_key)
+    else:
+        channels = list(dict.fromkeys(phase))  # each channel once
     if not grouped:
         return tuple((ch,) for ch in channels)
     if not channels:
@@ -346,8 +348,8 @@ class Scanner:
         responders: list[Channel] = []
         if plan.probes:
             probe = self.probe_dwell_time_s
-            retune, n = sdr.retune_latency_s, len(plan.probes)
-            n = _plan(t_start, probe, retune, t_start, scan_time_s, n).count
+            windows = _plan(t_start, probe, sdr.retune_latency_s, t_start, scan_time_s)
+            n = min(len(plan.probes), windows.count)
             responders = self.probe_channels(plan.probes[:n], probe)
         last = len(plan.phases) - 1
         for i, phase in enumerate(plan.phases):
@@ -518,16 +520,13 @@ class _Windows:
     crosses, whatever its number of windows. A dwell that cannot move the
     clock within the budget is refused, as its windows would never end.
 
-    With ``limit``, only the first ``limit`` windows are planned: ``count``
-    is then the smaller of the two, and no run past it is built.
-
     A plan is read-only once built, so one plan serves every rotation with
-    the same six numbers: ``_plan`` keeps the recent ones.
+    the same five numbers: ``_plan`` keeps the recent ones.
     """
 
     __slots__ = ("_first", "_starts", "_runs", "count", "_end")
 
-    def __init__(self, clock, dwell, retune, t_start, scan_time_s, limit=math.inf):
+    def __init__(self, clock, dwell, retune, t_start, scan_time_s):
         if not 0.0 < dwell < math.inf:
             raise ParameterError("dwell must be positive and finite")
         last = t_start + scan_time_s
@@ -537,7 +536,7 @@ class _Windows:
         self._starts: list[float] = []  # start of each run's first window
         self._runs: list[tuple[int, float, int, int]] = []  # (X, u, D, P) of each run
         j = 0
-        while clock - t_start <= scan_time_s and j < limit:
+        while clock - t_start <= scan_time_s:
             u = math.ulp(clock or dwell)
             x, d, r = int(clock / u), dwell / u, retune / u
             k = 0
@@ -556,9 +555,6 @@ class _Windows:
             self._starts.append(clock)
             self._runs.append((x, u, D, P))
             clock, j = nxt, j + k
-        if j > limit:
-            j = limit
-            clock = self.edges(j)[0]
         self.count = j
         self._end = clock
         self._first, self._starts, self._runs = (
@@ -583,17 +579,17 @@ class _Windows:
 
 
 #: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few
-#: (the probe prefix, and each rotation that starts at a fixed clock).
+#: (the probe windows, and each rotation that starts at a fixed clock).
 _PLAN_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(clock, dwell, retune, t_start, scan_time_s, limit=math.inf) -> _Windows:
-    """``_Windows(clock, dwell, retune, t_start, scan_time_s, limit)``, built
-    once per distinct six numbers while it stays among the last
+def _plan(clock, dwell, retune, t_start, scan_time_s) -> _Windows:
+    """``_Windows(clock, dwell, retune, t_start, scan_time_s)``, built
+    once per distinct five numbers while it stays among the last
     ``_PLAN_CACHE_SIZE`` asked for. A refused dwell raises on every call:
     exceptions are not cached."""
-    return _Windows(clock, dwell, retune, t_start, scan_time_s, limit)
+    return _Windows(clock, dwell, retune, t_start, scan_time_s)
 
 
 def _first_past(x: int, u: float, P: int, k: int, t_start: float, scan_time_s: float) -> int:

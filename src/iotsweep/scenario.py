@@ -377,8 +377,14 @@ def validate_scenario(cfg: ScenarioConfig) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Parse the scenario file at ``path``; one that cannot be read as
+    UTF-8 text (a directory, say, or binary bytes) is a ``ScenarioError``."""
     p = Path(path)
-    return parse_scenario(p.read_text(), default_name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {p}: {exc}") from None
+    return parse_scenario(text, default_name=p.stem)
 
 
 def bundled_scenario_names() -> list[str]:

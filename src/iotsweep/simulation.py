@@ -24,24 +24,26 @@ the rest of a trial's set-up.
 Each device is one event stream: its emissions and its probe responses,
 which are beacons it owes. A listen window generates the devices on its
 channels up to its end, encodes the entries that fall on its channels and
-inside its span, and returns them as ``Emission`` named tuples ordered by
-time, device name and channel label. It keeps none of them: emissions
-nobody hears are never encoded, and between windows a device holds only
-its next emission time and index and its pending responses. A frame's
-bytes depend only on its device, sequence byte and address slot, so a
-delivered frame is encoded once per ``DeviceSpec``, which keeps it for
-every trial, and the scanner decodes each distinct frame once per process.
+inside its span (channels are interned, so an entry's channel is found in
+the window's set by identity), and returns them as ``Emission`` named
+tuples ordered by time, device name and channel label. It keeps none of
+them: emissions nobody hears are never encoded, and between windows a
+device holds only its next emission time and index and its pending
+responses. A frame's bytes depend only on its device, sequence byte and
+address slot, so a delivered frame is encoded once per ``DeviceSpec``,
+which keeps it for every trial, and the scanner decodes each distinct
+frame once per process.
 The clock forbids a window that starts before the last one ended, so
 nothing a window dropped can be asked for again. A window can also
 ``skip`` named devices: they are neither generated nor delivered
 (``Scanner._rotate`` says why that changes no scan's output).
 
 The trials of an experiment differ only in their RNG streams. What depends
-on the device list alone, the ``Testbed`` (address table, the devices on
-each channel, the listener scope of each channel set), is built once per
+on the device list alone, the ``Testbed`` (address table, the positions of
+the devices on each channel and on each channel set), is built once per
 experiment and read by every trial. Each trial's ``Environment`` owns what
 it changes: its SimDevices (streams, next emission times, pending probe
-responses) and its clock.
+responses), held at the testbed's positions, and its clock.
 """
 
 from __future__ import annotations
@@ -505,8 +507,9 @@ class Testbed:
     Every field is a function of the device list alone and is never
     changed once filled, so ``run_experiment`` builds one Testbed and hands
     it to each trial's Environment; a trial owns only its SimDevices and
-    clock. Devices appear by position in ``devices``, never as a trial's
-    SimDevice. Building one checks that names and addresses are unique.
+    clock. Devices appear by their position in ``devices``, which is also
+    the position of each trial's SimDevice of the spec. Building one checks
+    that names and addresses are unique.
     """
 
     def __init__(self, devices: Sequence[DeviceSpec]):
@@ -514,39 +517,31 @@ class Testbed:
         self.address_table = address_table(self.devices)
         #: device name -> every address it is seen under
         self.addresses = {spec.name: frozenset(spec.all_addresses()) for spec in self.devices}
-        #: channel -> (device position, the device's own equal Channel object),
-        #: in device order
-        self.by_channel: dict[Channel, list[tuple[int, Channel]]] = {}
+        #: channel -> positions of the devices on it, ascending
+        self.by_channel: dict[Channel, list[int]] = {}
         for pos, spec in enumerate(self.devices):
             for ch in spec.channels:
-                self.by_channel.setdefault(ch, []).append((pos, ch))
+                self.by_channel.setdefault(ch, []).append(pos)
         #: channel -> positions of the devices on it that answer a probe
         self.responders = {
-            ch: [pos for pos, _ in entries if self.devices[pos].probe_responder()]
-            for ch, entries in self.by_channel.items()
+            ch: [pos for pos in positions if self.devices[pos].probe_responder()]
+            for ch, positions in self.by_channel.items()
         }
-        self._scopes: dict[frozenset[Channel], list[tuple[int, set[int]]]] = {}
+        self._scopes: dict[frozenset[Channel], list[int]] = {}
         self._names_on: dict[frozenset[Channel], frozenset[str]] = {}
 
-    def scope(self, channels: frozenset[Channel]) -> list[tuple[int, set[int]]]:
-        """Per device on ``channels``: its position and the ids of its own
-        Channel objects in the set, in device order. A window's entries
-        carry those objects, so they match by identity and no Channel is
-        hashed per entry. The ids hold for every trial, since every trial's
-        SimDevices share these specs."""
-        listeners = self._scopes.get(channels)
-        if listeners is None:
-            heard: dict[int, set[int]] = {}
-            for ch in channels:
-                for pos, own in self.by_channel.get(ch, ()):
-                    heard.setdefault(pos, set()).add(id(own))
-            listeners = self._scopes[channels] = sorted(heard.items())
-        return listeners
+    def scope(self, channels: frozenset[Channel]) -> list[int]:
+        """The positions of the devices on any of ``channels``, ascending."""
+        positions = self._scopes.get(channels)
+        if positions is None:
+            heard = {pos for ch in channels for pos in self.by_channel.get(ch, ())}
+            positions = self._scopes[channels] = sorted(heard)
+        return positions
 
     def device_names_on(self, channels: frozenset[Channel]) -> frozenset[str]:
         names = self._names_on.get(channels)
         if names is None:
-            names = frozenset(self.devices[pos].name for pos, _ in self.scope(channels))
+            names = frozenset(self.devices[pos].name for pos in self.scope(channels))
             self._names_on[channels] = names
         return names
 
@@ -555,8 +550,9 @@ class Environment:
     """One trial's radio world: devices, a clock, and probe plumbing.
 
     A trial owns what it changes: its SimDevices (RNG streams, next
-    emission times, pending probe responses) and its clock. What only
-    depends on the device list, the ``Testbed``, is shared: pass the
+    emission times, pending probe responses), one per testbed position,
+    and its clock. What only depends on the device list, the ``Testbed``
+    (which names devices by position), is shared: pass the
     experiment's to every trial, or leave it out and the environment
     builds its own. Single-threaded by design; run one Environment per
     trial and as many trials in parallel as you like.
@@ -573,8 +569,8 @@ class Environment:
     ):
         """``streams`` is this trial's block of ``stream_seeds``, one entry
         per device; ``testbed`` must have been built from these very
-        ``DeviceSpec`` objects, since its scopes match Channel objects by
-        identity."""
+        ``DeviceSpec`` objects, in this order, since it names devices by
+        position."""
         if testbed is None:
             testbed = Testbed(devices)
         elif len(testbed.devices) != len(devices) or any(
@@ -594,11 +590,6 @@ class Environment:
         self.devices = [
             SimDevice(spec, block, loss_prob) for spec, block in zip(devices, streams)
         ]
-        # the testbed's scopes resolved to this trial's devices: a handful of
-        # channel sets per trial. The values are lists: a tuple built from a
-        # generator is allocated over-size and shrunk, and filling this cache
-        # that way parked about 3 MB on CPython's per-size tuple free lists.
-        self._scopes: dict[frozenset[Channel], list[tuple[SimDevice, set[int]]]] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -609,22 +600,13 @@ class Environment:
     def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
         return self.testbed.device_names_on(frozenset(channels))
 
-    def _listeners(self, channels: frozenset[Channel]) -> list[tuple[SimDevice, set[int]]]:
-        listeners = self._scopes.get(channels)
-        if listeners is None:
-            devices = self.devices
-            listeners = self._scopes[channels] = [
-                (devices[pos], own) for pos, own in self.testbed.scope(channels)
-            ]
-        return listeners
-
     def may_deliver(self, channel: Channel, t1: float) -> bool:
         """False only if a window on ``channel`` alone that ends at t1 would
         deliver nothing: no device on the channel has an event left before
         t1. Nothing is generated or consumed, so skipping such a window and
         moving the clock to t1 leaves every later window as it would be."""
-        listeners = self.testbed.by_channel.get(channel, ())
-        return any(self.devices[pos].next_time < t1 for pos, _ in listeners)
+        positions = self.testbed.by_channel.get(channel, ())
+        return any(self.devices[pos].next_time < t1 for pos in positions)
 
     def emissions_in_parallel(
         self,
@@ -652,13 +634,15 @@ class Environment:
                 f"window starts at {t0} but the clock is already at {self.clock}"
             )
         wanted = frozenset(channels)
+        devices = self.devices
         out: list[Emission] = []
-        for dev, heard in self._listeners(wanted):
+        for pos in self.testbed.scope(wanted):
+            dev = devices[pos]
             if dev.next_time < t1 and dev.name not in skip:
                 out.extend(
                     dev.emission(e)
                     for e in dev.generate_until(t1)
-                    if e[0] >= t0 and id(e[1]) in heard
+                    if e[0] >= t0 and e[1] in wanted
                 )
         self.clock = t1
         out.sort(key=_EMISSION_ORDER)

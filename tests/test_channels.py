@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -7,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import iotsweep
+from iotsweep import channels as channels_module
 from iotsweep.channels import (
     MHZ,
     KHZ,
+    Channel,
     Protocol,
     ble_advertising_channels,
     ble_rf_channel,
@@ -123,19 +127,6 @@ class TestZwaveAndYolink:
 
 
 class TestChannelInvariants:
-    def test_edges_exact(self):
-        everything = (
-            zigbee_channels()
-            + ble_advertising_channels()
-            + [lora_uplink_channel(k) for k in range(72)]
-            + [lora_downlink_channel(k) for k in range(8)]
-            + zwave_channels()
-            + yolink_lora_channels()
-        )
-        for ch in everything:
-            assert ch.upper_edge_hz - ch.lower_edge_hz == ch.bandwidth_hz
-            assert ch.lower_edge_hz < ch.upper_edge_hz
-
     def test_labels_unique_within_protocol(self):
         everything = zigbee_channels() + ble_advertising_channels() + zwave_channels()
         seen = {(c.protocol, c.label) for c in everything}
@@ -149,7 +140,7 @@ class TestChannelInvariants:
 
     def test_equal_channels_hash_equal(self):
         a, b = zigbee_channel(15), zigbee_channel(15)
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b and a == b and hash(a) == hash(b)
         assert {a: "hub"}[b] == "hub"
         assert a != zigbee_channel(16)
 
@@ -169,3 +160,59 @@ class TestChannelInvariants:
             env=env, capture_output=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr.decode()
+
+
+class TestInterning:
+    """A channel is one object, however it is built."""
+
+    def test_every_way_of_building_gives_one_object(self):
+        ch = zigbee_channel(15)
+        built = [
+            zigbee_channel(15),
+            Channel(
+                center_freq_hz=2425 * MHZ,
+                bandwidth_hz=2 * MHZ,
+                protocol=Protocol.ZIGBEE,
+                label="zigbee:15",
+            ),
+            Channel(2425 * MHZ, 2 * MHZ, Protocol.ZIGBEE, "zigbee:15"),
+            dataclasses.replace(ch),
+            dataclasses.replace(zigbee_channel(16), center_freq_hz=2425 * MHZ, label="zigbee:15"),
+            copy.copy(ch),
+            copy.deepcopy(ch),
+            copy.deepcopy([ch, (ch,)])[1][0],
+            pickle.loads(pickle.dumps(ch)),
+        ]
+        assert all(other is ch for other in built)
+        assert {ch: 1}[built[-1]] == 1 and len(set(built)) == 1
+
+    def test_any_field_makes_another_channel(self):
+        ch = zwave_channel("R2")
+        for change in (
+            {"center_freq_hz": 908_500_000},
+            {"bandwidth_hz": 100 * KHZ},
+            {"protocol": Protocol.LORA},
+            {"label": "zwave:R1"},
+        ):
+            other = dataclasses.replace(ch, **change)
+            assert other is not ch and other != ch
+            assert other is dataclasses.replace(ch, **change)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            zigbee_channel(11).label = "zigbee:12"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((2405 * MHZ, 0, Protocol.ZIGBEE, "bad:zero-width"), "bandwidth must be positive"),
+            ((1 * MHZ, 2 * MHZ, Protocol.ZIGBEE, "bad:below-zero"), "lower edge below zero"),
+        ],
+        ids=["zero-width", "below-zero"],
+    )
+    def test_invalid_channel_is_refused_every_time_and_not_kept(self, fields, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Channel(*fields)
+        assert fields not in channels_module._CHANNELS
+        assert all(ch.label != fields[3] for ch in channels_module._CHANNELS.values())

@@ -163,6 +163,35 @@ class TestScenarioErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["scan", "model", "compare"])
+    def test_directory_as_scenario_exit_1(self, tmp_path, capsys, command):
+        scn = tmp_path / "not-a-file.scn"
+        scn.mkdir()
+        assert main([command, str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario {scn}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "model", "compare"])
+    def test_scenario_not_utf8_exit_1(self, tmp_path, capsys, command):
+        scn = tmp_path / "binary.scn"
+        scn.write_bytes(b"\xff\xfe")
+        assert main([command, str(scn), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario {scn}: ") and "utf-8" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "model", "compare"])
+    def test_out_under_a_regular_file_exit_1(self, tmp_path, capsys, command):
+        scn = write_tiny(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        assert main([command, str(scn), "--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
+        assert blocker.read_text() == "a regular file\n"
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--trials", "0", "trials: must be >= 1"), ("--seed", "-1", "seed: must be non-negative")],

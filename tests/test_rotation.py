@@ -327,29 +327,6 @@ def test_window_edges_on_random_settings():
         check_edges(clock, dwell, retune, rng.uniform(0.0, 5000) * (dwell + retune), rng)
 
 
-def test_limited_plan_is_a_prefix():
-    """With ``limit``, the plan's count is the smaller of the full count and
-    the limit, and its edges and window indices are the full plan's."""
-    rng = random.Random(15)
-    for _ in range(60):
-        dwell = rng.choice([0.2, 1 / 3, rng.uniform(0.01, 2.0)])
-        retune = rng.choice([0.0, 0.1, rng.uniform(0.0, 1.0)])
-        clock = rng.choice([0.0, 1e-9, 3.2000000000000006, rng.uniform(0.0, 1e4)])
-        budget = rng.choice([-1.0, 0.0, rng.uniform(0.0, 40) * (dwell + retune), 3600.0])
-        full = _Windows(clock, dwell, retune, clock, budget)
-        limit = rng.choice([0, 1, 16, rng.randrange(1, 60)])
-        part = _Windows(clock, dwell, retune, clock, budget, limit=limit)
-        assert part.count == min(full.count, limit)
-        if not part.count:
-            continue  # a plan of no windows has no edges
-        shown = range(part.count)
-        assert [part.edges(j) for j in shown] == [full.edges(j) for j in shown]
-        end = full.edges(part.count)[0]  # only the start of the window past the plan is kept
-        assert part.edges(part.count)[0] == end
-        for t in [rng.uniform(clock, end + dwell) for _ in range(50)] + [end]:
-            assert part.index(t) == min(full.index(t), part.count)
-
-
 def test_window_edges_through_tie_binades():
     """dwell / u is a half-integer in the binade where u is twice the
     dwell's lowest set bit, so there the sum rounds by the parity of the

@@ -247,3 +247,13 @@ def test_probing_plan_may_have_an_empty_phase():
     assert plan.phases == ((),) and plan.probes == (CH11,)
     assert plan.groups((), [], 8_000_000) == ()
     assert plan.channels() == {CH11}
+
+
+def test_groups_partition_the_phase_channels():
+    """A channel a phase lists twice is in one group, so a rotation listens
+    to it once per round (as a grouped or probing plan already did) and the
+    model counts its group once."""
+    phase = (CH15, CH11, CH15)
+    assert ScanPlan((phase,)).groups(phase, (), 8_000_000) == ((CH15,), (CH11,))
+    phase = (CH11, CH11, CH15)
+    assert ScanPlan((phase,), grouped=True).groups(phase, (), 30_000_000) == ((CH11, CH15),)

@@ -64,7 +64,8 @@ class TestFindChannelsInRange:
 
     def test_exact_boundary(self):
         chans = sort_channels([zwave_channel("R2"), yolink_channel("up"), zwave_channel("R3")])
-        span = chans[-1].upper_edge_hz - chans[0].lower_edge_hz
+        lo, hi = chans[0], chans[-1]
+        span = (hi.center_freq_hz + hi.bandwidth_hz / 2) - (lo.center_freq_hz - lo.bandwidth_hz / 2)
         assert span == 7_670_000  # 916.05 - 908.38 MHz
         assert len(find_channels_in_range(chans, 7_670_000)) == 3
         assert len(find_channels_in_range(chans, 7_669_999)) == 2

@@ -120,25 +120,24 @@ def assert_same_plan(plan, fresh, rng):
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_memoized_plan_is_a_fresh_plan(dwell, retune):
-    """Plans that share their clock and dwell but differ in retune, budget
-    or limit are told apart, on the first call and on a repeat."""
+    """Plans that share their clock and dwell but differ in retune or
+    budget are told apart, on the first call and on a repeat."""
     rng = random.Random(f"{dwell}/{retune}")
     for clock in (0.0, 0.37, 1023.9):
         for budget in (5000 * (dwell + retune), 999.9, 4 * dwell):
-            for limit in (math.inf, 1, 16):
-                args = (clock, dwell, retune, clock, budget, limit)
-                fresh = _Windows(*args)
-                assert_same_plan(_plan(*args), fresh, rng)
-                assert _plan(*args) is _plan(*args)
+            args = (clock, dwell, retune, clock, budget)
+            fresh = _Windows(*args)
+            assert_same_plan(_plan(*args), fresh, rng)
+            assert _plan(*args) is _plan(*args)
             other = _Windows(clock, dwell, retune + 0.5, clock, budget)
             assert_same_plan(_plan(clock, dwell, retune + 0.5, clock, budget), other, rng)
 
 
 def test_memoized_plan_with_no_windows():
-    """A plan of no windows, by limit or by a spent budget, is kept apart
-    from the plans around it."""
-    assert _plan(0.0, 0.2, 0.0, 0.0, 10.0, 0).count == 0
-    assert _plan(0.0, 0.2, 0.0, 0.0, 10.0, 3).count == 3
+    """A plan of no windows, by a spent budget, is kept apart from the
+    plans around it."""
+    assert _plan(0.0, 0.2, 0.0, 0.0, -1.0).count == 0
+    assert _plan(0.0, 0.2, 0.0, 0.0, 0.0).count == 1
     assert _plan(0.0, 0.2, 0.0, 0.0, -1.0).count == 0
 
 
