@@ -94,8 +94,14 @@ def trial_environment(
 def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run all trials of a scenario; optionally write the CSV outputs.
 
-    Trials differ only in their RNG streams, so what depends on the device
-    list alone (the ``Testbed``) is built once and shared by every trial."""
+    ``out_dir`` is made before the first trial, so a directory that cannot
+    be made fails the run at once. Trials differ only in their RNG streams,
+    so what depends on the device list alone (the ``Testbed``) is built
+    once and shared by every trial."""
+    out = None
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     targets = frozenset(d.name for d in cfg.devices)
     records: list[TrialRecord] = []
@@ -116,9 +122,7 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
         summary=summary,
         wall_clock_s=time.perf_counter() - started,
     )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "trials.csv").write_text(trials_csv(result))
         (out / "summary.csv").write_text(summary_csv(result.summary))
         (out / "manifest.txt").write_text(manifest_text(cfg))

@@ -39,9 +39,10 @@ Every scan counts its budget from its own start: each window, probe or
 rotation, starts within it. Each phase is run by ``Scanner._rotate``. It
 stops once the log covers its stop set, and queries only the windows in
 which an emission or probe response of a device not yet fully logged lands
-on the window's channels; its docstring says when it checks the stop set and
-why every output is the same as when each window is queried with every
-device.
+on the window's channels. A queried window generates and delivers only
+those devices, which the rotation hands it (``among``); its docstring says
+when it checks the stop set and why every output is the same as when each
+window is queried with every device.
 """
 
 from __future__ import annotations
@@ -199,18 +200,21 @@ def _phase_groups(
 
 
 @functools.lru_cache(maxsize=4096)
-def _frame_address(
-    protocol: Protocol, data: bytes, zwave_crc16: bool | None
-) -> DeviceAddress | None:
-    """The source address a received frame carries, if any.
+def _frame_address(channel: Channel, data: bytes) -> DeviceAddress | None:
+    """The source address a frame received on ``channel`` carries, if any.
 
     A pure function of its arguments, and a scan hears the same few frames
-    over and over, so each distinct frame is decoded once per process. A
-    frame that fails to decode raises on every call: exceptions are not
-    cached. ``frames.decode`` and ``frames.extract_address`` are looked up
-    on the module at each miss, so a wrapper installed there sees them.
+    over and over, so each distinct frame is decoded once per process per
+    channel. Channels are interned and hash by identity, so the key hashes
+    in C; the protocol and, for Z-Wave, the check variant of the channel's
+    PHY are read only on a miss. A frame that fails to decode raises on
+    every call: exceptions are not cached. ``frames.decode`` and
+    ``frames.extract_address`` are looked up on the module at each miss, so
+    a wrapper installed there sees them.
     """
-    return frames.extract_address(frames.decode(protocol, data, zwave_crc16=zwave_crc16))
+    protocol = channel.protocol
+    hint = zwave_uses_crc16(channel) if protocol is Protocol.ZWAVE else None
+    return frames.extract_address(frames.decode(protocol, data, zwave_crc16=hint))
 
 
 class Scanner:
@@ -258,10 +262,7 @@ class Scanner:
         addresses = self.env.testbed.addresses
         heard = False
         for em in emissions:
-            channel = em.channel
-            protocol = channel.protocol
-            hint = zwave_uses_crc16(channel) if protocol is Protocol.ZWAVE else None
-            addr = _frame_address(protocol, em.frame, hint)
+            addr = _frame_address(em.channel, em.frame)
             if addr is None:
                 continue
             heard = True
@@ -285,17 +286,17 @@ class Scanner:
         ch_range: Iterable[Channel],
         dwell_time_s: float,
         *,
-        skip: frozenset[str] = frozenset(),
+        among: Sequence[SimDevice] | None = None,
     ) -> bool:
         """Receive on every channel of one bandwidth-fitting group at once.
 
         One dwell of wall-clock time total; records exactly what per-channel
-        listens over the same window would. Devices named in ``skip`` are
-        not heard (see ``Environment.emissions_in_parallel``).
+        listens over the same window would. Given ``among``, only those
+        devices are heard (see ``Environment.emissions_in_parallel``).
         """
         t0 = self.env.clock
         return self._ingest(
-            self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s, skip=skip)
+            self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s, among=among)
         )
 
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
@@ -420,6 +421,17 @@ class Scanner:
           the device. Any other window can hear nothing, so it is not
           queried. A response is on its device's one channel (only Zigbee
           answers probes), so a group hears it if it hears the device.
+          A queried window generates and delivers only those live popped
+          devices (``among``), in position order as the heap pops them.
+          That is every device a query with every device would generate:
+          a device of the group that is not fully logged was last queued
+          under some index i >= j (or left out at an index past the end,
+          which only moves down), and its next time is at least c_i, so
+          below e_j <= c_{j+1} only if i = j. Nothing moves a device's next
+          time while it waits, and no device in the heap is fully logged:
+          only a device's own frames carry its addresses, it is delivered
+          only when popped, and it is queued again only if it is still not
+          fully logged.
         - Drops only behind the rotation. After window j, a popped device's
           emissions before c_{j+1} are generated and thrown away: they land
           in the gap or on channels window j does not hear, and every later
@@ -435,9 +447,9 @@ class Scanner:
           beacon from its canonical address, which the log also has. Only
           the rotation skips devices; a direct listen or probe hears every
           one.
-        - Exact edges. ``_Windows`` gives c_j and e_j bit for bit as the
-          left fold ``t1 = clock + dwell; clock = t1 + retune`` does, without
-          the fold, and the same first index past the budget. A plan
+        - Exact edges. ``_Windows`` gives c_j, e_j and c_{j+1} bit for bit
+          as the left fold ``t1 = clock + dwell; clock = t1 + retune`` does,
+          without the fold, and the same first index past the budget. A plan
           depends only on the clock, dwell, retune, scan start and budget,
           so every trial's rotation that starts at the same clock reads
           the same one (``_plan``).
@@ -479,21 +491,21 @@ class Scanner:
         n_logged = len(log.addresses)
         while events and events[0][0] < end:
             j = events[0][0]
-            c_j, e_j = windows.edges(j)
+            c_j, e_j, c_next = windows.edges(j)
             names = hearers[j % n_groups]
-            popped, heard = [], False
+            popped, live = [], []
             while events and events[0][0] == j:
                 _, n, dev = heapq.heappop(events)
                 popped.append((n, dev))
-                heard |= dev.next_time < e_j and dev.name in names
-            if heard:
+                if dev.next_time < e_j and dev.name in names:
+                    live.append(dev)
+            if live:
                 env.clock = c_j
-                self.listen_in_parallel(groups[j % n_groups], dwell_time_s, skip=self.fully_logged)
+                self.listen_in_parallel(groups[j % n_groups], dwell_time_s, among=live)
                 if len(log.addresses) > n_logged:
                     n_logged = len(log.addresses)
                     if covered():
                         end = j + 1
-            c_next = windows.edges(j + 1)[0]
             for n, dev in popped:
                 push(n, dev, c_next)
         if end:
@@ -561,12 +573,15 @@ class _Windows:
             tuple(self._first), tuple(self._starts), tuple(self._runs)
         )
 
-    def edges(self, j: int) -> tuple[float, float]:
-        """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
+    def edges(self, j: int) -> tuple[float, float, float]:
+        """(c_j, e_j, c_{j+1}) for 0 <= j < count; for j = count only c_j
+        holds. c_{j+1} comes from window j's run even when window j + 1
+        starts the next run: each run starts where the last one's formula
+        ends, ``float(X + k * P) * u``."""
         i = bisect_right(self._first, j) - 1
         x, u, D, P = self._runs[i]
         y = x + (j - self._first[i]) * P
-        return float(y) * u, float(y + D) * u
+        return float(y) * u, float(y + D) * u, float(y + P) * u
 
     def index(self, t: float) -> int:
         """The j with c_j <= t < c_{j+1}, or ``count`` if that is smaller;

@@ -34,9 +34,10 @@ address slot, so a delivered frame is encoded once per ``DeviceSpec``,
 which keeps it for every trial, and the scanner decodes each distinct
 frame once per process.
 The clock forbids a window that starts before the last one ended, so
-nothing a window dropped can be asked for again. A window can also
-``skip`` named devices: they are neither generated nor delivered
-(``Scanner._rotate`` says why that changes no scan's output).
+nothing a window dropped can be asked for again. A window can also be
+given the devices to generate (``among``): any other is neither generated
+nor delivered. ``Scanner._rotate`` passes the devices it popped for the
+window and says why that changes no scan's output.
 
 The trials of an experiment differ only in their RNG streams. What depends
 on the device list alone, the ``Testbed`` (address table, the positions of
@@ -98,13 +99,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
+@functools.cache
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     """h_0 .. h_n with h_0 = init and h_(k+1) = h_k * mult mod 2^32, as a
-    column: hash step k xors with h_k and multiplies by h_(k+1)."""
+    read-only column: hash step k xors with h_k and multiplies by h_(k+1).
+    Only the key's word count picks ``n``, so each column is built once."""
     h = [init]
     for _ in range(n):
         h.append(h[-1] * mult & _MASK32)
-    return np.array(h, np.uint32)[:, None]
+    column = np.array(h, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 #: generate_state(4, np.uint64) hashes out 8 words, cycling over the pool.
@@ -407,24 +412,34 @@ class SimDevice:
     would give. The loss stream is built only when ``loss_prob > 0``, and
     the probe stream on the first probe."""
 
+    __slots__ = (
+        "spec", "name", "next_time", "_n_addresses", "_encoded", "_loss_prob", "_streams",
+        "_times", "_loss", "_probe_rng", "_period", "_gaps", "_next_emission", "_emit_index",
+        "_responses",
+    )
+
     def __init__(self, spec: DeviceSpec, streams: np.ndarray, loss_prob: float):
         self.spec = spec
         self.name = spec.name
-        self._n_addresses = len(spec.all_addresses())
+        self._n_addresses = 1 + len(spec.aliases)
         self._encoded = spec._encoded
         self._loss_prob = loss_prob
         self._streams = streams
-        self._times = _stream(streams[_STREAM_TIMES])
+        self._times = times = _stream(streams[_STREAM_TIMES])
         self._loss = _stream(streams[_STREAM_LOSS]) if loss_prob > 0 else None
         self._probe_rng: np.random.Generator | None = None
-        self._gap_buffer: list[float] = []
         self._emit_index = 0
         self._responses: list[tuple[float, int, int]] = []  # heap of (time, index, channel slot)
+        mean = spec.mean_interarrival_s
         if spec.emitter is EmitterKind.PERIODIC:
-            self._next_emission = float(self._times.uniform(0.0, spec.mean_interarrival_s))
+            self._period: float | None = mean  # None: draw exponential gaps
+            self._gaps: list[float] = []
+            self._next_emission = float(times.uniform(0.0, mean))
         else:
-            self._draw_gaps(_FIRST_CHUNK)
-            self._next_emission = self._draw_gap()
+            self._period = None
+            self._gaps = times.exponential(mean, _FIRST_CHUNK)[::-1].tolist()  # popped from the end
+            gap = self._gaps.pop()
+            self._next_emission = gap if gap > 0.0 else 1e-12
         self.next_time = self._next_emission
 
     @property
@@ -432,18 +447,6 @@ class SimDevice:
         if self._probe_rng is None:
             self._probe_rng = _stream(self._streams[_STREAM_PROBE])
         return self._probe_rng
-
-    def _draw_gaps(self, n: int) -> None:
-        gaps = self._times.exponential(self.spec.mean_interarrival_s, size=n)
-        self._gap_buffer = gaps[::-1].tolist()
-
-    def _draw_gap(self) -> float:
-        if self.spec.emitter is EmitterKind.PERIODIC:
-            return self.spec.mean_interarrival_s
-        if not self._gap_buffer:
-            self._draw_gaps(_EXP_CHUNK)
-        gap = self._gap_buffer.pop()
-        return gap if gap > 0.0 else 1e-12  # keep event times strictly increasing
 
     def respond(self, t: float, channel: Channel) -> tuple[float, Channel, int]:
         """Schedule a probe response at ``t`` on ``channel``, one of the
@@ -474,13 +477,22 @@ class SimDevice:
         entries: list[tuple[float, Channel, int]] = []
         channels = self.spec.channels
         loss, loss_prob = self._loss, self._loss_prob
+        period, gaps = self._period, self._gaps
         t, idx = self._next_emission, self._emit_index
         while t < t_end:
             for ch in channels:
                 if loss is None or not loss.random() < loss_prob:
                     entries.append((t, ch, idx))
             idx += 1
-            t = t + self._draw_gap()
+            if period is None:
+                if not gaps:
+                    gaps = self._gaps = self._times.exponential(
+                        self.spec.mean_interarrival_s, _EXP_CHUNK
+                    )[::-1].tolist()
+                gap = gaps.pop()
+                t = t + (gap if gap > 0.0 else 1e-12)  # keep event times strictly increasing
+            else:
+                t = t + period
         self._next_emission, self._emit_index = t, idx
         responses = self._responses
         while responses and responses[0][0] < t_end:
@@ -614,7 +626,7 @@ class Environment:
         t0: float,
         t1: float,
         *,
-        skip: frozenset[str] = frozenset(),
+        among: Sequence[SimDevice] | None = None,
     ) -> list[Emission]:
         """Union of per-channel receptions over one shared window [t0, t1).
 
@@ -624,8 +636,9 @@ class Environment:
         before t0 or on channels outside the set are dropped. Nothing is
         kept for a later window: the clock checks below refuse any window
         that starts before the last one ended, which is what makes dropping
-        them exact. Devices named in ``skip`` are not generated and deliver
-        nothing, their probe responses included.
+        them exact. ``among``, in position order, are the only devices
+        generated and delivered; any other device is left as it is, its
+        probe responses included. None means every device on the channels.
         """
         if not t0 <= t1 < math.inf:
             raise SimulationError(f"window must end at a finite time >= its start: [{t0}, {t1})")
@@ -634,18 +647,20 @@ class Environment:
                 f"window starts at {t0} but the clock is already at {self.clock}"
             )
         wanted = frozenset(channels)
-        devices = self.devices
+        if among is None:
+            devices = self.devices
+            among = [devices[pos] for pos in self.testbed.scope(wanted)]
         out: list[Emission] = []
-        for pos in self.testbed.scope(wanted):
-            dev = devices[pos]
-            if dev.next_time < t1 and dev.name not in skip:
+        for dev in among:
+            if dev.next_time < t1:
                 out.extend(
                     dev.emission(e)
                     for e in dev.generate_until(t1)
                     if e[0] >= t0 and e[1] in wanted
                 )
         self.clock = t1
-        out.sort(key=_EMISSION_ORDER)
+        if len(out) > 1:
+            out.sort(key=_EMISSION_ORDER)
         return out
 
     def advance(self, duration_s: float) -> None:

@@ -145,7 +145,9 @@ class TestChannelInvariants:
         assert a != zigbee_channel(16)
 
     def test_unpickled_channel_hashes_like_a_fresh_one(self):
-        """The stored hash is salted per process, so unpickling recomputes it."""
+        """Channels store no hash and compare by identity, so in a process
+        with another hash seed the unpickled channel keys a set and hashes
+        as a fresh one only if unpickling returned the interned object."""
         check = (
             "import pickle, sys; from iotsweep.channels import zigbee_channel; "
             "ch = pickle.loads(sys.stdin.buffer.read()); "

@@ -8,6 +8,7 @@ import pytest
 import iotsweep
 from iotsweep.cli import main
 from iotsweep.frames import BleAdvPdu, BlePduType, ZWaveFrame, beacon_request, encode
+from iotsweep.scanning import Scanner
 
 TINY = """
 scenario cli-tiny
@@ -183,7 +184,12 @@ class TestScenarioErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["scan", "model", "compare"])
-    def test_out_under_a_regular_file_exit_1(self, tmp_path, capsys, command):
+    def test_out_under_a_regular_file_exit_1(self, tmp_path, capsys, command, monkeypatch):
+        """The output directory is made before any trial, so a scan or
+        compare that cannot make it runs no trial."""
+        scans = []
+        scan = Scanner.scan
+        monkeypatch.setattr(Scanner, "scan", lambda *a, **kw: scans.append(a) or scan(*a, **kw))
         scn = write_tiny(tmp_path)
         blocker = tmp_path / "blocker"
         blocker.write_text("a regular file\n")
@@ -191,6 +197,10 @@ class TestScenarioErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(blocker) in err and err.count("\n") == 1
         assert blocker.read_text() == "a regular file\n"
+        assert scans == []
+        # compare may exit 2 (the model outside the CI); it still ran its trials
+        assert main([command, str(scn), "--out", str(tmp_path / "out")]) in (0, 2)
+        assert len(scans) == (0 if command == "model" else 2)  # the tiny scenario's 2 trials
 
     @pytest.mark.parametrize(
         "flag, value, message",

@@ -13,6 +13,7 @@ two addresses, and every bundled scenario.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import time
@@ -34,7 +35,14 @@ from iotsweep.channels import (
 from iotsweep.errors import ParameterError
 from iotsweep.scanning import DiscoveryLog, Scanner, SdrConfig, _Windows
 from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
-from iotsweep.simulation import DeviceSpec, EmitterKind, Role, SimDevice, build_environment
+from iotsweep.simulation import (
+    DeviceSpec,
+    EmitterKind,
+    Environment,
+    Role,
+    SimDevice,
+    build_environment,
+)
 
 MHZ = 1_000_000
 SDR = SdrConfig(8 * MHZ, retune_latency_s=0.3)
@@ -167,6 +175,35 @@ def test_scan_matches_naive_loop_with_fewer_queries(scan, seed, stop):
         assert fast_queries < naive_queries / 3  # most windows were only stepped
 
 
+def test_rotation_windows_are_given_only_devices_due_in_them(monkeypatch):
+    """Every device a rotation window is given (``among``) has its next
+    event before the window's end when the window is queried and is heard
+    on the window's channels, and the devices come in position order: in
+    every scan above, with and without a stop set, and in every bundled
+    scenario."""
+    given = []
+    query = Environment.emissions_in_parallel
+
+    def spy(env, channels, t0, t1, *, among=None):
+        if among is not None:
+            channels = frozenset(channels)
+            positions = [env.devices.index(dev) for dev in among]
+            assert positions and positions == sorted(set(positions))
+            for dev in among:
+                assert dev.next_time < t1 and not channels.isdisjoint(dev.spec.channels)
+            given.append(len(among))
+        return query(env, channels, t0, t1, among=among)
+
+    monkeypatch.setattr(Environment, "emissions_in_parallel", spy)
+    for scan, (do_scan, _) in SCANS.items():
+        for seed in (12, 22):
+            for stop in (None, NAMES):
+                run(Scanner, do_scan, seed, stop, delay=RESPONSE_DELAY_S.get(scan, 40.0))
+    for name in bundled_scenario_names():
+        experiment.run_experiment(dataclasses.replace(load_bundled_scenario(name), trials=3))
+    assert len(given) > 300 and sum(n > 1 for n in given) > 20
+
+
 @pytest.mark.parametrize("scan", ["sequential", "active-multiprotocol"])
 def test_device_off_the_rotation_queries_no_window(scan):
     """A device on none of a rotation's channels makes it query no window:
@@ -287,12 +324,14 @@ def fold(clock, dwell, retune, budget):
 
 
 def check_edges(clock, dwell, retune, budget, rng):
-    """``_Windows`` from ``clock`` matches the fold in every edge, in the
-    first window past the budget and in the window of random times."""
+    """``_Windows`` from ``clock`` matches the fold in every edge (each
+    window's start, end and the next window's start, also where that next
+    window starts a new run), in the first window past the budget and in
+    the window of random times."""
     starts, ends = fold(clock, dwell, retune, budget)
     windows = _Windows(clock, dwell, retune, clock, budget)
     assert windows.count == len(ends)
-    assert [windows.edges(j) for j in range(len(ends))] == list(zip(starts, ends))
+    assert [windows.edges(j) for j in range(len(ends))] == list(zip(starts, ends, starts[1:]))
     assert windows.edges(len(ends))[0] == starts[-1]
     times = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)] + starts + ends
     for t in times:

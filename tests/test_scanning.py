@@ -499,8 +499,8 @@ class TestProbeRetune:
 
 
 class TestFrameAddressCache:
-    """The scanner decodes each distinct frame once; a cached address is the
-    one a fresh decode gives."""
+    """The scanner decodes each distinct frame once per channel; a cached
+    address is the one a fresh decode gives."""
 
     @pytest.mark.parametrize(
         "protocol,make",
@@ -512,6 +512,14 @@ class TestFrameAddressCache:
         ],
     )
     def test_cached_address_equals_fresh_decode(self, protocol, make):
+        """A Z-Wave frame is received on the PHY whose check it carries: R3
+        for CRC-16, R2 for XOR. The fresh decode is told the variant or
+        left to find it, a coin per frame."""
+        channel = {
+            Protocol.ZIGBEE: CH11,
+            Protocol.BLE_ADVERTISING: ble_advertising_channel(37),
+            Protocol.LORA: yolink_channel("up"),
+        }.get(protocol)
         _frame_address.cache_clear()
         rng = random.Random(20261018)
         for _ in range(300):
@@ -519,9 +527,11 @@ class TestFrameAddressCache:
             hint = rng.choice((frame.crc16, None)) if protocol is Protocol.ZWAVE else None
             data = encode(frame)
             fresh = extract_address(decode(protocol, data, zwave_crc16=hint))
+            if protocol is Protocol.ZWAVE:
+                channel = zwave_channel("R3" if frame.crc16 else "R2")
             hits = _frame_address.cache_info().hits
-            assert _frame_address(protocol, data, hint) == fresh
-            assert _frame_address(protocol, data, hint) == fresh
+            assert _frame_address(channel, data) == fresh
+            assert _frame_address(channel, data) == fresh
             assert _frame_address.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("at", [-1, -2])
@@ -531,7 +541,7 @@ class TestFrameAddressCache:
         errors = []
         for _ in range(2):
             with pytest.raises(ChecksumError) as caught:
-                _frame_address(Protocol.ZIGBEE, bytes(data), None)
+                _frame_address(CH11, bytes(data))
             errors.append((str(caught.value), caught.value.offset))
         assert errors[0] == errors[1]
 
@@ -546,5 +556,5 @@ class TestFrameAddressCache:
         _frame_address.cache_clear()
         data = encode(zigbee_beacon(seq=4, src_pan=0x1A62, src_addr=0x0009))
         for _ in range(3):
-            assert _frame_address(Protocol.ZIGBEE, data, None) == ZigbeeShort(0x1A62, 0x0009)
+            assert _frame_address(CH11, data) == ZigbeeShort(0x1A62, 0x0009)
         assert len(calls) == 1
