@@ -28,28 +28,25 @@ merge is listened on in ascending order. A bandwidth group is what
 ``plan_channel_groups`` cuts from a phase. A sequential scan moves on to
 its next phase once every device audible in the current one is found.
 
-Every window records what it hears in the scanner's ``DiscoveryLog``, which
+Every listen records what it hears in the scanner's ``DiscoveryLog``, which
 is a scan's one result: the scans return nothing, and a listen returns only
 whether any frame in its window carried an address. Every delivered frame is
-decoded (once per process for each distinct frame), but only one whose
-address the log lacks is resolved to its device and recorded: a known
-address can change neither the log nor a first-seen time.
+decoded once per process for each distinct frame.
 
 Every scan counts its budget from its own start: each window, probe or
-rotation, starts within it. Each phase is run by ``Scanner._rotate``. It
-stops once the log covers its stop set, and queries only the windows in
-which an emission or probe response of a device not yet fully logged lands
-on the window's channels. A queried window generates and delivers only
-those devices, which the rotation hands it (``among``); its docstring says
-when it checks the stop set and why every output is the same as when each
-window is queried with every device.
+rotation, starts within it. Each phase is run by ``Scanner._rotate``. Given
+the window schedule, the devices of a trial do not interact: there is no
+airtime and no collision, and every stream belongs to one device. So the
+rotation walks each device's stream on its own, through the windows whose
+group hears it, to its first audible frame: the walks of the stop set fix
+where the phase ends, and every other walk stops there.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -58,7 +55,7 @@ from . import frames
 from .address import DeviceAddress
 from .channels import Channel, Protocol, channel_sort_key, zwave_uses_crc16
 from .errors import ParameterError
-from .simulation import Environment, SimDevice
+from .simulation import Environment
 
 DEFAULT_PROBE_DWELL_S = 0.2
 DEFAULT_BANDWIDTH_HZ = 8_000_000
@@ -224,11 +221,7 @@ class Scanner:
     runner stop a scan as soon as everything it is measuring has been found;
     windows past that point can never change a first-seen time, so recorded
     discovery times are identical with or without it, and a scan that starts
-    with it found opens no window. The rotation applies the same argument
-    per device (see ``_rotate``): ``fully_logged`` names the devices whose
-    every address is in the log, and no rotation window generates them
-    again. A device joins it when a new address of its is logged and its
-    address set in the experiment's ``Testbed`` is then all in the log.
+    with it found opens no window.
     """
 
     def __init__(
@@ -245,33 +238,18 @@ class Scanner:
         self.probe_dwell_time_s = probe_dwell_time_s
         self.log = DiscoveryLog()
         self._t0 = env.clock
-        self.fully_logged: frozenset[str] = frozenset()
 
     # -- building blocks ------------------------------------------------------
 
     def _ingest(self, emissions) -> bool:
-        """Record every addressed frame; True if there was one.
-
-        Every frame is decoded (once per process, by ``_frame_address``),
-        but only a frame whose address the log lacks is resolved and
-        recorded: the log already holds the address and its device's
-        first-seen time, which only an earlier frame could have set. A
-        device is fully logged once its testbed address set is in the log.
-        """
-        log, logged = self.log, self.log.addresses
-        addresses = self.env.testbed.addresses
+        """Record every addressed frame; True if there was one."""
+        log, resolve, t0 = self.log, self.env.resolve, self._t0
         heard = False
         for em in emissions:
             addr = _frame_address(em.channel, em.frame)
-            if addr is None:
-                continue
-            heard = True
-            if addr in logged:
-                continue
-            name = self.env.resolve(addr)
-            log.record(name, em.time_s - self._t0, addr)
-            if addresses[name] <= logged:
-                self.fully_logged |= {name}
+            if addr is not None:
+                heard = True
+                log.record(resolve(addr), em.time_s - t0, addr)
         return heard
 
     def listen(self, channel: Channel, dwell_time_s: float) -> bool:
@@ -281,23 +259,14 @@ class Scanner:
             self.env.emissions_in_parallel((channel,), t0, t0 + dwell_time_s)
         )
 
-    def listen_in_parallel(
-        self,
-        ch_range: Iterable[Channel],
-        dwell_time_s: float,
-        *,
-        among: Sequence[SimDevice] | None = None,
-    ) -> bool:
+    def listen_in_parallel(self, ch_range: Iterable[Channel], dwell_time_s: float) -> bool:
         """Receive on every channel of one bandwidth-fitting group at once.
 
         One dwell of wall-clock time total; records exactly what per-channel
-        listens over the same window would. Given ``among``, only those
-        devices are heard (see ``Environment.emissions_in_parallel``).
+        listens over the same window would.
         """
         t0 = self.env.clock
-        return self._ingest(
-            self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s, among=among)
-        )
+        return self._ingest(self.env.emissions_in_parallel(ch_range, t0, t0 + dwell_time_s))
 
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
         """Probe every channel and listen briefly; returns the channels that
@@ -407,109 +376,94 @@ class Scanner:
         first window and after each window: a rotation whose stop set is
         already logged opens no window and keeps the clock. Window j starts
         at c_j, ends at e_j = c_j + dwell, and the next starts at
-        c_{j+1} = e_j + retune.
+        c_{j+1} = e_j + retune; ``_Windows`` gives these edges bit for bit
+        as stepping the clock one window at a time does.
 
         Every log, address set and final clock is the same as when each
-        window is queried with every device, for these reasons:
+        window is queried with every device, because the devices are
+        independent given the schedule: a window hears a device's frames
+        that land in it on the group's channels, whatever the other devices
+        do. So each device not yet fully logged is walked on its own
+        (``_walk``) through the windows whose group hears it.
 
-        - Next-event time advance. Each device of the groups that is not
-          fully logged sits in a heap under the index j of the window whose
-          span [c_j, c_{j+1}) holds its next time: its next emission or
-          pending probe response, whichever is first. The rotation goes
-          straight to the smallest index and queries window j only if a
-          popped device's next time lies in [c_j, e_j) and the group hears
-          the device. Any other window can hear nothing, so it is not
-          queried. A response is on its device's one channel (only Zigbee
-          answers probes), so a group hears it if it hears the device.
-          A queried window generates and delivers only those live popped
-          devices (``among``), in position order as the heap pops them.
-          That is every device a query with every device would generate:
-          a device of the group that is not fully logged was last queued
-          under some index i >= j (or left out at an index past the end,
-          which only moves down), and its next time is at least c_i, so
-          below e_j <= c_{j+1} only if i = j. Nothing moves a device's next
-          time while it waits, and no device in the heap is fully logged:
-          only a device's own frames carry its addresses, it is delivered
-          only when popped, and it is queued again only if it is still not
-          fully logged.
-        - Drops only behind the rotation. After window j, a popped device's
-          emissions before c_{j+1} are generated and thrown away: they land
-          in the gap or on channels window j does not hear, and every later
-          window starts at c_{j+1} or after. No device is advanced past the
-          window the rotation has reached, so an early stop leaves the clock
-          after everything dropped. A device's times and loss coins are
-          drawn in order however its generation is cut up.
-        - Fully logged devices (``fully_logged``) are skipped: the
-          rotation's windows neither generate nor deliver them, and they
-          leave the heap. Their frames could only re-log addresses the log
-          has, and their streams are drawn in order by whichever window
-          generates them next. A skipped device's probe response is a
-          beacon from its canonical address, which the log also has. Only
-          the rotation skips devices; a direct listen or probe hears every
-          one.
-        - Exact edges. ``_Windows`` gives c_j, e_j and c_{j+1} bit for bit
-          as the left fold ``t1 = clock + dwell; clock = t1 + retune`` does,
-          without the fold, and the same first index past the budget. A plan
-          depends only on the clock, dwell, retune, scan start and budget,
-          so every trial's rotation that starts at the same clock reads
-          the same one (``_plan``).
-          The channel sets' devices come from the experiment's testbed;
-          only the heap, the clock and the log belong to the trial.
-
-        The log only grows in queried windows, so the stop check is
-        re-evaluated only after a window that logged a new address; a stop
-        after window j leaves the clock at c_{j+1}.
+        - The stop set's unlogged devices are walked first, each to the
+          window that first hears it. The rotation stops after the latest
+          of those windows, or at the budget if one of them is not heard
+          within it (or no group hears it); a stop set of none leaves it
+          at the budget.
+        - Every device is then walked up to that end and no further,
+          logging each address it is heard under, until every address of
+          it is in the log. No stream is generated past the clock the
+          rotation leaves, so later phases, probes and listens hear the
+          same traffic as after querying every window.
         """
         env, log = self.env, self.log
-        groups = [frozenset(group) for group in groups]  # hashed once, not per window
-        n_groups = len(groups)
-        hearers = [env.device_names_on(group) for group in groups]
-        retune = self.sdr.retune_latency_s
-        windows = _plan(env.clock, dwell_time_s, retune, t_start, scan_time_s)
-
-        def covered():
-            return stop is not None and log.covers(stop)
-
-        end = 0 if covered() else windows.count  # the clock stops at the start of window `end`
+        windows = _plan(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
+        if not windows.count or stop is not None and log.covers(stop):
+            return
+        addresses, logged = env.testbed.addresses, log.addresses
+        sets, offsets = env.testbed.rotation(tuple(map(tuple, groups)))
+        walks = []  # (device, its residue offsets, its addresses) of each device not fully logged
         c0 = env.clock
-        scope = frozenset().union(*hearers)
-        events: list[tuple[int, int, SimDevice]] = []  # (window, device position, device)
+        for pos, steps in offsets.items():
+            dev = env.devices[pos]
+            mine = addresses[dev.name]
+            if not mine <= logged:
+                if dev.next_time < c0:
+                    dev.generate_until(c0)  # no window of the rotation hears these
+                walks.append((dev, steps, mine))
+        end = windows.count
+        if stop is not None:
+            missing = stop - log.first_seen.keys()
+            first = [walk for walk in walks if walk[0].name in missing]
+            if len(first) == len(missing):  # else one is never heard: the phase runs out
+                last = max(self._walk(*walk, sets, windows, end, True) for walk in first)
+                end = min(last + 1, end)
+        for walk in walks:
+            if not walk[2] <= logged:  # a stop walk may have logged it
+                self._walk(*walk, sets, windows, end, False)
+        env.clock = windows.edges(end)[0]
 
-        def push(n, dev, c):
-            """Drop the device's events before ``c``, then queue it under
-            the window of its next time, unless it is fully logged."""
-            if dev.name not in self.fully_logged:
-                if dev.next_time < c:
-                    dev.generate_until(c)
-                j = windows.index(dev.next_time)
-                if j < end:
-                    heapq.heappush(events, (j, n, dev))
+    def _walk(self, dev, steps, mine, sets, windows, end, first) -> int:
+        """Walk ``dev`` through the windows below ``end`` whose group hears
+        it, from its next event on: log every address it is heard under
+        until ``mine``, its addresses, are all in the log, or, if ``first``,
+        until the first window that hears it. Returns that window, or
+        ``end``. ``steps`` are its residue offsets (``Testbed.rotation``).
 
-        for n, dev in enumerate(env.devices):
-            if dev.name in scope:
-                push(n, dev, c0)
-        n_logged = len(log.addresses)
-        while events and events[0][0] < end:
-            j = events[0][0]
-            c_j, e_j, c_next = windows.edges(j)
-            names = hearers[j % n_groups]
-            popped, live = [], []
-            while events and events[0][0] == j:
-                _, n, dev = heapq.heappop(events)
-                popped.append((n, dev))
-                if dev.next_time < e_j and dev.name in names:
-                    live.append(dev)
-            if live:
-                env.clock = c_j
-                self.listen_in_parallel(groups[j % n_groups], dwell_time_s, among=live)
-                if len(log.addresses) > n_logged:
-                    n_logged = len(log.addresses)
-                    if covered():
-                        end = j + 1
-            for n, dev in popped:
-                push(n, dev, c_next)
-        if end:
-            env.clock = windows.edges(end)[0]
+        Each step generates the device to the end e_j of the next window j
+        that can hear it, dropping what lies before c_j, and takes its
+        entries in [c_j, e_j) on the group's channels in time order
+        (``generate_until`` lists responses after emissions). After a window
+        that hears none, the walk goes on from the window of the device's
+        next event, or the next window."""
+        log, logged, t0, name = self.log, self.log.addresses, self._t0, dev.name
+        lo = 0
+        while True:
+            j, c, e = windows.first_from(dev.next_time, lo, steps)
+            if j >= end:
+                return end
+            if dev.next_time < e:
+                channels = sets[j % len(steps)]
+                hits = [x for x in dev.generate_until(e) if x[0] >= c and x[1] in channels]
+                if len(hits) > 1:
+                    hits.sort(key=_TIME)
+                heard = False
+                for entry in hits:
+                    em = dev.emission(entry)
+                    addr = _frame_address(em.channel, em.frame)
+                    if addr is not None:
+                        heard = True
+                        log.record(name, em.time_s - t0, addr)
+                        if mine <= logged:
+                            return j
+                if heard and first:
+                    return j
+            lo = j + 1
+
+
+#: The time of a ``generate_until`` entry.
+_TIME = operator.itemgetter(0)
 
 
 class _Windows:
@@ -573,24 +527,35 @@ class _Windows:
             tuple(self._first), tuple(self._starts), tuple(self._runs)
         )
 
-    def edges(self, j: int) -> tuple[float, float, float]:
-        """(c_j, e_j, c_{j+1}) for 0 <= j < count; for j = count only c_j
-        holds. c_{j+1} comes from window j's run even when window j + 1
-        starts the next run: each run starts where the last one's formula
-        ends, ``float(X + k * P) * u``."""
+    def edges(self, j: int) -> tuple[float, float]:
+        """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
         i = bisect_right(self._first, j) - 1
         x, u, D, P = self._runs[i]
         y = x + (j - self._first[i]) * P
-        return float(y) * u, float(y + D) * u, float(y + P) * u
+        return float(y) * u, float(y + D) * u
 
-    def index(self, t: float) -> int:
-        """The j with c_j <= t < c_{j+1}, or ``count`` if that is smaller;
-        t must be at least c_0."""
-        if t >= self._end:
-            return self.count
-        i = bisect_right(self._starts, t) - 1
-        x, u, _, P = self._runs[i]
-        return self._first[i] + (int(t / u) - x) // P
+    def first_from(self, t: float, lo: int, offsets: Sequence[int]) -> tuple[int, float, float]:
+        """(j, c_j, e_j) of the first window from the later of window ``lo``
+        and the window i holding t (c_i <= t < c_{i+1}) whose residue
+        ``offsets`` allow: j = i + offsets[i % len(offsets)], with i raised
+        to ``lo`` first. Past the last window j is ``count`` and both edges
+        are c_count. With offsets (0,) and ``lo`` 0, j is the window holding
+        t. t must be at least c_0."""
+        if t < self._end:
+            first, runs = self._first, self._runs
+            r = bisect_right(self._starts, t) - 1
+            x, u, D, P = runs[r]
+            j = first[r] + (int(t / u) - x) // P
+            if j < lo:
+                j = lo
+            j += offsets[j % len(offsets)]
+            if j < self.count:
+                if r + 1 < len(first) and j >= first[r + 1]:
+                    r = bisect_right(first, j) - 1
+                    x, u, D, P = runs[r]
+                y = x + (j - first[r]) * P
+                return j, float(y) * u, float(y + D) * u
+        return self.count, self._end, self._end
 
 
 #: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few

@@ -34,10 +34,10 @@ address slot, so a delivered frame is encoded once per ``DeviceSpec``,
 which keeps it for every trial, and the scanner decodes each distinct
 frame once per process.
 The clock forbids a window that starts before the last one ended, so
-nothing a window dropped can be asked for again. A window can also be
-given the devices to generate (``among``): any other is neither generated
-nor delivered. ``Scanner._rotate`` passes the devices it popped for the
-window and says why that changes no scan's output.
+nothing a window dropped can be asked for again. A scan's rotation does not
+open windows here: it walks each device's stream on its own
+(``Scanner._rotate``), reading which groups of the rotation hear the device
+from the testbed (``Testbed.rotation``).
 
 The trials of an experiment differ only in their RNG streams. What depends
 on the device list alone, the ``Testbed`` (address table, the positions of
@@ -541,6 +541,7 @@ class Testbed:
         }
         self._scopes: dict[frozenset[Channel], list[int]] = {}
         self._names_on: dict[frozenset[Channel], frozenset[str]] = {}
+        self._rotations: dict[tuple[tuple[Channel, ...], ...], tuple] = {}
 
     def scope(self, channels: frozenset[Channel]) -> list[int]:
         """The positions of the devices on any of ``channels``, ascending."""
@@ -549,6 +550,28 @@ class Testbed:
             heard = {pos for ch in channels for pos in self.by_channel.get(ch, ())}
             positions = self._scopes[channels] = sorted(heard)
         return positions
+
+    def rotation(
+        self, groups: tuple[tuple[Channel, ...], ...]
+    ) -> tuple[tuple[frozenset[Channel], ...], dict[int, tuple[int, ...]]]:
+        """A rotation over ``groups``: each group's channel set, and the
+        residue offsets of every device some group hears, by position in
+        ascending order. Entry r of a device's offsets is the k >= 0 for
+        which group (r + k) mod G is the first from group r on that holds
+        one of the device's channels, so window j + offsets[j % G] is the
+        first from window j on that can hear the device."""
+        table = self._rotations.get(groups)
+        if table is None:
+            sets = tuple(frozenset(group) for group in groups)
+            n = len(sets)
+            offsets = {}
+            for pos in self.scope(frozenset().union(*sets)):
+                hears = [not sets[r].isdisjoint(self.devices[pos].channels) for r in range(n)]
+                offsets[pos] = tuple(
+                    next(k for k in range(n) if hears[(r + k) % n]) for r in range(n)
+                )
+            table = self._rotations[groups] = sets, offsets
+        return table
 
     def device_names_on(self, channels: frozenset[Channel]) -> frozenset[str]:
         names = self._names_on.get(channels)
@@ -621,12 +644,7 @@ class Environment:
         return any(self.devices[pos].next_time < t1 for pos in positions)
 
     def emissions_in_parallel(
-        self,
-        channels: Iterable[Channel],
-        t0: float,
-        t1: float,
-        *,
-        among: Sequence[SimDevice] | None = None,
+        self, channels: Iterable[Channel], t0: float, t1: float
     ) -> list[Emission]:
         """Union of per-channel receptions over one shared window [t0, t1).
 
@@ -636,9 +654,7 @@ class Environment:
         before t0 or on channels outside the set are dropped. Nothing is
         kept for a later window: the clock checks below refuse any window
         that starts before the last one ended, which is what makes dropping
-        them exact. ``among``, in position order, are the only devices
-        generated and delivered; any other device is left as it is, its
-        probe responses included. None means every device on the channels.
+        them exact.
         """
         if not t0 <= t1 < math.inf:
             raise SimulationError(f"window must end at a finite time >= its start: [{t0}, {t1})")
@@ -647,11 +663,10 @@ class Environment:
                 f"window starts at {t0} but the clock is already at {self.clock}"
             )
         wanted = frozenset(channels)
-        if among is None:
-            devices = self.devices
-            among = [devices[pos] for pos in self.testbed.scope(wanted)]
+        devices = self.devices
         out: list[Emission] = []
-        for dev in among:
+        for pos in self.testbed.scope(wanted):
+            dev = devices[pos]
             if dev.next_time < t1:
                 out.extend(
                     dev.emission(e)

@@ -1,5 +1,6 @@
-"""The shared rotation loop queries only the windows that hear something,
-and stops generating devices whose every address is logged.
+"""The shared rotation loop walks each device on its own to the windows
+that hear it, and stops generating a device once every address of it is
+logged or the rotation's end is reached.
 
 A naive reference loop queries the environment for every window, with every
 device. Each scan must leave the same discovery log (first-seen times and
@@ -38,7 +39,6 @@ from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
 from iotsweep.simulation import (
     DeviceSpec,
     EmitterKind,
-    Environment,
     Role,
     SimDevice,
     build_environment,
@@ -141,8 +141,8 @@ def record_queries(env):
     return sizes
 
 
-def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0, loss=LOSS):
-    env = build_environment(DEVICES, seed, loss_prob=loss, probe_response_delay_max_s=delay)
+def run(scanner_cls, scan, seed, stop, sdr=SDR, delay=40.0, start=0.0, loss=LOSS, devices=DEVICES):
+    env = build_environment(devices, seed, loss_prob=loss, probe_response_delay_max_s=delay)
     env.advance(start)
     sizes = record_queries(env)
     # the hub answers a probe sent before the scan, many windows later
@@ -166,42 +166,10 @@ def test_scan_matches_naive_loop_with_fewer_queries(scan, seed, stop):
     naive, naive_clock, naive_queries, _ = run(NaiveScanner, do_scan, seed, stop, delay=delay)
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
-    assert fast.fully_logged == {
-        d.name for d in DEVICES if set(d.all_addresses()) <= fast.log.addresses
-    }
     assert fast_clock == naive_clock
     assert fast_queries <= naive_queries
     if hears_all:
         assert fast_queries < naive_queries / 3  # most windows were only stepped
-
-
-def test_rotation_windows_are_given_only_devices_due_in_them(monkeypatch):
-    """Every device a rotation window is given (``among``) has its next
-    event before the window's end when the window is queried and is heard
-    on the window's channels, and the devices come in position order: in
-    every scan above, with and without a stop set, and in every bundled
-    scenario."""
-    given = []
-    query = Environment.emissions_in_parallel
-
-    def spy(env, channels, t0, t1, *, among=None):
-        if among is not None:
-            channels = frozenset(channels)
-            positions = [env.devices.index(dev) for dev in among]
-            assert positions and positions == sorted(set(positions))
-            for dev in among:
-                assert dev.next_time < t1 and not channels.isdisjoint(dev.spec.channels)
-            given.append(len(among))
-        return query(env, channels, t0, t1, among=among)
-
-    monkeypatch.setattr(Environment, "emissions_in_parallel", spy)
-    for scan, (do_scan, _) in SCANS.items():
-        for seed in (12, 22):
-            for stop in (None, NAMES):
-                run(Scanner, do_scan, seed, stop, delay=RESPONSE_DELAY_S.get(scan, 40.0))
-    for name in bundled_scenario_names():
-        experiment.run_experiment(dataclasses.replace(load_bundled_scenario(name), trials=3))
-    assert len(given) > 300 and sum(n > 1 for n in given) > 20
 
 
 @pytest.mark.parametrize("scan", ["sequential", "active-multiprotocol"])
@@ -225,32 +193,89 @@ def test_late_probe_response_is_heard():
     assert scanner.log.first_seen == {"hub": response[0].time_s}
 
 
-def test_response_of_a_fully_logged_responder_is_skipped():
+def generated_to(monkeypatch, names=None):
+    """Name -> the latest end any ``generate_until`` of that device (of
+    ``names``, if given) asked for, as a dict that fills while the patch
+    holds."""
+    ends = {}
+    generate = SimDevice.generate_until
+
+    def spy(dev, t_end):
+        if names is None or dev.name in names:
+            ends[dev.name] = max(ends.get(dev.name, t_end), t_end)
+        return generate(dev, t_end)
+
+    monkeypatch.setattr(SimDevice, "generate_until", spy)
+    return ends
+
+
+def test_response_of_a_fully_logged_responder_is_skipped(monkeypatch):
     """The hub is logged within its first windows and its probe response
-    lands later on its channel. The rotation then skips the hub, so only
-    the naive loop delivers the response, and the two leave the same log
-    and clock."""
+    lands later on its channel. The rotation then generates the hub no
+    further, so the response is never generated and stays pending; the
+    naive loop delivers it, and the two leave the same log and clock."""
     hub = zigbee("hub", 0x0000, CH11, 1.0, Role.COORDINATOR)
     runs = {}
     for scanner_cls in (Scanner, NaiveScanner):
         env = build_environment([hub], 5, probe_response_delay_max_s=40.0)
         (response,) = env.inject_probe(CH11)
-        delivered, query = [], env.emissions_in_parallel
-
-        def recorded(*args, query=query, delivered=delivered, **kwargs):
-            out = query(*args, **kwargs)
-            delivered.extend(out)
-            return out
-
-        env.emissions_in_parallel = recorded
+        delivered = record_delivered(env)
+        ends = generated_to(monkeypatch)
         scanner = scanner_cls(env, SdrConfig(8 * MHZ))
         scanner.passive_scan([CH11], 1.0, 100.0)
-        runs[scanner_cls] = scanner.log, env.clock, response in delivered
-    (fast_log, fast_clock, fast_heard), (naive_log, naive_clock, naive_heard) = runs.values()
-    assert fast_log.first_seen["hub"] < response.time_s
-    assert naive_heard and not fast_heard
+        monkeypatch.undo()
+        pending = [t for t, *_ in env.devices[0]._responses]
+        runs[scanner_cls] = scanner.log, env.clock, response in delivered, pending, ends["hub"]
+    fast, naive = runs.values()
+    (fast_log, fast_clock, fast_heard, fast_pending, fast_end) = fast
+    (naive_log, naive_clock, naive_heard, naive_pending, _) = naive
+    assert fast_log.first_seen["hub"] < fast_end <= fast_log.first_seen["hub"] + 1.0
+    assert fast_end < response.time_s
+    assert fast_pending == [response.time_s] and not fast_heard
+    assert naive_pending == [] and naive_heard
     assert fast_log == naive_log
     assert fast_clock == naive_clock
+
+
+def record_delivered(env):
+    """Every emission a window query of ``env`` delivers, as a list that
+    grows with every query."""
+    delivered, query = [], env.emissions_in_parallel
+
+    def recorded(*args, **kwargs):
+        out = query(*args, **kwargs)
+        delivered.extend(out)
+        return out
+
+    env.emissions_in_parallel = recorded
+    return delivered
+
+
+def test_response_before_an_emission_of_its_window_is_first_seen():
+    """``generate_until`` lists a device's probe responses after its
+    emissions. The scan starts just before the hub's response lands, and
+    in most seeds here its first window holds the response and then an
+    emission of the hub, so the walk must take the earliest entry: the hub
+    is first seen at its response, as in the naive loop."""
+    hub = zigbee("hub", 0x0000, CH11, 0.5, Role.COORDINATOR)
+    response_first = 0
+    for seed in range(10):
+        outcomes = []
+        for scanner_cls in (Scanner, NaiveScanner):
+            env = build_environment([hub], seed, probe_response_delay_max_s=40.0)
+            (response,) = env.inject_probe(CH11)
+            env.advance(response.time_s - 0.1)
+            t0, delivered = env.clock, record_delivered(env)
+            scanner = scanner_cls(env, SdrConfig(8 * MHZ))
+            scanner.passive_scan([CH11], 1.0, 5.0)
+            outcomes.append((scanner.log, env.clock))
+        assert outcomes[0] == outcomes[1], seed
+        # the naive loop's first window, [t0, t0 + 1)
+        first_window = [em.time_s for em in delivered if em.time_s < t0 + 1.0]
+        if first_window[0] == response.time_s and len(first_window) > 1:
+            response_first += 1
+            assert outcomes[0][0].first_seen == {"hub": response.time_s - t0}
+    assert response_first >= 5
 
 
 def test_budget_spent_before_the_first_window():
@@ -323,19 +348,36 @@ def fold(clock, dwell, retune, budget):
     return starts, ends
 
 
+def residue_offsets(rng):
+    """The residue offsets of a device heard in a random nonempty set of
+    1-5 groups."""
+    n = rng.randint(1, 5)
+    heard = set(rng.sample(range(n), rng.randint(1, n)))
+    return tuple(min(k for k in range(n) if (r + k) % n in heard) for r in range(n))
+
+
 def check_edges(clock, dwell, retune, budget, rng):
     """``_Windows`` from ``clock`` matches the fold in every edge (each
-    window's start, end and the next window's start, also where that next
-    window starts a new run), in the first window past the budget and in
-    the window of random times."""
+    window's start and end, also where a window starts a new run), in the
+    first window past the budget, in the window of random times, and in the
+    first window from a random later one that a device with random residue
+    offsets can be heard in."""
     starts, ends = fold(clock, dwell, retune, budget)
+    count = len(ends)
     windows = _Windows(clock, dwell, retune, clock, budget)
-    assert windows.count == len(ends)
-    assert [windows.edges(j) for j in range(len(ends))] == list(zip(starts, ends, starts[1:]))
-    assert windows.edges(len(ends))[0] == starts[-1]
-    times = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)] + starts + ends
-    for t in times:
-        assert windows.index(t) == min(bisect_right(starts, t) - 1, len(ends)), t
+    assert windows.count == count
+    assert [windows.edges(j) for j in range(count)] == list(zip(starts, ends))
+    assert windows.edges(count)[0] == starts[-1]
+    randoms = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)]
+    for t in randoms + starts + ends:
+        assert windows.first_from(t, 0, (0,))[0] == min(bisect_right(starts, t) - 1, count), t
+    # the windows just before each run's first, so that the offsets cross runs
+    for t in randoms + [starts[max(j - 1, 0)] for j in windows._first]:
+        i = min(bisect_right(starts, t) - 1, count)
+        offsets, lo = residue_offsets(rng), i + rng.choice([0, 0, 1, 2, 40])
+        j = count if i == count else min(max(i, lo) + offsets[max(i, lo) % len(offsets)], count)
+        expected = (j, starts[j], ends[j]) if j < count else (count, starts[-1], starts[-1])
+        assert windows.first_from(t, lo, offsets) == expected, (t, lo, offsets)
     return starts, ends
 
 
@@ -412,17 +454,26 @@ def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
 
 @pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
 @pytest.mark.parametrize("dwell,retune", INEXACT)
-def test_device_logged_in_one_window_is_queried_once(dwell, retune, budget):
-    """Only the first window that hears the keypad is queried: there is no
-    loss, and its one address then leaves the rotation nothing to hear. The
-    budget ends with no device left, and the clock ends where the naive
-    loop's does."""
+def test_device_logged_in_one_window_is_queried_once(dwell, retune, budget, monkeypatch):
+    """The rotation queries no window. It generates the keypad up to the end
+    of the first window that hears it and no further: there is no loss, and
+    its one address then leaves the rotation nothing to hear. A keypad the
+    budget ends before is generated no further than the rotation's end.
+    The log and clock are the naive loop's."""
+    ends = generated_to(monkeypatch, {"keypad"})
     fast, env, sizes = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
+    monkeypatch.undo()
     naive, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
-    assert all(sizes) and len(sizes) == min(1, sum(map(bool, naive_sizes)))
+    assert sizes == []
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
+    windows = _Windows(START, dwell, retune, START, budget)
+    if "keypad" in fast.log.first_seen:
+        _, _, e_j = windows.first_from(START + fast.log.first_seen["keypad"], 0, (0,))
+        assert ends["keypad"] == e_j
+    else:
+        assert not any(naive_sizes) and ends.get("keypad", START) < env.clock
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
@@ -564,51 +615,130 @@ def test_retirement_is_scoped_to_the_rotation():
     assert fast.log == naive.log
 
 
+def scan_outcome(scanner_cls, cfg, trial):
+    """The log and clock a scan of ``cfg``'s trial leaves, driven as the
+    experiment runner drives it."""
+    env = experiment.trial_environment(cfg, trial)
+    scanner = scanner_cls(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
+    targets = frozenset(d.name for d in cfg.devices)
+    scanner.scan(cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
+    return scanner.log.first_seen, scanner.log.addresses, env.clock
+
+
+def assert_matches_naive(cfg, trials):
+    for trial in range(trials):
+        fast = scan_outcome(Scanner, cfg, trial)
+        assert fast == scan_outcome(NaiveScanner, cfg, trial), (cfg, trial)
+
+
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_bundled_scenarios_match_naive_loop(name):
     """Every bundled scan, as the experiment runner drives it, leaves the
     same log and clock with the naive loop on its first three trials."""
+    assert_matches_naive(load_bundled_scenario(name), 3)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenario_variants_match_naive_loop(name):
+    """So does every bundled scan with loss 0 or 0.25, a retune of 0 or
+    0.3 s, and probe answers within 0.1 or 40 s, on two trials each."""
     cfg = load_bundled_scenario(name)
-    targets = frozenset(d.name for d in cfg.devices)
-    for trial in range(3):
-        outcomes = []
-        for scanner_cls in (Scanner, NaiveScanner):
-            env = experiment.trial_environment(cfg, trial)
-            scanner = scanner_cls(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-            scanner.scan(cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
-            outcomes.append((scanner.log.first_seen, scanner.log.addresses, env.clock))
-        assert outcomes[0] == outcomes[1], (name, trial)
+    for loss in (0.0, 0.25):
+        for retune in (0.0, 0.3):
+            for delay in (0.1, 40.0):
+                sdr = dataclasses.replace(cfg.sdr, retune_latency_s=retune)
+                variant = dataclasses.replace(
+                    cfg, loss_prob=loss, sdr=sdr, probe_response_delay_max_s=delay
+                )
+                assert_matches_naive(variant, 2)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_with_periodic_emitters_match_naive_loop(name):
+    """And every bundled scan with every other device a periodic emitter,
+    which a rotation may never hear, with loss 0 or 0.25."""
+    cfg = load_bundled_scenario(name)
+    devices = tuple(
+        dataclasses.replace(d, emitter=EmitterKind.PERIODIC) if i % 2 else d
+        for i, d in enumerate(cfg.devices)
+    )
+    for loss in (0.0, 0.25):
+        assert_matches_naive(dataclasses.replace(cfg, devices=devices, loss_prob=loss), 2)
+
+
+class PhaseRecordingScanner(Scanner):
+    """Records the log's addresses after each rotation."""
+
+    def _rotate(self, *args, **kwargs):
+        super()._rotate(*args, **kwargs)
+        self.after = getattr(self, "after", []) + [set(self.log.addresses)]
+
+
+def test_phases_sharing_an_aliased_device_match_naive_loop():
+    """Two phases share the channel of a slow lamp seen under two
+    addresses. The first phase ends once it has heard the lamp and a
+    sensor, often with one lamp address logged, so the second phase walks
+    a device already seen but not fully logged. Every scan leaves the naive
+    loop's log and clock, with and without a stop set."""
+    lamp = dataclasses.replace(LAMP, mean_interarrival_s=200.0)
+    devices = (lamp, dataclasses.replace(SLOW, mean_interarrival_s=50.0), DEVICES[0])
+    phases = [[CH12, CH15], [CH11, CH12]]
+    partly_logged = 0
+    for seed in range(30):
+        for stop in (None, frozenset(d.name for d in devices)):
+            outcomes = []
+            for scanner_cls in (PhaseRecordingScanner, NaiveScanner):
+                env = build_environment(devices, seed, loss_prob=LOSS)
+                scanner = scanner_cls(env, SDR)
+                scanner.sequential_passive_scan(phases, 1.0, 3000.0, until_complete=stop)
+                outcomes.append((scanner.log.first_seen, scanner.log.addresses, env.clock))
+                if scanner_cls is PhaseRecordingScanner:
+                    partly_logged += len(set(lamp.all_addresses()) & scanner.after[0]) == 1
+            assert outcomes[0] == outcomes[1], (seed, stop)
+    assert partly_logged >= 30
 
 
 def test_listen_after_an_early_stop():
     """The rotation drops nothing past the window it stopped after, so
     listening on after an early stop hears what the naive loop's listens
-    hear."""
+    hear: also with a lamp seen under two addresses, which the stop often
+    leaves with one of them logged."""
+    lamp = dataclasses.replace(LAMP, mean_interarrival_s=60.0)
+    partly_logged = 0
 
     def stop_early_then_listen(scanner, stop):
+        nonlocal partly_logged
         scanner.passive_scan(ALL, 1.0, 3000.0, until_complete=frozenset({"tag"}))
+        if isinstance(scanner, NaiveScanner):
+            partly_logged += len(set(lamp.all_addresses()) & scanner.log.addresses) == 1
         for ch in ALL:
             scanner.listen(ch, 200.0)
 
-    for seed in range(40):
-        fast, fast_clock, *_ = run(Scanner, stop_early_then_listen, seed, None)
-        naive, naive_clock, *_ = run(NaiveScanner, stop_early_then_listen, seed, None)
-        assert fast.log == naive.log, seed
-        assert fast_clock == naive_clock, seed
+    for devices in (DEVICES, DEVICES + (lamp,)):
+        for seed in range(40):
+            fast, fast_clock, *_ = run(Scanner, stop_early_then_listen, seed, None, devices=devices)
+            naive, naive_clock, *_ = run(
+                NaiveScanner, stop_early_then_listen, seed, None, devices=devices)
+            assert fast.log == naive.log, seed
+            assert fast_clock == naive_clock, seed
+    assert partly_logged >= 5
 
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_every_rotation_query_hears_a_frame_without_loss(scan, monkeypatch):
-    heard = []
-    listen = Scanner.listen_in_parallel
-
-    def spy(scanner, *args, **kwargs):
-        heard.append(listen(scanner, *args, **kwargs))
-        return heard[-1]
-
-    monkeypatch.setattr(Scanner, "listen_in_parallel", spy)
+    """Without loss, every device of this one-address testbed is generated
+    up to the end of the window that first hears it and no further: the
+    walk stops at its first audible frame. A device no window hears is
+    generated no further than the scan's final clock."""
+    ends = generated_to(monkeypatch)
     do_scan, _ = SCANS[scan]
-    run(Scanner, do_scan, 12, None, delay=RESPONSE_DELAY_S.get(scan, 40.0), loss=0.0)
-    assert all(heard)
-    # both active scans log the probed devices in their probe windows
-    assert heard or scan in ("active", "active-answered")
+    scanner, clock, queries, _ = run(
+        Scanner, do_scan, 12, None, delay=RESPONSE_DELAY_S.get(scan, 40.0), loss=0.0)
+    seen = scanner.log.first_seen
+    assert seen or scan == "active"  # its answers land after its probe windows
+    for name, end in ends.items():
+        if name in seen:
+            assert seen[name] < end <= seen[name] + 1.0, name
+        else:
+            assert end <= clock, name
+    assert queries <= (len(ZIGBEE) if scan.startswith("active") else 0)  # probe windows only

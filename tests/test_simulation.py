@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from iotsweep import experiment, frames
+from iotsweep import experiment, frames, scanning
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -192,33 +192,6 @@ class TestWindows:
             assert len(heard) > 50
             assert heard == expected, plan
 
-    def test_among_the_devices_with_an_event_is_the_default_window(self):
-        """Windows over every channel, given (``among``) the devices with
-        an event in [t0, t1), or every device, deliver what windows with
-        every device deliver, probe responses and lost frames included, and
-        leave every device where those leave it."""
-        devs = [
-            ble_device("b", 0xC011_2200_0001, mu=1.5),
-            zigbee_device("a", 1, mu=0.7),
-            zigbee_device("c", 2, channel=CH15, mu=3.0, role=Role.COORDINATOR),
-        ]
-        channels = (*ADV, CH11, CH15)
-        default, due, every = (build_environment(devs, seed=8, loss_prob=0.4) for _ in range(3))
-        delivered = 0
-        for k in range(300):
-            t0, t1 = k * 0.5, (k + 1) * 0.5
-            if k % 20 == 0:
-                probes = [env.inject_probe(CH15) for env in (default, due, every)]
-                assert probes[0] == probes[1] == probes[2]
-            expected = default.emissions_in_parallel(channels, t0, t1)
-            among = [dev for dev in due.devices if dev.next_time < t1]
-            assert due.emissions_in_parallel(channels, t0, t1, among=among) == expected
-            assert every.emissions_in_parallel(channels, t0, t1, among=every.devices) == expected
-            for env in (due, every):
-                assert [d.next_time for d in env.devices] == [d.next_time for d in default.devices]
-            delivered += len(expected)
-        assert delivered > 300
-
     def test_frames_ordered_by_time_device_and_label(self):
         """A window over Zigbee and BLE channels delivers its frames by
         time, then device name, then channel label. Three devices share one
@@ -352,21 +325,6 @@ class TestProbes:
         env = build_environment([self.coordinator()], seed=11, loss_prob=1.0)
         assert env.inject_probe(CH11) == []
 
-    def test_skipped_responder_delivers_no_response(self):
-        """A response is an event of its device's own stream, so a window
-        whose ``among`` leaves the device out neither generates the device
-        nor delivers the response, and does not keep it for later."""
-        devs = [self.coordinator(), zigbee_device("other", 1, mu=0.05)]
-        env = build_environment(devs, seed=6, probe_response_delay_max_s=0.1)
-        (response,) = env.inject_probe(CH11)
-        hub, other = env.devices
-        untouched = (hub.next_time, hub._emit_index)
-        window = env.emissions_in_parallel((CH11,), 0.0, 0.2, among=[other])
-        assert window and {e.device for e in window} == {"other"}
-        assert (hub.next_time, hub._emit_index) == untouched == (response.time_s, 0)
-        assert env.emissions_in_parallel((CH11,), 0.2, 0.2, among=[]) == []
-        assert response not in env.emissions_in_parallel((CH11,), 0.2, 1000.0)
-
     def test_response_while_another_channel_is_heard_is_never_delivered(self):
         devs = [self.coordinator(), zigbee_device("other", 1, channel=CH15, mu=1000.0)]
         env = build_environment(devs, seed=6, probe_response_delay_max_s=0.5)
@@ -478,8 +436,9 @@ class TestOtherProtocolFrames:
 class TestLazyEncoding:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_scan_encodes_only_delivered_frames(self, name, monkeypatch):
-        """Spontaneous frames are encoded when a window delivers them, never
-        before; a probe response is encoded when it is scheduled."""
+        """Spontaneous frames are encoded when a listen or a rotation's walk
+        decodes them, never before; a probe response is encoded when it is
+        scheduled."""
         counts = Counter()
 
         def counted(key, fn, size=len):
@@ -492,13 +451,13 @@ class TestLazyEncoding:
         for encoder in ("encode_zigbee", "encode_ble", "encode_lora", "encode_zwave"):
             fn = getattr(frames, encoder)
             monkeypatch.setattr(frames, encoder, counted("encoded", fn, size=lambda _: 1))
-        window, probe = Environment.emissions_in_parallel, Environment.inject_probe
-        monkeypatch.setattr(Environment, "emissions_in_parallel", counted("delivered", window))
+        heard, probe = scanning._frame_address, Environment.inject_probe
+        monkeypatch.setattr(scanning, "_frame_address", counted("decoded", heard, size=lambda _: 1))
         monkeypatch.setattr(Environment, "inject_probe", counted("responses", probe))
         cfg = dataclasses.replace(load_bundled_scenario(name), trials=2, loss_prob=0.2)
         experiment.run_experiment(cfg)
-        assert counts["delivered"] > 0
-        assert counts["encoded"] <= counts["delivered"] + counts["responses"]
+        assert counts["decoded"] > 0
+        assert counts["encoded"] <= counts["decoded"] + counts["responses"]
 
 
 class TestEncodedFrames:

@@ -115,7 +115,7 @@ def assert_same_plan(plan, fresh, rng):
     assert plan.edges(plan.count)[0] == fresh.edges(fresh.count)[0]
     end = fresh.edges(fresh.count)[0]
     for t in [rng.uniform(fresh.edges(0)[0], end + 1.0) for _ in range(50)] + [end]:
-        assert plan.index(t) == fresh.index(t)
+        assert plan.first_from(t, 0, (0,)) == fresh.first_from(t, 0, (0,))
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
