@@ -15,17 +15,6 @@ def _check_range(name: str, value: int, bits: int) -> None:
         raise ValueError(f"{name} must fit in {bits} bits, got {value:#x}")
 
 
-# A scan looks up every delivered frame's address in its log, so each class
-# hashes its fields once, to the value the generated dataclass hash gives
-# (``hash`` of the field tuple): set order and equality do not change.
-def _store_hash(address, *fields: int) -> None:
-    object.__setattr__(address, "_hash", hash(fields))
-
-
-def _stored_hash(address) -> int:
-    return address._hash
-
-
 @dataclass(frozen=True)
 class ZigbeeShort:
     """16-bit network address scoped by its PAN id."""
@@ -36,9 +25,6 @@ class ZigbeeShort:
     def __post_init__(self):
         _check_range("pan_id", self.pan_id, 16)
         _check_range("addr", self.addr, 16)
-        _store_hash(self, self.pan_id, self.addr)
-
-    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         return f"zigbee-short:0x{self.pan_id:04X}:0x{self.addr:04X}"
@@ -52,9 +38,6 @@ class ZigbeeExtended:
 
     def __post_init__(self):
         _check_range("addr", self.addr, 64)
-        _store_hash(self, self.addr)
-
-    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         return f"zigbee-ext:0x{self.addr:016X}"
@@ -68,9 +51,6 @@ class BleAdvA:
 
     def __post_init__(self):
         _check_range("addr", self.addr, 48)
-        _store_hash(self, self.addr)
-
-    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         octets = [(self.addr >> (8 * i)) & 0xFF for i in range(5, -1, -1)]
@@ -88,9 +68,6 @@ class LoRaId:
     def __post_init__(self):
         _check_range("sync_word", self.sync_word, 16)
         _check_range("device_id", self.device_id, 8)
-        _store_hash(self, self.sync_word, self.device_id)
-
-    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         return f"lora:0x{self.sync_word:04X}:0x{self.device_id:02X}"
@@ -110,9 +87,6 @@ class ZWaveId:
     def __post_init__(self):
         _check_range("home_id", self.home_id, 32)
         _check_range("source_id", self.source_id, 8)
-        _store_hash(self, self.home_id, self.source_id)
-
-    __hash__ = _stored_hash
 
     def __str__(self) -> str:
         return f"zwave:0x{self.home_id:08X}:0x{self.source_id:02X}"

@@ -20,10 +20,11 @@ positive, so nothing cancels, and N has no cap.
 
 The panels follow the integrand (``_quadrature``). In the head, where
 fewer than 1% of the devices have been heard, the integrand is nearly t,
-and panels up to 6 e-folds wide hold it. In the body the integrand's steps
-narrow as 1/sqrt(N), and so do the panels: min(1, 7/sqrt(N)) wide in log t.
-That is 272 nodes for a mixed Zigbee+BLE testbed at N=24 and 1168 for the
-uniform vector at N=1000, which sits within 1.1e-14 of its closed form.
+and one panel over its 14 e-folds holds it. In the body the integrand's
+steps narrow as 1/sqrt(N), and so do the panels: min(1, 7/sqrt(N)) wide in
+log t. That is 240 nodes for a mixed Zigbee+BLE testbed at N=24 and 1136
+for the uniform vector at N=1000, which sits within 1.1e-14 of its closed
+form.
 
 The recursion updates one (N x nodes) table in place, with one scratch
 block for the terms taken from the old rows, and sums the rows in the
@@ -153,12 +154,11 @@ _PANEL_NODES = 16
 #: [0, t_lo] as exactly t_lo is off by at most _HEAD_MASS**2 / 2 relative.
 _HEAD_MASS = 1e-8
 
-#: The head runs from t_lo to t_body = _BODY_MASS / sum(p). In it, a device
-#: has been heard with probability at most sum(p) t <= _BODY_MASS, so over
-#: log t every row of the integrand is t times a factor within _BODY_MASS of
-#: 1, and panels up to _HEAD_WIDTH e-folds wide integrate it to rounding.
+#: The head runs from t_lo to t_body = _BODY_MASS / sum(p), about 14 e-folds.
+#: In it, a device has been heard with probability at most sum(p) t <=
+#: _BODY_MASS, so over log t every row of the integrand is t times a factor
+#: within _BODY_MASS of 1, and one panel integrates it to rounding.
 _BODY_MASS = 1e-2
-_HEAD_WIDTH = 6.0
 
 #: The body runs from t_body to t_hi, in panels at most
 #: min(1, _BODY_WIDTH_SCALE / sqrt(N)) wide in log t. The integrand's steps
@@ -187,24 +187,18 @@ def _quadrature(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """The layout of the integral over [t_lo, t_hi] for the vector ``p``:
     (t_lo, nodes t, weights), with the weights including dt = t du.
 
-    A few wide panels cover the head, where almost nothing has been heard,
-    and panels min(1, _BODY_WIDTH_SCALE / sqrt(N)) wide the body; each
-    region is cut into equal panels no wider than its limit."""
+    One panel covers the head, where almost nothing has been heard, and
+    equal panels no wider than min(1, _BODY_WIDTH_SCALE / sqrt(N)) the
+    body."""
     n_dev = p.size
     total = p.sum()
     t_lo = _HEAD_MASS / total
     u_lo = math.log(t_lo)
     u_body = math.log(_BODY_MASS / total)
     u_hi = math.log((math.log(n_dev) + _TAIL_EXPONENT) / p.min())
-    heads = math.ceil((u_body - u_lo) / _HEAD_WIDTH)
     bodies = math.ceil((u_hi - u_body) / min(1.0, _BODY_WIDTH_SCALE / math.sqrt(n_dev)))
-    head_width = (u_body - u_lo) / heads
     body_width = (u_hi - u_body) / bodies
-    edges = np.array(
-        [u_lo + head_width * j for j in range(heads)]
-        + [u_body + body_width * j for j in range(bodies)]
-        + [u_hi]
-    )
+    edges = np.array([u_lo] + [u_body + body_width * j for j in range(bodies)] + [u_hi])
     nodes, node_weights = _panel_rule()
     half = 0.5 * np.diff(edges)[:, None]
     t = np.exp(edges[:-1, None] + half * (nodes + 1.0)).ravel()

@@ -28,10 +28,11 @@ merge is listened on in ascending order. A bandwidth group is what
 ``plan_channel_groups`` cuts from a phase. A sequential scan moves on to
 its next phase once every device audible in the current one is found.
 
-Every listen records what it hears in the scanner's ``DiscoveryLog``, which
-is a scan's one result: the scans return nothing, and a listen returns only
-whether any frame in its window carried an address. Every delivered frame is
-decoded once per process for each distinct frame.
+Every listen records what it hears in the scanner's ``DiscoveryLog``, each
+address under the name of the device that sent it, and the log is a scan's
+one result: the scans return nothing, and a listen returns only whether any
+frame in its window carried an address. Each distinct frame is decoded once
+per process, and every probe window is one listen.
 
 Every scan counts its budget from its own start: each window, probe or
 rotation, starts within it. Each phase is run by ``Scanner._rotate``. Given
@@ -243,13 +244,13 @@ class Scanner:
 
     def _ingest(self, emissions) -> bool:
         """Record every addressed frame; True if there was one."""
-        log, resolve, t0 = self.log, self.env.resolve, self._t0
+        log, t0 = self.log, self._t0
         heard = False
         for em in emissions:
             addr = _frame_address(em.channel, em.frame)
             if addr is not None:
                 heard = True
-                log.record(resolve(addr), em.time_s - t0, addr)
+                log.record(em.device, em.time_s - t0, addr)
         return heard
 
     def listen(self, channel: Channel, dwell_time_s: float) -> bool:
@@ -270,25 +271,15 @@ class Scanner:
 
     def probe_channels(self, ch_list: Sequence[Channel], dwell_time_s: float) -> list[Channel]:
         """Probe every channel and listen briefly; returns the channels that
-        produced any reception (a beacon reply or ordinary traffic).
-
-        A probe window in which no device on the channel has an emission or
-        a probe response left before its end is not queried: the clock just
-        moves to its end (``Environment.may_deliver``)."""
+        produced any reception (a beacon reply or ordinary traffic)."""
         env = self.env
         active: list[Channel] = []
         for ch in ch_list:
             env.inject_probe(ch)
-            t0 = env.clock
-            t1 = t0 + dwell_time_s
-            if not t0 <= t1 < math.inf or env.may_deliver(ch, t1):
-                heard = self.listen(ch, dwell_time_s)  # a bad dwell raises here
-            else:
-                heard, env.clock = False, t1
+            if self.listen(ch, dwell_time_s):
+                active.append(ch)
             if self.sdr.retune_latency_s:
                 env.advance(self.sdr.retune_latency_s)
-            if heard:
-                active.append(ch)
         return active
 
     # -- scan algorithms -------------------------------------------------------
@@ -326,7 +317,8 @@ class Scanner:
             groups = plan.groups(phase, responders, sdr.instantaneous_bandwidth_hz)
             stop = until_complete
             if i < last:
-                audible = env.device_names_on(ch for group in groups for ch in group)
+                _, offsets = env.testbed.rotation(groups)
+                audible = frozenset(env.devices[pos].name for pos in offsets)
                 stop = audible if stop is None else audible & stop
             if groups:
                 self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=stop)
@@ -362,7 +354,7 @@ class Scanner:
 
     def _rotate(
         self,
-        groups: Sequence[Sequence[Channel]],
+        groups: tuple[tuple[Channel, ...], ...],
         dwell_time_s: float,
         scan_time_s: float,
         t_start: float,
@@ -402,7 +394,7 @@ class Scanner:
         if not windows.count or stop is not None and log.covers(stop):
             return
         addresses, logged = env.testbed.addresses, log.addresses
-        sets, offsets = env.testbed.rotation(tuple(map(tuple, groups)))
+        sets, offsets = env.testbed.rotation(groups)
         walks = []  # (device, its residue offsets, its addresses) of each device not fully logged
         c0 = env.clock
         for pos, steps in offsets.items():
@@ -449,12 +441,11 @@ class Scanner:
                 if len(hits) > 1:
                     hits.sort(key=_TIME)
                 heard = False
-                for entry in hits:
-                    em = dev.emission(entry)
-                    addr = _frame_address(em.channel, em.frame)
+                for t, ch, idx in hits:
+                    addr = _frame_address(ch, dev.frame(idx))
                     if addr is not None:
                         heard = True
-                        log.record(name, em.time_s - t0, addr)
+                        log.record(name, t - t0, addr)
                         if mine <= logged:
                             return j
                 if heard and first:

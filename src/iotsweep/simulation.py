@@ -37,7 +37,8 @@ The clock forbids a window that starts before the last one ended, so
 nothing a window dropped can be asked for again. A scan's rotation does not
 open windows here: it walks each device's stream on its own
 (``Scanner._rotate``), reading which groups of the rotation hear the device
-from the testbed (``Testbed.rotation``).
+from the testbed (``Testbed.rotation``) and the frame of each entry it
+hears from the device (``SimDevice.frame``).
 
 The trials of an experiment differ only in their RNG streams. What depends
 on the device list alone, the ``Testbed`` (address table, the positions of
@@ -458,13 +459,6 @@ class SimDevice:
         self.next_time = min(self.next_time, t)
         return t, self.spec.channels[slot], idx
 
-    def _frame(self, seq: int, slot: int | None) -> bytes:
-        """``_encode_frame(spec, seq, slot)``, encoded once per spec."""
-        frame = self._encoded.get((seq, slot))
-        if frame is None:
-            frame = self._encoded[seq, slot] = _encode_frame(self.spec, seq, slot)
-        return frame
-
     def generate_until(self, t_end: float) -> list[tuple[float, Channel, int]]:
         """The events at times < t_end not yet generated, as ``(time,
         channel, index)`` entries: the emissions that survive loss in time
@@ -501,14 +495,21 @@ class SimDevice:
         self.next_time = min(t, responses[0][0]) if responses else t
         return entries
 
-    def emission(self, entry: tuple[float, Channel, int]) -> Emission:
-        """One entry returned by ``generate_until``, with its frame: the
-        sequence byte is the index's low byte, and the address rotates
+    def frame(self, idx: int) -> bytes:
+        """The wire bytes of the ``generate_until`` entry with index ``idx``:
+        the sequence byte is the index's low byte, and the address rotates
         through canonical plus aliases, or is the canonical one of a probe
-        response's beacon."""
+        response's beacon. Encoded once per spec (``DeviceSpec._encoded``)."""
+        seq, slot = idx & 0xFF, None if idx < 0 else idx % self._n_addresses
+        frame = self._encoded.get((seq, slot))
+        if frame is None:
+            frame = self._encoded[seq, slot] = _encode_frame(self.spec, seq, slot)
+        return frame
+
+    def emission(self, entry: tuple[float, Channel, int]) -> Emission:
+        """One entry returned by ``generate_until``, with its frame."""
         t, ch, idx = entry
-        slot = None if idx < 0 else idx % self._n_addresses
-        return Emission(t, ch, self._frame(idx & 0xFF, slot), self.name)
+        return Emission(t, ch, self.frame(idx), self.name)
 
 
 class Testbed:
@@ -540,7 +541,6 @@ class Testbed:
             for ch, positions in self.by_channel.items()
         }
         self._scopes: dict[frozenset[Channel], list[int]] = {}
-        self._names_on: dict[frozenset[Channel], frozenset[str]] = {}
         self._rotations: dict[tuple[tuple[Channel, ...], ...], tuple] = {}
 
     def scope(self, channels: frozenset[Channel]) -> list[int]:
@@ -572,13 +572,6 @@ class Testbed:
                 )
             table = self._rotations[groups] = sets, offsets
         return table
-
-    def device_names_on(self, channels: frozenset[Channel]) -> frozenset[str]:
-        names = self._names_on.get(channels)
-        if names is None:
-            names = frozenset(self.devices[pos].name for pos in self.scope(channels))
-            self._names_on[channels] = names
-        return names
 
 
 class Environment:
@@ -627,21 +620,6 @@ class Environment:
         ]
 
     # -- queries ------------------------------------------------------------
-
-    def resolve(self, addr: DeviceAddress) -> str:
-        """Canonical device name for an observed address."""
-        return self.testbed.address_table[addr]
-
-    def device_names_on(self, channels: Iterable[Channel]) -> frozenset[str]:
-        return self.testbed.device_names_on(frozenset(channels))
-
-    def may_deliver(self, channel: Channel, t1: float) -> bool:
-        """False only if a window on ``channel`` alone that ends at t1 would
-        deliver nothing: no device on the channel has an event left before
-        t1. Nothing is generated or consumed, so skipping such a window and
-        moving the clock to t1 leaves every later window as it would be."""
-        positions = self.testbed.by_channel.get(channel, ())
-        return any(self.devices[pos].next_time < t1 for pos in positions)
 
     def emissions_in_parallel(
         self, channels: Iterable[Channel], t0: float, t1: float

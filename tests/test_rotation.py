@@ -313,16 +313,14 @@ def test_scan_with_its_targets_logged_opens_no_window(scan, scanner_cls):
 @LOOPS
 def test_active_scan_whose_probes_log_its_targets_opens_no_window(scanner_cls):
     """The hub answers inside its probe window, so the rotation after the
-    probes opens no window: the scan makes the probes' queries only and
-    ends at their clock. The naive loop queries every probe window; the
-    scanner skips the bulb's, in which nothing lands (the bulb answers no
-    probe)."""
+    probes opens no window: the scan makes the probes' queries only, one
+    per probe window, and ends at their clock."""
     probe_only = lambda s, stop: s.probe_channels(ZIGBEE, s.probe_dwell_time_s)
     _, probe_clock, probe_queries, _ = run(scanner_cls, probe_only, 3, None, delay=0.1)
     do_scan, _ = SCANS["active-answered"]
     scanner, clock, queries, _ = run(scanner_cls, do_scan, 3, HUB, delay=0.1)
     assert scanner.log.covers(HUB)
-    assert queries == probe_queries == (len(ZIGBEE) if scanner_cls is NaiveScanner else 2)
+    assert queries == probe_queries == len(ZIGBEE)
     assert clock == probe_clock
 
 
@@ -486,6 +484,28 @@ def test_rotation_over_a_channel_nobody_uses_makes_no_query(dwell, retune):
     assert sizes == [] and not any(naive_sizes)
     assert env.clock == naive_env.clock
     assert env.clock - START > budget
+
+
+def test_sequential_phase_nobody_uses_opens_no_window():
+    """A phase that no device is audible in has an empty stop set, so it
+    ends before its first window and the next phase starts at once: the
+    scan leaves the log and clock of the scan without that phase, as does
+    the naive loop, which queries no window for it either."""
+    lamps = (zigbee("a", 1, CH11, 2.0), zigbee("b", 2, CH15, 2.0))
+    outcomes = {}
+    for scanner_cls in (Scanner, NaiveScanner):
+        for phases in ([[CH20], [CH11], [CH15]], [[CH11], [CH15]]):
+            env = build_environment(lamps, 3)
+            sizes = record_queries(env)
+            scanner = scanner_cls(env, SdrConfig(8 * MHZ))
+            scanner.sequential_passive_scan(phases, 1.0, 200.0)
+            outcomes[scanner_cls, len(phases)] = scanner.log, env.clock, len(sizes)
+    (log, clock, queries), *others = outcomes.values()
+    assert set(log.first_seen) == {"a", "b"} and clock == 201.0
+    assert queries == 0
+    assert outcomes[NaiveScanner, 3] == outcomes[NaiveScanner, 2]
+    for other_log, other_clock, _ in others:
+        assert other_log == log and other_clock == clock
 
 
 def test_gap_longer_than_one_chunk():

@@ -307,11 +307,10 @@ class TestProbeAndActive:
         assert probed == zigbee_channels()[:6]
         assert env.clock == 1.2
 
-    def test_quiet_probe_windows_are_stepped_not_queried(self):
-        """Of 16 probe windows, only those with a response or an emission
-        of the channel's devices due in them are queried; the others move
-        the clock to the same floats one query at a time would, and the
-        answers are the queried ones'."""
+    def test_every_probe_window_is_queried(self):
+        """Each of 16 probe windows is one query on its channel, quiet or
+        not; the clock moves by one dwell and one retune per window, and
+        only the channels that answered are active."""
         chans = [zigbee_channel(k) for k in range(11, 27)]
         sdr = SdrConfig(8 * MHZ, retune_latency_s=0.3)
         env = make_env(self.make_devs(), seed=50)
@@ -325,7 +324,7 @@ class TestProbeAndActive:
         env.advance(0.37)
         active = Scanner(env, sdr).probe_channels(chans, 0.2)
         assert active == [CH11, CH15, CH20]
-        assert queried == [(CH11,), (CH15,), (CH20,)]
+        assert queried == [(ch,) for ch in chans]
         clock = 0.37
         for _ in chans:
             clock = clock + 0.2 + 0.3

@@ -264,7 +264,7 @@ class TestWindows:
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
             assert addr == ZigbeeShort(0x1A62, 7)
-            assert env.resolve(addr) == "a"
+            assert env.testbed.address_table[addr] == "a"
 
 
 class TestAliases:
@@ -278,7 +278,7 @@ class TestAliases:
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
             kinds.add(type(addr).__name__)
-            assert env.resolve(addr) == "dual"
+            assert env.testbed.address_table[addr] == "dual"
         assert kinds == {"ZigbeeShort", "ZigbeeExtended"}
 
 
@@ -509,19 +509,16 @@ class TestEncodedFrames:
             twin = dataclasses.replace(spec)  # an equal spec with nothing cached
             dev = self.device(spec)
             addresses = spec.all_addresses()
-            for seq in range(256):
-                for slot in range(len(addresses)):
-                    fresh = _encode_frame(twin, seq, slot)
-                    first = dev._frame(seq, slot)
-                    assert first == fresh
-                    assert dev._frame(seq, slot) is first
-                    frame = decode(spec.protocol, first, zwave_crc16=hint)
-                    assert extract_address(frame) == addresses[slot]
-                    assert getattr(frame, "seq", seq) == seq
-                    idx = 256 * slot + seq
-                    assert dev.emission((1.0, ch, idx)).frame == _encode_frame(
-                        twin, seq, idx % len(addresses)
-                    )
+            n = len(addresses)
+            for idx in range(256 * n):  # every (sequence byte, address slot) an index reaches
+                seq, slot = idx & 0xFF, idx % n
+                first = dev.frame(idx)
+                assert first == _encode_frame(twin, seq, slot)
+                assert dev.frame(idx + 256 * n) is first  # same sequence byte and slot
+                assert dev.emission((1.0, ch, idx)).frame is first
+                frame = decode(spec.protocol, first, zwave_crc16=hint)
+                assert extract_address(frame) == addresses[slot]
+                assert getattr(frame, "seq", seq) == seq
             assert twin._encoded is not spec._encoded
 
     def test_cached_beacons_equal_fresh_encodes(self):
@@ -553,9 +550,9 @@ class TestEncodedFrames:
         assert spec == dataclasses.replace(spec) and spec != rebuilt
         old = self.device(spec)
         new = self.device(rebuilt)
-        for seq in range(256):
-            assert old._frame(seq, 1) != new._frame(seq, 1)
-            assert extract_address(decode(Protocol.ZIGBEE, new._frame(seq, 1))) == ZigbeeShort(
+        for idx in range(1, 256, 2):  # the alias's frames
+            assert old.frame(idx) != new.frame(idx)
+            assert extract_address(decode(Protocol.ZIGBEE, new.frame(idx))) == ZigbeeShort(
                 0x1A62, 0x0202
             )
         assert spec._encoded is not rebuilt._encoded
