@@ -11,6 +11,12 @@ Output schemas (all CSVs carry a header row):
 Trial m always draws its randomness from streams derived from (seed, m), so
 a rerun of the same scenario file reproduces every CSV byte for byte, and
 two algorithms run on the same scenario see identical device traffic.
+
+A plan that probes or has several phases runs one ``Scanner.scan`` per
+trial. Any other is one fixed rotation from a fresh environment, where a
+device's first-seen time depends only on its own streams and the window
+schedule, so every trial runs in one array pass that draws the same streams
+(``scanning.rotation_first_seen``) and gives the same times bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
 from .errors import ScenarioError
-from .scanning import Scanner
+from .scanning import Scanner, rotation_first_seen
 from .scenario import ScenarioConfig
 from .simulation import EmitterKind, Environment, Testbed, build_environment, stream_seeds
 
@@ -104,16 +110,24 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
         out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     targets = frozenset(d.name for d in cfg.devices)
-    records: list[TrialRecord] = []
     streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
     testbed = Testbed(cfg.devices)
     plan = cfg.plan()
-    for trial in range(cfg.trials):
-        env = trial_environment(cfg, trial, streams[trial], testbed)
-        scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-        scanner.scan(plan, cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
-        seen = sorted((t, name) for name, t in scanner.log.first_seen.items())
-        records.append(TrialRecord(trial=trial, first_seen=tuple(seen)))
+    if plan.probes or len(plan.phases) > 1:
+        logs = []
+        for trial in range(cfg.trials):
+            env = trial_environment(cfg, trial, streams[trial], testbed)
+            scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
+            scanner.scan(plan, cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
+            logs.append(scanner.log.first_seen)
+    else:
+        logs = rotation_first_seen(
+            testbed, streams, cfg.loss_prob, cfg.sdr, plan, cfg.dwell_time_s, cfg.scan_time_s
+        )
+    records = [
+        TrialRecord(trial=trial, first_seen=tuple(sorted((t, name) for name, t in log.items())))
+        for trial, log in enumerate(logs)
+    ]
     times = [[t for t, _ in rec.first_seen] for rec in records]
     summary = summarize(times, alpha=cfg.alpha, n_devices=len(cfg.devices))
     result = ExperimentResult(

@@ -41,6 +41,14 @@ airtime and no collision, and every stream belongs to one device. So the
 rotation walks each device's stream on its own, through the windows whose
 group hears it, to its first audible frame: the walks of the stop set fix
 where the phase ends, and every other walk stops there.
+
+With one phase, no probes and a fresh environment, a device is first seen
+at its first event within the budget that lands in a window whose group
+holds a channel the event survived loss on, and whose frame decodes to an
+address: its own streams and the window schedule fix it. So
+``rotation_first_seen`` gives every trial's first-seen times in one array
+pass, the reference being ``Scanner.scan``, which also leaves the whole log
+and the clock.
 """
 
 from __future__ import annotations
@@ -52,11 +60,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import frames
 from .address import DeviceAddress
 from .channels import Channel, Protocol, channel_sort_key, zwave_uses_crc16
 from .errors import ParameterError
-from .simulation import Environment
+from .simulation import EmissionDraws, Environment
 
 DEFAULT_PROBE_DWELL_S = 0.2
 DEFAULT_BANDWIDTH_HZ = 8_000_000
@@ -456,6 +466,61 @@ class Scanner:
 #: The time of a ``generate_until`` entry.
 _TIME = operator.itemgetter(0)
 
+#: (trial, device) pairs ``rotation_first_seen`` draws and places together.
+_PASS_BLOCK = 256
+
+
+def rotation_first_seen(
+    testbed, streams, loss_prob, sdr, plan, dwell_time_s, scan_time_s
+) -> list[dict[str, float]]:
+    """Each trial's ``log.first_seen`` after ``Scanner.scan`` of ``plan``
+    (one phase, no probes) from a fresh environment, ``streams`` being the
+    trials' ``stream_seeds``. Each (trial, device) pair's events are drawn
+    (``EmissionDraws``) and placed in windows (``_Windows.holding``) a chunk
+    at a time, while it is unheard and its last chunk ended within the
+    budget; a candidate is heard once its frame decodes, as in ``_walk``."""
+    if plan.probes or len(plan.phases) != 1:
+        raise ParameterError("one array pass runs a plan of one phase and no probes")
+    groups = plan.groups(plan.phases[0], (), sdr.instantaneous_bandwidth_hz)
+    windows = _plan(0.0, dwell_time_s, sdr.retune_latency_s, 0.0, scan_time_s)
+    sets, offsets = testbed.rotation(groups)
+    devices = testbed.devices
+    hears = {  # position -> per group, the bits of the device's channels in it
+        pos: [sum(1 << c for c, ch in enumerate(devices[pos].channels) if ch in s) for s in sets]
+        for pos in offsets
+    }
+    seen: list[dict[str, float]] = [{} for _ in streams]
+    pairs = [(m, pos) for m in range(len(streams)) for pos in offsets] if windows.count else []
+    for b in range(0, len(pairs), _PASS_BLOCK):
+        block = pairs[b : b + _PASS_BLOCK]
+        specs = [devices[pos] for _, pos in block]
+        draws = EmissionDraws(specs, [streams[m, pos] for m, pos in block], loss_prob)
+        table = np.array([hears[pos] for _, pos in block])
+        live = np.arange(len(block))
+        while len(live):
+            first = int(draws.drawn[live[0]])
+            t, kept = draws.draw(live)
+            j, inside = windows.holding(t)
+            bits = table[live[:, None], j % len(sets)] & kept
+            audible, heard = inside & (bits != 0), np.zeros(len(live), bool)
+            while audible.any():  # each row's earliest candidate, until one decodes
+                rows = np.flatnonzero(audible.any(axis=1))
+                ks = audible[rows].argmax(axis=1)
+                for row, i, k, tk, mask in zip(
+                    rows.tolist(), live[rows].tolist(), ks.tolist(), t[rows, ks].tolist(),
+                    bits[rows, ks].tolist(),
+                ):
+                    spec, frame = specs[i], specs[i].frame(first + k)
+                    for n, ch in enumerate(spec.channels):  # in channel order, as a walk
+                        if mask >> n & 1 and _frame_address(ch, frame) is not None:
+                            seen[block[i][0]][spec.name] = tk
+                            heard[row] = True
+                            break
+                audible[rows, ks] = False
+                audible[heard] = False
+            live = live[~heard & (j[:, -1] < windows.count)]
+    return seen
+
 
 class _Windows:
     """The edges of a rotation's windows from ``clock`` on: window j starts
@@ -481,7 +546,7 @@ class _Windows:
     the same five numbers: ``_plan`` keeps the recent ones.
     """
 
-    __slots__ = ("_first", "_starts", "_runs", "count", "_end")
+    __slots__ = ("_first", "_starts", "_runs", "_arrays", "count", "_end")
 
     def __init__(self, clock, dwell, retune, t_start, scan_time_s):
         if not 0.0 < dwell < math.inf:
@@ -517,6 +582,7 @@ class _Windows:
         self._first, self._starts, self._runs = (
             tuple(self._first), tuple(self._starts), tuple(self._runs)
         )
+        self._arrays = tuple(map(np.array, (self._first, self._starts, *zip(*self._runs))))
 
     def edges(self, j: int) -> tuple[float, float]:
         """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
@@ -547,6 +613,21 @@ class _Windows:
                 y = x + (j - first[r]) * P
                 return j, float(y) * u, float(y + D) * u
         return self.count, self._end, self._end
+
+    def holding(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The window j holding each time of ``t`` (times at least c_0), by
+        ``first_from``'s closed form with offsets (0,) and ``lo`` 0, in one
+        array pass, and whether the time lies in it: c_j <= t < e_j, not in
+        the retune after it. Past the last window j is ``count``."""
+        first, starts, x, u, d, p = self._arrays
+        inside = t < self._end
+        t = np.where(inside, t, starts[0])
+        r = np.searchsorted(starts, t, side="right") - 1
+        j = first[r] + ((t / u[r]).astype(np.int64) - x[r]) // p[r]
+        r = np.searchsorted(first, j, side="right") - 1
+        y = x[r] + (j - first[r]) * p[r]
+        inside &= j < self.count
+        return np.where(inside, j, self.count), inside & (y * u[r] <= t) & (t < (y + d[r]) * u[r])
 
 
 #: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few

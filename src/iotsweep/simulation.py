@@ -14,7 +14,9 @@ environment, which is what makes trials reproducible and scan algorithms
 comparable on identical traffic. A Poisson device draws a few gaps at
 set-up and more in larger chunks as it runs: most devices are heard, and
 then skipped, or reach the end of the scan within their first few gaps, and
-a generator's draws do not depend on how they are chunked. A stream is
+a generator's draws do not depend on how they are chunked
+(``tests/test_one_pass.py::test_draws_do_not_depend_on_chunking``), which
+``EmissionDraws`` relies on to draw many fresh devices at once. A stream is
 PCG64 seeded with the words
 ``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
 ``stream_seeds`` computes those words for every key of an experiment in
@@ -41,9 +43,10 @@ from the testbed (``Testbed.rotation``) and the frame of each entry it
 hears from the device (``SimDevice.frame``).
 
 The trials of an experiment differ only in their RNG streams. What depends
-on the device list alone, the ``Testbed`` (address table, the positions of
-the devices on each channel and on each channel set), is built once per
-experiment and read by every trial. Each trial's ``Environment`` owns what
+on the device list alone, the ``Testbed`` (the positions of the devices on
+each channel and on each channel set; building one checks that names and
+addresses are unique), is built once per experiment and read by every
+trial. Each trial's ``Environment`` owns what
 it changes: its SimDevices (streams, next emission times, pending probe
 responses), held at the testbed's positions, and its clock.
 """
@@ -305,6 +308,16 @@ class DeviceSpec:
         as an encode."""
         return {}
 
+    def frame(self, idx: int) -> bytes:
+        """The wire bytes of event ``idx``: its low byte is the sequence
+        byte, and the address rotates through canonical plus aliases, or is
+        the canonical one for a probe response's beacon (idx < 0)."""
+        seq, slot = idx & 0xFF, None if idx < 0 else idx % (1 + len(self.aliases))
+        frame = self._encoded.get((seq, slot))
+        if frame is None:
+            frame = self._encoded[seq, slot] = _encode_frame(self, seq, slot)
+        return frame
+
 
 def address_table(devices: Sequence[DeviceSpec]) -> dict[DeviceAddress, str]:
     """Every address a device is seen under -> its name. Device names and
@@ -414,16 +427,13 @@ class SimDevice:
     the probe stream on the first probe."""
 
     __slots__ = (
-        "spec", "name", "next_time", "_n_addresses", "_encoded", "_loss_prob", "_streams",
-        "_times", "_loss", "_probe_rng", "_period", "_gaps", "_next_emission", "_emit_index",
-        "_responses",
+        "spec", "name", "next_time", "_loss_prob", "_streams", "_times", "_loss", "_probe_rng",
+        "_period", "_gaps", "_next_emission", "_emit_index", "_responses",
     )
 
     def __init__(self, spec: DeviceSpec, streams: np.ndarray, loss_prob: float):
         self.spec = spec
         self.name = spec.name
-        self._n_addresses = 1 + len(spec.aliases)
-        self._encoded = spec._encoded
         self._loss_prob = loss_prob
         self._streams = streams
         self._times = times = _stream(streams[_STREAM_TIMES])
@@ -496,15 +506,8 @@ class SimDevice:
         return entries
 
     def frame(self, idx: int) -> bytes:
-        """The wire bytes of the ``generate_until`` entry with index ``idx``:
-        the sequence byte is the index's low byte, and the address rotates
-        through canonical plus aliases, or is the canonical one of a probe
-        response's beacon. Encoded once per spec (``DeviceSpec._encoded``)."""
-        seq, slot = idx & 0xFF, None if idx < 0 else idx % self._n_addresses
-        frame = self._encoded.get((seq, slot))
-        if frame is None:
-            frame = self._encoded[seq, slot] = _encode_frame(self.spec, seq, slot)
-        return frame
+        """The wire bytes of the ``generate_until`` entry with index ``idx``."""
+        return self.spec.frame(idx)
 
     def emission(self, entry: tuple[float, Channel, int]) -> Emission:
         """One entry returned by ``generate_until``, with its frame."""
@@ -512,10 +515,59 @@ class SimDevice:
         return Emission(t, ch, self.frame(idx), self.name)
 
 
+class EmissionDraws:
+    """The emissions of many fresh devices, a chunk at a time for all at
+    once: row i emits what ``SimDevice(specs[i], streams[i], loss_prob)``
+    would, from the same streams in the same chunks, with the same clamp of
+    a Poisson gap, a periodic phase then period steps, and one loss coin
+    per channel per emission in channel order. ``np.add.accumulate`` is the
+    same left fold as ``t = t + gap``, so every time is bit for bit."""
+
+    def __init__(
+        self, specs: Sequence[DeviceSpec], streams: Sequence[np.ndarray], loss_prob: float
+    ):
+        self._specs = specs
+        self._times = [_stream(block[_STREAM_TIMES]) for block in streams]
+        self._loss = [_stream(block[_STREAM_LOSS]) for block in streams] if loss_prob > 0 else None
+        self._loss_prob = loss_prob
+        self._poisson = np.array([spec.emitter is EmitterKind.POISSON for spec in specs])
+        self._width = max((len(spec.channels) for spec in specs), default=1)
+        self._last = np.zeros(len(specs))  # each row's last event time; the fold starts at 0
+        self.drawn = np.zeros(len(specs), np.int64)  # events each row has drawn
+
+    def draw(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The next chunk of ``rows``, which have drawn equally often: event
+        times (one row each) and, per event, the bits of the channels whose
+        loss coin it survived; its first event is number ``drawn[row]``."""
+        fresh = not self.drawn[rows[0]]
+        n = _FIRST_CHUNK if fresh else _EXP_CHUNK
+        steps = np.empty((len(rows), n + 1))
+        steps[:, 0] = self._last[rows]
+        coins = None if self._loss is None else np.ones((len(rows), n, self._width))  # pads survive
+        for k, i in enumerate(rows.tolist()):
+            spec = self._specs[i]
+            mean = spec.mean_interarrival_s
+            if spec.emitter is EmitterKind.POISSON:
+                steps[k, 1:] = self._times[i].exponential(mean, n)
+            else:
+                steps[k, 1:] = mean
+                if fresh:
+                    steps[k, 1] = self._times[i].uniform(0.0, mean)
+            if coins is not None:
+                coins[k, :, : len(spec.channels)] = self._loss[i].random((n, len(spec.channels)))
+        gaps = steps[:, 1:]
+        gaps[(gaps <= 0.0) & self._poisson[rows, None]] = 1e-12  # as generate_until clamps
+        times = np.add.accumulate(steps, axis=1)[:, 1:]
+        self._last[rows] = times[:, -1]
+        self.drawn[rows] += n
+        if coins is None:
+            return times, np.full(times.shape, -1)
+        return times, (coins >= self._loss_prob) @ (1 << np.arange(self._width))
+
+
 class Testbed:
-    """What every trial of one experiment shares: the device specs, their
-    validated address table, which devices listen on each channel, and the
-    caches built from those.
+    """What every trial of one experiment shares: the device specs, which
+    devices listen on each channel, and the caches built from those.
 
     Every field is a function of the device list alone and is never
     changed once filled, so ``run_experiment`` builds one Testbed and hands
@@ -527,7 +579,7 @@ class Testbed:
 
     def __init__(self, devices: Sequence[DeviceSpec]):
         self.devices = tuple(devices)
-        self.address_table = address_table(self.devices)
+        address_table(self.devices)  # names and addresses must be unique
         #: device name -> every address it is seen under
         self.addresses = {spec.name: frozenset(spec.all_addresses()) for spec in self.devices}
         #: channel -> positions of the devices on it, ascending

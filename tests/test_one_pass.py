@@ -1,0 +1,297 @@
+"""A scan of one fixed rotation (one phase, no probes) runs every trial of
+an experiment in one array pass (``scanning.rotation_first_seen``). Each
+trial's first-seen times must be exactly those of ``Scanner.scan`` on an
+environment built for that trial alone, under frame loss, retune latency,
+budgets that censor rows, periodic emitters, groups that hold several of a
+device's channels, frames that fail to decode, and crowds larger than one
+block of pairs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+from test_testbed import INEXACT, lone_trial
+
+from iotsweep import experiment, scanning, simulation
+from iotsweep.address import BleAdvA, ZigbeeShort
+from iotsweep.channels import Protocol, ble_advertising_channels, sort_channels, zigbee_channel
+from iotsweep.errors import ParameterError
+from iotsweep.scanning import SdrConfig, _Windows
+from iotsweep.scenario import (
+    Algorithm,
+    ScenarioConfig,
+    bundled_scenario_names,
+    load_bundled_scenario,
+)
+from iotsweep.simulation import (
+    _EXP_CHUNK,
+    _FIRST_CHUNK,
+    DeviceSpec,
+    EmissionDraws,
+    EmitterKind,
+    Role,
+    SimDevice,
+    _stream,
+    stream_seeds,
+)
+
+MHZ = 1_000_000
+BLE = tuple(ble_advertising_channels())
+ZIGBEE = tuple(zigbee_channel(k) for k in range(11, 27))
+
+
+def one_phase(name):
+    plan = load_bundled_scenario(name).plan()
+    return not plan.probes and len(plan.phases) == 1
+
+
+ONE_PHASE = [name for name in bundled_scenario_names() if one_phase(name)]
+
+
+def assert_each_trial_runs_alone(cfg):
+    """Every trial of ``run_experiment`` equals the trial scanned alone."""
+    result = experiment.run_experiment(cfg)
+    assert len(result.trials) == cfg.trials
+    for record in result.trials:
+        assert record.first_seen == lone_trial(cfg, record.trial), (cfg.name, record.trial)
+    return result
+
+
+def test_bundled_one_phase_scenarios():
+    assert ONE_PHASE == [
+        "ble-passive", "zigbee-dwell", "zigbee-passive", "zwave-lora-multi", "zwave-lora-passive"
+    ]
+
+
+@pytest.mark.parametrize("name", ONE_PHASE)
+@pytest.mark.parametrize("loss", [0.0, 0.25])
+@pytest.mark.parametrize("retune", [0.0, 0.3])
+def test_one_phase_variants_equal_trials_run_alone(name, loss, retune):
+    """With a budget that lets every device be found and one that censors
+    rows, with no periodic emitter and with every other device periodic,
+    on two seeds."""
+    base = load_bundled_scenario(name)
+    censored = 0
+    for budget in (base.scan_time_s, max(base.dwell_time_s, base.scan_time_s / 50)):
+        for periodic in (False, True):
+            devices = tuple(
+                dataclasses.replace(d, emitter=EmitterKind.PERIODIC) if periodic and i % 2 else d
+                for i, d in enumerate(base.devices)
+            )
+            for seed in (1, 2):
+                cfg = dataclasses.replace(
+                    base,
+                    devices=devices,
+                    loss_prob=loss,
+                    sdr=dataclasses.replace(base.sdr, retune_latency_s=retune),
+                    scan_time_s=budget,
+                    seed=seed,
+                    trials=3,
+                )
+                result = assert_each_trial_runs_alone(cfg)
+                if budget < base.scan_time_s:
+                    censored += sum(row.censored_count for row in result.summary.rows)
+    assert censored > 0  # the short budget does censor rows
+
+
+@pytest.mark.parametrize("retune", [0.0, 0.3])
+def test_group_holding_every_advertising_channel_under_loss(retune):
+    """A multiprotocol scan wide enough to hear all three BLE advertising
+    channels in one group: an event is heard there if any of its three
+    frames survives loss."""
+    base = load_bundled_scenario("zigbee-ble-active-multi")
+    cfg = dataclasses.replace(
+        base,
+        name="wide-multiprotocol",
+        algorithm=Algorithm.MULTIPROTOCOL,
+        channels=tuple(sort_channels(ZIGBEE + BLE)),
+        probe_channels=(),
+        sdr=SdrConfig(80 * MHZ, retune_latency_s=retune),
+        loss_prob=0.25,
+        scan_time_s=60.0,
+        trials=4,
+    )
+    groups = cfg.plan().groups(cfg.channels, (), cfg.sdr.instantaneous_bandwidth_hz)
+    assert any(set(BLE) <= set(group) for group in groups)
+    assert any(d.protocol is Protocol.BLE_ADVERTISING for d in cfg.devices)
+    assert_each_trial_runs_alone(cfg)
+
+
+def test_frame_that_does_not_decode_is_skipped(monkeypatch):
+    """When the frame a device is first heard with yields no address, the
+    device is found at its next audible frame, as a walk finds it."""
+    cfg = dataclasses.replace(load_bundled_scenario("zigbee-passive"), trials=3)
+    t0, name = experiment.run_experiment(cfg).trials[0].first_seen[0]
+    env = experiment.trial_environment(cfg, 0)
+    dev = next(d for d in env.devices if d.name == name)
+    entries = dev.generate_until(t0 + 10_000.0)  # one per emission: one channel, no loss
+    first = next(i for i, (t, _, _) in enumerate(entries) if t == t0)
+    blocked = dev.frame(entries[first][2])
+    groups = cfg.plan().groups(cfg.channels, (), cfg.sdr.instantaneous_bandwidth_hz)
+    mine = next(g for g, group in enumerate(groups) if dev.spec.channels[0] in group)
+    windows = scanning._plan(0.0, cfg.dwell_time_s, 0.0, 0.0, cfg.scan_time_s)
+
+    def audible(t):
+        j, c, e = windows.first_from(t, 0, (0,))
+        return c <= t < e and j % len(groups) == mine
+
+    assert audible(t0)
+    later = entries[first + 1 :]
+    after = next(t for t, _, idx in later if audible(t) and dev.frame(idx) != blocked)
+    real = scanning._frame_address
+
+    def deaf(channel, data):
+        return None if data == blocked else real(channel, data)
+
+    monkeypatch.setattr(scanning, "_frame_address", deaf)
+    result = assert_each_trial_runs_alone(cfg)
+    assert dict((d, t) for t, d in result.trials[0].first_seen)[name] == after > t0
+
+
+def crowd(n_zigbee, n_ble, seed):
+    rng = random.Random(seed)
+    devices = []
+    for k in range(n_zigbee):
+        ch = rng.choice(ZIGBEE)
+        emitter = EmitterKind.PERIODIC if k % 7 == 3 else EmitterKind.POISSON
+        devices.append(
+            DeviceSpec(
+                f"z{k}", Protocol.ZIGBEE, Role.END_DEVICE, (ch,), rng.uniform(1.0, 60.0),
+                ZigbeeShort(0x1A62, k + 1), emitter=emitter,
+            )
+        )
+    for k in range(n_ble):
+        devices.append(
+            DeviceSpec(
+                f"b{k}", Protocol.BLE_ADVERTISING, Role.PERIPHERAL, BLE, rng.uniform(0.5, 30.0),
+                BleAdvA(0xC0FFEE000000 + k),
+            )
+        )
+    return tuple(devices)
+
+
+def test_crowd_larger_than_a_block():
+    """A crowd of 1,100 Zigbee and BLE devices over two trials spans
+    several blocks of pairs, with loss and a budget that censors rows."""
+    devices = crowd(600, 500, seed=28)
+    cfg = ScenarioConfig(
+        name="crowd",
+        algorithm=Algorithm.MULTIPROTOCOL,
+        devices=devices,
+        channels=tuple(sort_channels(ZIGBEE + BLE)),
+        sdr=SdrConfig(8 * MHZ, retune_latency_s=0.1),
+        dwell_time_s=0.5,
+        scan_time_s=120.0,
+        trials=2,
+        seed=3,
+        loss_prob=0.1,
+    )
+    assert 2 * len(devices) > 4 * scanning._PASS_BLOCK
+    result = assert_each_trial_runs_alone(cfg)
+    heard = [len(record.first_seen) for record in result.trials]
+    assert all(0 < n < len(devices) for n in heard)
+
+
+def test_a_plan_that_probes_or_has_phases_is_refused():
+    cfg = load_bundled_scenario("zigbee-active")
+    testbed = simulation.Testbed(cfg.devices)
+    streams = stream_seeds(cfg.seed, range(1), len(cfg.devices))
+    with pytest.raises(ParameterError, match="one phase and no probes"):
+        scanning.rotation_first_seen(
+            testbed, streams, 0.0, cfg.sdr, cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s
+        )
+
+
+def test_no_window_within_the_budget_hears_nobody():
+    cfg = load_bundled_scenario("zigbee-passive")
+    testbed = simulation.Testbed(cfg.devices)
+    streams = stream_seeds(cfg.seed, range(2), len(cfg.devices))
+    seen = scanning.rotation_first_seen(testbed, streams, 0.0, cfg.sdr, cfg.plan(), 1.0, -1.0)
+    assert seen == [{}, {}]
+
+
+# -- the parts of the pass ------------------------------------------------------
+
+
+def test_draws_do_not_depend_on_chunking():
+    """A generator's draws do not depend on how they are chunked: gaps
+    drawn 8 then 64 at a time equal 72 drawn at once, loss coins drawn one
+    at a time equal an array of them, and a scalar uniform is the first of
+    an array. ``SimDevice`` draws scalars and small chunks, and
+    ``EmissionDraws`` arrays, so both see the same numbers."""
+    words = stream_seeds(7, range(1), 1)[0, 0, 0]
+    whole = _stream(words).exponential(3.5, _FIRST_CHUNK + _EXP_CHUNK)
+    rng = _stream(words)
+    pieces = np.concatenate([rng.exponential(3.5, _FIRST_CHUNK), rng.exponential(3.5, _EXP_CHUNK)])
+    assert pieces.tobytes() == whole.tobytes()
+    rng = _stream(words)
+    one_by_one = [rng.random() for _ in range(3 * 20)]
+    assert _stream(words).random((20, 3)).ravel().tolist() == one_by_one
+    assert _stream(words).uniform(0.0, 9.0) == _stream(words).uniform(0.0, 9.0, 4)[0]
+
+
+def emitted(spec, streams, loss, horizon, n):
+    """(time, surviving channels) of each of the first ``n`` emissions,
+    all before ``horizon``, that survives on some channel, from
+    ``SimDevice.generate_until``."""
+    by_index = {}
+    for t, ch, idx in SimDevice(spec, streams, loss).generate_until(horizon):
+        if idx < n:
+            by_index.setdefault(idx, (t, set()))[1].add(ch)
+    return [by_index[idx] for idx in sorted(by_index)]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.4])
+def test_emission_draws_equal_generate_until(loss):
+    """Chunk by chunk, every row draws the times and loss coins its
+    SimDevice generates, for Poisson and periodic Zigbee and BLE devices;
+    the smallest double as a mean makes many gaps 0, which the clamp lifts."""
+    specs = [
+        DeviceSpec("z", Protocol.ZIGBEE, Role.ROUTER, (ZIGBEE[0],), 0.7, ZigbeeShort(0x1A62, 1)),
+        DeviceSpec("b", Protocol.BLE_ADVERTISING, Role.PERIPHERAL, BLE, 1.3, BleAdvA(0xC0FFEE)),
+        DeviceSpec(
+            "p", Protocol.ZIGBEE, Role.ROUTER, (ZIGBEE[1],), 0.9, ZigbeeShort(0x1A62, 2),
+            emitter=EmitterKind.PERIODIC,
+        ),
+        DeviceSpec("t", Protocol.ZIGBEE, Role.ROUTER, (ZIGBEE[2],), 5e-324, ZigbeeShort(0x1A62, 3)),
+    ]
+    streams = stream_seeds(11, range(1), len(specs))[0]
+    draws = EmissionDraws(specs, list(streams), loss)
+    rows = np.arange(len(specs))
+    times, kept = zip(*(draws.draw(rows) for _ in range(3)))
+    times, kept = np.concatenate(times, axis=1), np.concatenate(kept, axis=1)
+    assert times.shape == (len(specs), _FIRST_CHUNK + 2 * _EXP_CHUNK)
+    assert draws.drawn.tolist() == [times.shape[1]] * len(specs)
+    for i, spec in enumerate(specs):
+        horizon = np.nextafter(times[i, -1], np.inf)
+        want = emitted(spec, streams[i], loss, horizon, times.shape[1])
+        got = [
+            (t, {ch for n, ch in enumerate(spec.channels) if mask >> n & 1})
+            for t, mask in zip(times[i].tolist(), kept[i].tolist())
+            if mask & (1 << len(spec.channels)) - 1
+        ]
+        assert got == want, spec.name
+
+
+@pytest.mark.parametrize("dwell,retune", INEXACT + [(1.0, 0.0)])
+def test_holding_is_first_from(dwell, retune):
+    """``_Windows.holding`` places every time where ``first_from`` does,
+    at and around each window edge and at random times, past the last
+    window too."""
+    rng = random.Random(f"{dwell}/{retune}")
+    for clock, budget in ((0.0, 500.0), (0.0, 70_000.0), (1023.9, 900.0)):
+        windows = _Windows(clock, dwell, retune, clock, budget)
+        end = windows.edges(windows.count)[0]
+        times = [rng.uniform(clock, end + 5.0) for _ in range(400)] + [end, 2 * end + 1.0]
+        for j in rng.sample(range(windows.count), 50) + [0, windows.count - 1]:
+            for edge in windows.edges(j):
+                times += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        times = [t for t in times if t >= clock]
+        j, inside = windows.holding(np.array(times).reshape(1, -1))
+        for t, got_j, got_inside in zip(times, j[0].tolist(), inside[0].tolist()):
+            want_j, c, e = windows.first_from(t, 0, (0,))
+            assert (got_j, got_inside) == (want_j, c <= t < e), (t, clock, budget)

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from iotsweep import experiment, frames, scanning
+from iotsweep import experiment, frames, scanning, simulation
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
 from iotsweep.channels import (
     Protocol,
@@ -264,7 +264,7 @@ class TestWindows:
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
             assert addr == ZigbeeShort(0x1A62, 7)
-            assert env.testbed.address_table[addr] == "a"
+            assert simulation.address_table(env.testbed.devices)[addr] == "a"
 
 
 class TestAliases:
@@ -278,7 +278,7 @@ class TestAliases:
         for em in ems:
             addr = extract_address(decode(Protocol.ZIGBEE, em.frame))
             kinds.add(type(addr).__name__)
-            assert env.testbed.address_table[addr] == "dual"
+            assert simulation.address_table(env.testbed.devices)[addr] == "dual"
         assert kinds == {"ZigbeeShort", "ZigbeeExtended"}
 
 

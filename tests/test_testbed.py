@@ -99,7 +99,7 @@ def test_testbed_of_other_devices_refused():
     with pytest.raises(SimulationError, match="other devices"):
         build_environment((a,), seed=1, testbed=simulation.Testbed((a, b)))
     env = build_environment((a, b), seed=1, testbed=simulation.Testbed((a, b)))
-    assert env.testbed.address_table[ZigbeeShort(0x1A62, 2)] == "b"
+    assert simulation.address_table(env.testbed.devices)[ZigbeeShort(0x1A62, 2)] == "b"
 
 
 # Dwell/retune pairs whose window period is not exact in binary, as in
