@@ -12,11 +12,13 @@ Trial m always draws its randomness from streams derived from (seed, m), so
 a rerun of the same scenario file reproduces every CSV byte for byte, and
 two algorithms run on the same scenario see identical device traffic.
 
-A plan that probes or has several phases runs one ``Scanner.scan`` per
-trial. Any other is one fixed rotation from a fresh environment, where a
-device's first-seen time depends only on its own streams and the window
-schedule, so every trial runs in one array pass that draws the same streams
-(``scanning.rotation_first_seen``) and gives the same times bit for bit.
+A plan of several phases runs one ``Scanner.scan`` per trial. Any other is
+its probes, if any, then one rotation, from a fresh environment, where a
+device's first-seen time depends only on its own streams, the window
+schedule and which probed channels answered; so every trial runs in one
+array pass that draws the same streams (``scanning.rotation_first_seen``)
+and gives the same times bit for bit. Only the streams a run reads are
+seeded: times always, loss coins under loss, probe behavior if it probes.
 """
 
 from __future__ import annotations
@@ -110,10 +112,11 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
         out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     targets = frozenset(d.name for d in cfg.devices)
-    streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
-    testbed = Testbed(cfg.devices)
     plan = cfg.plan()
-    if plan.probes or len(plan.phases) > 1:
+    tags = ["times"] + ["loss"] * (cfg.loss_prob > 0) + ["probe"] * bool(plan.probes)
+    streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices), tags)
+    testbed = Testbed(cfg.devices)
+    if len(plan.phases) > 1:
         logs = []
         for trial in range(cfg.trials):
             env = trial_environment(cfg, trial, streams[trial], testbed)
@@ -122,7 +125,8 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
             logs.append(scanner.log.first_seen)
     else:
         logs = rotation_first_seen(
-            testbed, streams, cfg.loss_prob, cfg.sdr, plan, cfg.dwell_time_s, cfg.scan_time_s
+            testbed, streams, cfg.loss_prob, cfg.sdr, plan, cfg.dwell_time_s, cfg.scan_time_s,
+            cfg.probe_dwell_time_s, cfg.probe_response_delay_max_s,
         )
     records = [
         TrialRecord(trial=trial, first_seen=tuple(sorted((t, name) for name, t in log.items())))

@@ -42,13 +42,15 @@ rotation walks each device's stream on its own, through the windows whose
 group hears it, to its first audible frame: the walks of the stop set fix
 where the phase ends, and every other walk stops there.
 
-With one phase, no probes and a fresh environment, a device is first seen
-at its first event within the budget that lands in a window whose group
-holds a channel the event survived loss on, and whose frame decodes to an
-address: its own streams and the window schedule fix it. So
-``rotation_first_seen`` gives every trial's first-seen times in one array
-pass, the reference being ``Scanner.scan``, which also leaves the whole log
-and the clock.
+With one phase and a fresh environment, a device is first seen at its
+first event within the budget that lands in a window that hears it and
+whose frame decodes to an address: a probe window on its channel, or a
+rotation window whose group holds a channel the event survived loss on.
+Its own streams, the window schedule and the channels that answered the
+probes fix it. So ``rotation_first_seen`` gives every trial's first-seen
+times in one array pass, the reference being ``Scanner.scan``, which also
+leaves the whole log and the clock; only plans of several phases and
+direct ``Scanner.scan`` calls run per trial.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ import numpy as np
 
 from . import frames
 from .address import DeviceAddress
-from .channels import Channel, Protocol, channel_sort_key, zwave_uses_crc16
+from .channels import PROBEABLE_PROTOCOLS, Channel, Protocol, channel_sort_key, zwave_uses_crc16
 from .errors import ParameterError
-from .simulation import EmissionDraws, Environment
+from .simulation import EmissionDraws, Environment, _stream
 
 DEFAULT_PROBE_DWELL_S = 0.2
 DEFAULT_BANDWIDTH_HZ = 8_000_000
@@ -466,60 +468,139 @@ class Scanner:
 #: The time of a ``generate_until`` entry.
 _TIME = operator.itemgetter(0)
 
-#: (trial, device) pairs ``rotation_first_seen`` draws and places together.
-_PASS_BLOCK = 256
+#: (trial, device) pairs ``rotation_first_seen`` draws and places together:
+#: as many whole trials as fit, and at least one. A stream is four objects the
+#: garbage collector tracks; a block kept below its threshold of 700 triggers no
+#: collection that would promote them, and so no full collection's pause.
+_PASS_BLOCK = 128
 
 
 def rotation_first_seen(
-    testbed, streams, loss_prob, sdr, plan, dwell_time_s, scan_time_s
+    testbed, streams, loss_prob, sdr, plan, dwell_time_s, scan_time_s, probe_dwell_time_s,
+    probe_response_delay_max_s,
 ) -> list[dict[str, float]]:
-    """Each trial's ``log.first_seen`` after ``Scanner.scan`` of ``plan``
-    (one phase, no probes) from a fresh environment, ``streams`` being the
-    trials' ``stream_seeds``. Each (trial, device) pair's events are drawn
-    (``EmissionDraws``) and placed in windows (``_Windows.holding``) a chunk
-    at a time, while it is unheard and its last chunk ended within the
-    budget; a candidate is heard once its frame decodes, as in ``_walk``."""
-    if plan.probes or len(plan.phases) != 1:
-        raise ParameterError("one array pass runs a plan of one phase and no probes")
-    groups = plan.groups(plan.phases[0], (), sdr.instantaneous_bandwidth_hz)
-    windows = _plan(0.0, dwell_time_s, sdr.retune_latency_s, 0.0, scan_time_s)
-    sets, offsets = testbed.rotation(groups)
-    devices = testbed.devices
-    hears = {  # position -> per group, the bits of the device's channels in it
-        pos: [sum(1 << c for c, ch in enumerate(devices[pos].channels) if ch in s) for s in sets]
-        for pos in offsets
-    }
+    """Each trial's ``log.first_seen`` after ``Scanner.scan`` of ``plan`` (one
+    phase) from a fresh environment, ``streams`` being the trials'
+    ``stream_seeds``. Each (trial, device) pair's events are drawn a chunk at
+    a time (``EmissionDraws``), and it is heard at the earliest that lands in
+    a window that hears it and whose frame decodes, as in ``_walk``. First
+    the probe windows that start within the budget. Probe channels are
+    distinct Zigbee channels, so a device sits in at most one, having sent
+    nothing before it: its beacon is index -256, sent at the window's start
+    plus a uniform delay from its probe stream unless the stream's next draw
+    is a lost coin. A channel answered if any frame in its window decodes,
+    and a trial's answered channels give its groups. Then the rotation from
+    c_n, where the probes end: a response that lands after its probe window
+    is a candidate there too, an event before c_n is not, and a pair draws
+    more while it is unheard and its last chunk ended within the budget."""
+    probes = plan.probes
+    if len(plan.phases) != 1:
+        raise ParameterError("one array pass runs a plan of one phase")
+    if len(set(probes)) < len(probes) or {ch.protocol for ch in probes} - PROBEABLE_PROTOCOLS:
+        raise ParameterError("one array pass probes distinct channels that have a broadcast probe")
+    retune, devices, phase = sdr.retune_latency_s, testbed.devices, plan.phases[0]
+    opens = []  # the edges of the probe windows run
+    if probes:
+        probe_windows = _plan(0.0, probe_dwell_time_s, retune, 0.0, scan_time_s)
+        opens = [probe_windows.edges(k) for k in range(min(len(probes), probe_windows.count))]
+    probed = probes[: len(opens)]
+    start = probe_windows.edges(len(opens))[0] if opens else 0.0  # c_n
+    windows = _plan(start, dwell_time_s, retune, 0.0, scan_time_s)
+    scope = testbed.scope(frozenset(phase).union(probed))
     seen: list[dict[str, float]] = [{} for _ in streams]
-    pairs = [(m, pos) for m in range(len(streams)) for pos in offsets] if windows.count else []
-    for b in range(0, len(pairs), _PASS_BLOCK):
-        block = pairs[b : b + _PASS_BLOCK]
-        specs = [devices[pos] for _, pos in block]
-        draws = EmissionDraws(specs, [streams[m, pos] for m, pos in block], loss_prob)
-        table = np.array([hears[pos] for _, pos in block])
-        live = np.arange(len(block))
+    n = len(scope)
+    if not n or not (probed or windows.count):
+        return seen
+    window_of = {pos: k for k, ch in enumerate(probed) for pos in testbed.by_channel.get(ch, ())}
+    responding = {pos for ch in probed for pos in testbed.responders.get(ch, ())}
+    scope, edges = np.array(scope), np.array(opens + [(0.0, 0.0)])  # [0, 0): no probe window
+    tables = {}  # answered channels -> per device and group, the bits of its channels there
+    per = max(1, _PASS_BLOCK // n)  # trials per block
+    for b in range(0, len(streams), per):
+        rows = np.arange(min(per, len(streams) - b) * n)
+        trial_of, pos_of = b + rows // n, scope[rows % n]
+        specs = [devices[pos] for pos in pos_of.tolist()]
+        logs = [seen[m] for m in trial_of.tolist()]
+        draws = EmissionDraws(specs, streams[trial_of, pos_of], loss_prob)
+        heard = np.full(len(rows), np.inf)
+        chunks = [draws.draw(rows)]  # every pair's first chunk, and more while a probe needs it
+        answered = [()] * (len(rows) // n)
+        if probed:
+            window = np.array([window_of.get(pos, -1) for pos in pos_of.tolist()])
+            c, e = edges[window].T  # each pair's probe window
+            response = np.full(len(rows), np.inf)
+            for i, pos in enumerate(pos_of.tolist()):
+                if pos in responding:
+                    rng = _stream(streams["probe"][trial_of[i], pos])
+                    delay = rng.uniform(0.0, probe_response_delay_max_s)
+                    if not rng.random() < loss_prob:
+                        response[i] = c[i] + delay
+            # a probed device has emitted nothing before its probe: sequence byte 0
+            _hear(specs, logs, heard, rows, -256, response[:, None],
+                  ((c <= response) & (response < e))[:, None])
+            while True:
+                t, kept = chunks[-1]
+                inside = (c[:, None] <= t) & (t < e[:, None])
+                first = int(draws.drawn[0]) - t.shape[1]
+                _hear(specs, logs, heard, rows, first, t, np.where(inside, kept & 1, 0))
+                if not (draws.last < np.minimum(e, heard)).any():
+                    break
+                chunks.append(draws.draw(rows))
+            hits = np.where(heard < np.inf, window, -1).reshape(-1, n)
+            answered = [tuple(probed[k] for k in sorted(set(hit.tolist()) - {-1})) for hit in hits]
+        for a in set(answered) - tables.keys():
+            groups = plan.groups(phase, a, sdr.instantaneous_bandwidth_hz)
+            table = np.zeros((len(devices), max(len(groups), 1)), np.int64)
+            for g, group in enumerate(groups):
+                for ch in group:
+                    for pos in testbed.by_channel.get(ch, ()):
+                        table[pos, g] |= 1 << devices[pos].channels.index(ch)
+            tables[a] = table[scope]
+        width = np.array([tables[a].shape[1] for a in answered]).repeat(n)[:, None]
+        tab = np.zeros((len(rows), width.max()), np.int64)
+        for k, a in enumerate(answered):
+            tab[k * n : (k + 1) * n, : width[k * n, 0]] = tables[a]
+        live = np.flatnonzero((heard == np.inf) & tab.any(axis=1)) if windows.count else rows[:0]
+        t, kept = (np.concatenate(chunk, axis=1)[live] for chunk in zip(*chunks))
+        first = 0
+        if probed and len(live):  # a response that lands after its probe window
+            j, inside = windows.holding(response[live, None])
+            _hear(specs, logs, heard, live, -256, response[live, None],
+                  np.where(inside, tab[live[:, None], j % width[live]] & 1, 0))
         while len(live):
-            first = int(draws.drawn[live[0]])
-            t, kept = draws.draw(live)
             j, inside = windows.holding(t)
-            bits = table[live[:, None], j % len(sets)] & kept
-            audible, heard = inside & (bits != 0), np.zeros(len(live), bool)
-            while audible.any():  # each row's earliest candidate, until one decodes
-                rows = np.flatnonzero(audible.any(axis=1))
-                ks = audible[rows].argmax(axis=1)
-                for row, i, k, tk, mask in zip(
-                    rows.tolist(), live[rows].tolist(), ks.tolist(), t[rows, ks].tolist(),
-                    bits[rows, ks].tolist(),
-                ):
-                    spec, frame = specs[i], specs[i].frame(first + k)
-                    for n, ch in enumerate(spec.channels):  # in channel order, as a walk
-                        if mask >> n & 1 and _frame_address(ch, frame) is not None:
-                            seen[block[i][0]][spec.name] = tk
-                            heard[row] = True
-                            break
-                audible[rows, ks] = False
-                audible[heard] = False
-            live = live[~heard & (j[:, -1] < windows.count)]
+            bits = np.where(inside, tab[live[:, None], j % width[live]] & kept, 0)
+            _hear(specs, logs, heard, live, first, t, bits)
+            live = live[draws.last[live] < np.minimum(heard[live], windows.end)]
+            if len(live):
+                first = int(draws.drawn[live[0]])
+                t, kept = draws.draw(live)
+        del draws  # its streams, before the next block builds its own
     return seen
+
+
+def _hear(specs, logs, heard, live, first, t, bits) -> None:
+    """Log in ``heard[i]`` and ``logs[i]``, for each row ``live[r]`` = i, the
+    time of its earliest event before ``heard[i]`` whose frame decodes on a
+    channel that ``bits[r]`` marks, tried in channel order as a walk does.
+    A row's events are in time order, and event k is number ``first + k``."""
+    audible = (bits != 0) & (t < heard[live, None])
+    while audible.any():
+        rows = np.flatnonzero(audible.any(axis=1))
+        ks = audible[rows].argmax(axis=1)
+        audible[rows, ks] = False
+        done = []
+        for row, i, idx, tk, mask in zip(
+            rows.tolist(), live[rows].tolist(), (first + ks).tolist(),
+            t[rows, ks].tolist(), bits[rows, ks].tolist(),
+        ):
+            spec, frame = specs[i], specs[i].frame(idx)
+            for n, ch in enumerate(spec.channels):
+                if mask >> n & 1 and _frame_address(ch, frame) is not None:
+                    heard[i] = logs[i][spec.name] = tk
+                    done.append(row)
+                    break
+        audible[done] = False
 
 
 class _Windows:
@@ -546,7 +627,7 @@ class _Windows:
     the same five numbers: ``_plan`` keeps the recent ones.
     """
 
-    __slots__ = ("_first", "_starts", "_runs", "_arrays", "count", "_end")
+    __slots__ = ("_first", "_starts", "_runs", "_arrays", "count", "end")
 
     def __init__(self, clock, dwell, retune, t_start, scan_time_s):
         if not 0.0 < dwell < math.inf:
@@ -578,7 +659,7 @@ class _Windows:
             self._runs.append((x, u, D, P))
             clock, j = nxt, j + k
         self.count = j
-        self._end = clock
+        self.end = clock
         self._first, self._starts, self._runs = (
             tuple(self._first), tuple(self._starts), tuple(self._runs)
         )
@@ -598,7 +679,7 @@ class _Windows:
         to ``lo`` first. Past the last window j is ``count`` and both edges
         are c_count. With offsets (0,) and ``lo`` 0, j is the window holding
         t. t must be at least c_0."""
-        if t < self._end:
+        if t < self.end:
             first, runs = self._first, self._runs
             r = bisect_right(self._starts, t) - 1
             x, u, D, P = runs[r]
@@ -612,15 +693,15 @@ class _Windows:
                     x, u, D, P = runs[r]
                 y = x + (j - first[r]) * P
                 return j, float(y) * u, float(y + D) * u
-        return self.count, self._end, self._end
+        return self.count, self.end, self.end
 
     def holding(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The window j holding each time of ``t`` (times at least c_0), by
-        ``first_from``'s closed form with offsets (0,) and ``lo`` 0, in one
-        array pass, and whether the time lies in it: c_j <= t < e_j, not in
-        the retune after it. Past the last window j is ``count``."""
+        """The window j holding each time of ``t``, by ``first_from``'s
+        closed form with offsets (0,) and ``lo`` 0, in one array pass, and
+        whether the time lies in it: c_j <= t < e_j, not in the retune after
+        it. Before c_0 and past the last window j is ``count``."""
         first, starts, x, u, d, p = self._arrays
-        inside = t < self._end
+        inside = (starts[0] <= t) & (t < self.end)
         t = np.where(inside, t, starts[0])
         r = np.searchsorted(starts, t, side="right") - 1
         j = first[r] + ((t / u[r]).astype(np.int64) - x[r]) // p[r]

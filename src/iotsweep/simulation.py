@@ -21,7 +21,7 @@ PCG64 seeded with the words
 ``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
 ``stream_seeds`` computes those words for every key of an experiment in
 one numpy pass, since building a SeedSequence per stream cost more than
-the rest of a trial's set-up.
+the rest of a trial's set-up, and only for the tags the run will read.
 
 Each device is one event stream: its emissions and its probe responses,
 which are beacons it owes. A listen window generates the devices on its
@@ -68,10 +68,9 @@ from .address import BleAdvA, DeviceAddress, LoRaId, ZigbeeExtended, ZigbeeShort
 from .channels import PROBEABLE_PROTOCOLS, Channel, Protocol, zwave_uses_crc16
 from .errors import ScenarioError, SimulationError, UnsupportedProbe
 
-_STREAM_TIMES = 0
-_STREAM_LOSS = 1
-_STREAM_PROBE = 2
-_N_STREAMS = 3
+#: The streams a device may own: emission times, loss coins and probe
+#: behavior. A stream's tag, the last word of its seed key, is its index here.
+_STREAM_TAGS = ("times", "loss", "probe")
 
 #: Exponential gaps a Poisson device draws at set-up, then per later RNG
 #: call. Over the 24 scenario seeds of the dense-2g4 and sparse-900
@@ -165,37 +164,39 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T)
 
 
-def stream_seeds(seed: int, trials: Iterable[int], n_devices: int) -> np.ndarray:
-    """The PCG64 seed words of every device stream of ``trials``.
+def stream_seeds(seed: int, trials: Iterable[int], n_devices: int, tags=_STREAM_TAGS) -> np.ndarray:
+    """The PCG64 seed words of the device streams of ``trials`` that ``tags``
+    name (a subset of ``_STREAM_TAGS``, in its order).
 
-    Entry ``[m, i, tag]`` is the row of 4 uint64 words that
-    ``np.random.SeedSequence([seed, trials[m], i, tag]).generate_state(4,
-    np.uint64)`` gives, for device i < 2^32 and tag 0 (times), 1 (loss) or
-    2 (probe); the shape is (number of trials, n_devices, 3, 4). All keys
-    are hashed in one pass per word count, so a batch should span as many
-    trials as the caller will build.
+    A structured array of shape (number of trials, n_devices) with one field
+    per tag: ``[m, i][tag]`` is the row of 4 uint64 words that
+    ``np.random.SeedSequence([seed, trials[m], i, k]).generate_state(4,
+    np.uint64)`` gives, for device i < 2^32 and the tag's index k. Only the
+    named tags are hashed and only they have a field, so reading another
+    raises. All keys are hashed in one pass per word count, so a batch
+    should span as many trials as the caller will build.
     """
     trial_words = [_int_words(t) for t in trials]
     seed_words = _int_words(seed)
-    n_seed = len(seed_words)
-    out = np.empty((len(trial_words), n_devices, _N_STREAMS, 4), np.uint64)
+    n_seed, n_tags = len(seed_words), len(tags)
+    plain = np.empty((len(trial_words), n_devices, n_tags * 4), np.uint64)
     by_width: dict[int, list[int]] = {}
     for m, words in enumerate(trial_words):
         by_width.setdefault(len(words), []).append(m)
     for width, rows in by_width.items():
-        keys = np.empty((len(rows), n_devices, _N_STREAMS, n_seed + width + 2), np.uint32)
+        keys = np.empty((len(rows), n_devices, n_tags, n_seed + width + 2), np.uint32)
         keys[..., :n_seed] = seed_words
         keys[..., n_seed:-2] = np.array([trial_words[m] for m in rows], np.uint32)[:, None, None]
         keys[..., -2] = np.arange(n_devices, dtype=np.uint32)[:, None]
-        keys[..., -1] = np.arange(_N_STREAMS, dtype=np.uint32)
+        keys[..., -1] = [_STREAM_TAGS.index(tag) for tag in tags]
         state = _seed_state(keys.reshape(-1, keys.shape[-1]))
-        out[rows] = state.reshape(len(rows), n_devices, _N_STREAMS, 4)
-    return out
+        plain[rows] = state.reshape(len(rows), n_devices, n_tags * 4)
+    return plain.view([(tag, np.uint64, (4,)) for tag in tags])[..., 0]
 
 
 class _StreamSeed(np.random.bit_generator.ISeedSequence):
-    """One row of ``stream_seeds``, handed to PCG64 as its seed sequence:
-    PCG64 asks for 4 uint64 words and reads the row's buffer."""
+    """One stream's words from ``stream_seeds``, handed to PCG64 as its seed
+    sequence: PCG64 asks for 4 uint64 words and reads the row's buffer."""
 
     __slots__ = ("_state",)
 
@@ -421,10 +422,10 @@ class SimDevice:
     pending probe responses. ``next_time``, the time of the device's next
     event, is the earlier of the next emission and the next response.
 
-    ``streams`` is the device's block of ``stream_seeds``: one row of seed
-    words per tag, the words ``SeedSequence([seed, trial, index, tag])``
-    would give. The loss stream is built only when ``loss_prob > 0``, and
-    the probe stream on the first probe."""
+    ``streams`` is the device's entry of ``stream_seeds``: the seed words
+    ``SeedSequence([seed, trial, index, tag])`` would give, per tag. The
+    loss stream is built only when ``loss_prob > 0``, and the probe stream
+    on the first probe, so only those need words."""
 
     __slots__ = (
         "spec", "name", "next_time", "_loss_prob", "_streams", "_times", "_loss", "_probe_rng",
@@ -436,8 +437,8 @@ class SimDevice:
         self.name = spec.name
         self._loss_prob = loss_prob
         self._streams = streams
-        self._times = times = _stream(streams[_STREAM_TIMES])
-        self._loss = _stream(streams[_STREAM_LOSS]) if loss_prob > 0 else None
+        self._times = times = _stream(streams["times"])
+        self._loss = _stream(streams["loss"]) if loss_prob > 0 else None
         self._probe_rng: np.random.Generator | None = None
         self._emit_index = 0
         self._responses: list[tuple[float, int, int]] = []  # heap of (time, index, channel slot)
@@ -450,13 +451,13 @@ class SimDevice:
             self._period = None
             self._gaps = times.exponential(mean, _FIRST_CHUNK)[::-1].tolist()  # popped from the end
             gap = self._gaps.pop()
-            self._next_emission = gap if gap > 0.0 else 1e-12
+            self._next_emission = gap if gap > 0.0 else 1e-12  # generate_until's clamp
         self.next_time = self._next_emission
 
     @property
     def probe_rng(self) -> np.random.Generator:
         if self._probe_rng is None:
-            self._probe_rng = _stream(self._streams[_STREAM_PROBE])
+            self._probe_rng = _stream(self._streams["probe"])
         return self._probe_rng
 
     def respond(self, t: float, channel: Channel) -> tuple[float, Channel, int]:
@@ -493,8 +494,10 @@ class SimDevice:
                     gaps = self._gaps = self._times.exponential(
                         self.spec.mean_interarrival_s, _EXP_CHUNK
                     )[::-1].tolist()
+                # t + 1e-12 == t once t passes 2^14 s: times are non-decreasing, not
+                # increasing, and a window breaks ties by device and channel
                 gap = gaps.pop()
-                t = t + (gap if gap > 0.0 else 1e-12)  # keep event times strictly increasing
+                t = t + (gap if gap > 0.0 else 1e-12)
             else:
                 t = t + period
         self._next_emission, self._emit_index = t, idx
@@ -521,18 +524,17 @@ class EmissionDraws:
     would, from the same streams in the same chunks, with the same clamp of
     a Poisson gap, a periodic phase then period steps, and one loss coin
     per channel per emission in channel order. ``np.add.accumulate`` is the
-    same left fold as ``t = t + gap``, so every time is bit for bit."""
+    same left fold as ``t = t + gap``, so every time is bit for bit.
+    ``streams`` holds one ``stream_seeds`` entry per row."""
 
-    def __init__(
-        self, specs: Sequence[DeviceSpec], streams: Sequence[np.ndarray], loss_prob: float
-    ):
+    def __init__(self, specs: Sequence[DeviceSpec], streams: np.ndarray, loss_prob: float):
         self._specs = specs
-        self._times = [_stream(block[_STREAM_TIMES]) for block in streams]
-        self._loss = [_stream(block[_STREAM_LOSS]) for block in streams] if loss_prob > 0 else None
+        self._times = [_stream(words) for words in streams["times"]]
+        self._loss = [_stream(words) for words in streams["loss"]] if loss_prob > 0 else None
         self._loss_prob = loss_prob
         self._poisson = np.array([spec.emitter is EmitterKind.POISSON for spec in specs])
         self._width = max((len(spec.channels) for spec in specs), default=1)
-        self._last = np.zeros(len(specs))  # each row's last event time; the fold starts at 0
+        self.last = np.zeros(len(specs))  # each row's last event time; the fold starts at 0
         self.drawn = np.zeros(len(specs), np.int64)  # events each row has drawn
 
     def draw(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -542,7 +544,7 @@ class EmissionDraws:
         fresh = not self.drawn[rows[0]]
         n = _FIRST_CHUNK if fresh else _EXP_CHUNK
         steps = np.empty((len(rows), n + 1))
-        steps[:, 0] = self._last[rows]
+        steps[:, 0] = self.last[rows]
         coins = None if self._loss is None else np.ones((len(rows), n, self._width))  # pads survive
         for k, i in enumerate(rows.tolist()):
             spec = self._specs[i]
@@ -556,9 +558,10 @@ class EmissionDraws:
             if coins is not None:
                 coins[k, :, : len(spec.channels)] = self._loss[i].random((n, len(spec.channels)))
         gaps = steps[:, 1:]
-        gaps[(gaps <= 0.0) & self._poisson[rows, None]] = 1e-12  # as generate_until clamps
+        # generate_until's clamp: times stay non-decreasing, so a row's events ascend
+        gaps[(gaps <= 0.0) & self._poisson[rows, None]] = 1e-12
         times = np.add.accumulate(steps, axis=1)[:, 1:]
-        self._last[rows] = times[:, -1]
+        self.last[rows] = times[:, -1]
         self.drawn[rows] += n
         if coins is None:
             return times, np.full(times.shape, -1)

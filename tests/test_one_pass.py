@@ -1,9 +1,11 @@
-"""A scan of one fixed rotation (one phase, no probes) runs every trial of
-an experiment in one array pass (``scanning.rotation_first_seen``). Each
+"""A scan of one phase, with or without probes, runs every trial of an
+experiment in one array pass (``scanning.rotation_first_seen``). Each
 trial's first-seen times must be exactly those of ``Scanner.scan`` on an
 environment built for that trial alone, under frame loss, retune latency,
-budgets that censor rows, periodic emitters, groups that hold several of a
-device's channels, frames that fail to decode, and crowds larger than one
+budgets that censor rows or end inside the probes, periodic emitters,
+groups that hold several of a device's channels, frames that fail to
+decode, probe responses that land after their probe window, trials whose
+probes are answered on different channels, and crowds larger than one
 block of pairs.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from test_testbed import INEXACT, lone_trial
 
-from iotsweep import experiment, scanning, simulation
+from iotsweep import experiment, frames, scanning, simulation
 from iotsweep.address import BleAdvA, ZigbeeShort
 from iotsweep.channels import Protocol, ble_advertising_channels, sort_channels, zigbee_channel
 from iotsweep.errors import ParameterError
@@ -44,12 +46,10 @@ BLE = tuple(ble_advertising_channels())
 ZIGBEE = tuple(zigbee_channel(k) for k in range(11, 27))
 
 
-def one_phase(name):
-    plan = load_bundled_scenario(name).plan()
-    return not plan.probes and len(plan.phases) == 1
-
-
-ONE_PHASE = [name for name in bundled_scenario_names() if one_phase(name)]
+ONE_PHASE = [
+    name for name in bundled_scenario_names() if len(load_bundled_scenario(name).plan().phases) == 1
+]
+ACTIVE = [name for name in ONE_PHASE if load_bundled_scenario(name).plan().probes]
 
 
 def assert_each_trial_runs_alone(cfg):
@@ -63,8 +63,10 @@ def assert_each_trial_runs_alone(cfg):
 
 def test_bundled_one_phase_scenarios():
     assert ONE_PHASE == [
-        "ble-passive", "zigbee-dwell", "zigbee-passive", "zwave-lora-multi", "zwave-lora-passive"
+        "ble-passive", "zigbee-active", "zigbee-ble-active-multi", "zigbee-dwell",
+        "zigbee-passive", "zwave-lora-multi", "zwave-lora-passive",
     ]
+    assert ACTIVE == ["zigbee-active", "zigbee-ble-active-multi"]
 
 
 @pytest.mark.parametrize("name", ONE_PHASE)
@@ -153,14 +155,17 @@ def test_frame_that_does_not_decode_is_skipped(monkeypatch):
 
 
 def crowd(n_zigbee, n_ble, seed):
+    """Zigbee devices on random channels, every seventh periodic and every
+    fifth a router, then BLE advertisers."""
     rng = random.Random(seed)
     devices = []
     for k in range(n_zigbee):
         ch = rng.choice(ZIGBEE)
         emitter = EmitterKind.PERIODIC if k % 7 == 3 else EmitterKind.POISSON
+        role = Role.ROUTER if k % 5 == 1 else Role.END_DEVICE
         devices.append(
             DeviceSpec(
-                f"z{k}", Protocol.ZIGBEE, Role.END_DEVICE, (ch,), rng.uniform(1.0, 60.0),
+                f"z{k}", Protocol.ZIGBEE, role, (ch,), rng.uniform(1.0, 60.0),
                 ZigbeeShort(0x1A62, k + 1), emitter=emitter,
             )
         )
@@ -196,22 +201,196 @@ def test_crowd_larger_than_a_block():
     assert all(0 < n < len(devices) for n in heard)
 
 
-def test_a_plan_that_probes_or_has_phases_is_refused():
-    cfg = load_bundled_scenario("zigbee-active")
-    testbed = simulation.Testbed(cfg.devices)
-    streams = stream_seeds(cfg.seed, range(1), len(cfg.devices))
-    with pytest.raises(ParameterError, match="one phase and no probes"):
-        scanning.rotation_first_seen(
-            testbed, streams, 0.0, cfg.sdr, cfg.plan(), cfg.dwell_time_s, cfg.scan_time_s
-        )
+# -- plans that probe ------------------------------------------------------------
+
+
+def start_of_rotation(cfg):
+    """c_n: where the probes leave the clock and the rotation starts."""
+    retune = cfg.sdr.retune_latency_s
+    probes = scanning._plan(0.0, cfg.probe_dwell_time_s, retune, 0.0, cfg.scan_time_s)
+    n = min(len(cfg.plan().probes), probes.count)
+    return probes.edges(n)[0], n
+
+
+@pytest.mark.parametrize("name", ACTIVE)
+@pytest.mark.parametrize("loss", [0.0, 0.25])
+@pytest.mark.parametrize("retune", [0.0, 0.3])
+def test_probing_variants_equal_trials_run_alone(name, loss, retune):
+    """Probe responses that land within their probe window, after it, and
+    mostly after every probe (delay max 0.1, 0.5 and 40 s against a probe
+    dwell of 0.2 s); a budget that lets every device be found, one that
+    censors rows and one that ends inside the probes; no periodic emitter
+    and every other device periodic; two seeds."""
+    base = load_bundled_scenario(name)
+    inside_the_probes = 2.0
+    censored = 0
+    for delay in (0.1, 0.5, 40.0):
+        for budget in (base.scan_time_s, base.scan_time_s / 50, inside_the_probes):
+            for periodic in (False, True):
+                devices = tuple(
+                    dataclasses.replace(d, emitter=EmitterKind.PERIODIC)
+                    if periodic and i % 2 else d
+                    for i, d in enumerate(base.devices)
+                )
+                for seed in (1, 2):
+                    cfg = dataclasses.replace(
+                        base,
+                        devices=devices,
+                        loss_prob=loss,
+                        sdr=dataclasses.replace(base.sdr, retune_latency_s=retune),
+                        scan_time_s=budget,
+                        probe_response_delay_max_s=delay,
+                        seed=seed,
+                        trials=2,
+                    )
+                    result = assert_each_trial_runs_alone(cfg)
+                    if budget < base.scan_time_s:
+                        censored += sum(row.censored_count for row in result.summary.rows)
+    assert censored > 0
+    short = dataclasses.replace(
+        base, scan_time_s=inside_the_probes, sdr=SdrConfig(retune_latency_s=retune)
+    )
+    assert start_of_rotation(short)[1] < len(base.plan().probes)  # it ends inside the probes
+
+
+def answered(cfg):
+    """Per trial, the channels that answer the probes, from a scanner on the
+    trial's own environment."""
+    out = []
+    for trial in range(cfg.trials):
+        scanner = scanning.Scanner(experiment.trial_environment(cfg, trial), cfg.sdr)
+        out.append(tuple(scanner.probe_channels(cfg.plan().probes, cfg.probe_dwell_time_s)))
+    return out
+
+
+@pytest.mark.parametrize("name", ACTIVE)
+def test_trials_answered_on_different_channels(name):
+    """Under loss the trials of one run rotate over different groups."""
+    cfg = dataclasses.replace(load_bundled_scenario(name), loss_prob=0.4, trials=6)
+    assert len(set(answered(cfg))) >= 2
+    assert_each_trial_runs_alone(cfg)
+
+
+def test_late_response_first_heard_in_a_rotation_window(monkeypatch):
+    """A response that lands after every probe is heard in the rotation, and
+    is some device's first frame heard."""
+    base = load_bundled_scenario("zigbee-active")
+    cfg = dataclasses.replace(base, probe_response_delay_max_s=40.0)
+    result = assert_each_trial_runs_alone(cfg)
+    responses = {}
+    inject = simulation.Environment.inject_probe
+
+    def spy(env, channel):
+        scheduled = inject(env, channel)
+        responses.update((em.device, em.time_s) for em in scheduled)
+        return scheduled
+
+    monkeypatch.setattr(simulation.Environment, "inject_probe", spy)
+    start, _ = start_of_rotation(cfg)
+    late = 0
+    for record in result.trials:
+        responses.clear()
+        assert record.first_seen == lone_trial(cfg, record.trial)
+        late += sum(responses.get(name) == t and t >= start for t, name in record.first_seen)
+    assert late > 0
+
+
+@pytest.mark.parametrize("name", ACTIVE)
+def test_channel_answers_through_its_traffic(monkeypatch, name):
+    """With beacons that yield no address, a channel answers only when
+    traffic lands in its probe window: the devices send 20 times as often,
+    so it sometimes does, also after a device's own beacon."""
+    base = load_bundled_scenario(name)
+    devices = tuple(
+        dataclasses.replace(d, mean_interarrival_s=d.mean_interarrival_s / 20) for d in base.devices
+    )
+    cfg = dataclasses.replace(base, devices=devices, loss_prob=0.25, trials=6)
+    with_beacons = answered(cfg)
+    real = scanning._frame_address
+
+    def no_beacon(channel, data):
+        if channel.protocol is Protocol.ZIGBEE:
+            if frames.decode(Protocol.ZIGBEE, data).frame_type is frames.ZigbeeFrameType.BEACON:
+                return None
+        return real(channel, data)
+
+    monkeypatch.setattr(scanning, "_frame_address", no_beacon)
+    by_traffic = answered(cfg)
+    assert any(by_traffic) and by_traffic != with_beacons
+    assert_each_trial_runs_alone(cfg)
+
+
+def test_active_scan_with_no_answer_opens_no_rotation():
+    """No device answers a probe and none sends in a probe window, so an
+    active scan, whose one phase is empty, hears nothing after the probes,
+    though the devices send within the budget."""
+    base = load_bundled_scenario("zigbee-active")
+    devices = tuple(
+        dataclasses.replace(d, responds_to_probe=False, mean_interarrival_s=1000.0)
+        for d in base.devices
+    )
+    cfg = dataclasses.replace(base, devices=devices, trials=4)
+    assert answered(cfg) == [()] * cfg.trials
+    result = assert_each_trial_runs_alone(cfg)
+    assert all(record.first_seen == () for record in result.trials)
+    passive = dataclasses.replace(cfg, algorithm=Algorithm.PASSIVE)
+    assert any(record.first_seen for record in experiment.run_experiment(passive).trials)
+
+
+def test_probing_crowd_larger_than_a_block():
+    """An active multiprotocol scan of 1,100 devices, one trial of which is
+    more than a block of pairs: it probes every Zigbee channel and always
+    listens on the BLE advertising channels."""
+    devices = crowd(600, 500, seed=29)
+    cfg = ScenarioConfig(
+        name="probing-crowd",
+        algorithm=Algorithm.ACTIVE_MULTIPROTOCOL,
+        devices=devices,
+        channels=BLE,
+        probe_channels=ZIGBEE,
+        sdr=SdrConfig(8 * MHZ, retune_latency_s=0.1),
+        dwell_time_s=0.5,
+        scan_time_s=120.0,
+        trials=2,
+        seed=5,
+        loss_prob=0.1,
+        probe_response_delay_max_s=0.5,
+    )
+    assert len(devices) > scanning._PASS_BLOCK
+    result = assert_each_trial_runs_alone(cfg)
+    heard = [len(record.first_seen) for record in result.trials]
+    assert all(0 < n < len(devices) for n in heard)
+
+
+def one_pass(cfg, plan=None, budget=None):
+    """``rotation_first_seen`` of every trial of ``cfg``, or of ``plan`` on
+    its devices, with its budget or ``budget``."""
+    streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
+    return scanning.rotation_first_seen(
+        simulation.Testbed(cfg.devices), streams, cfg.loss_prob, cfg.sdr, plan or cfg.plan(),
+        cfg.dwell_time_s, cfg.scan_time_s if budget is None else budget, cfg.probe_dwell_time_s,
+        cfg.probe_response_delay_max_s,
+    )
+
+
+def test_a_plan_of_several_phases_is_refused():
+    with pytest.raises(ParameterError, match="one phase"):
+        one_pass(load_bundled_scenario("zigbee-ble-sequential"))
+
+
+def test_a_plan_that_probes_is_accepted_unless_it_repeats_or_cannot_probe_a_channel():
+    cfg = dataclasses.replace(load_bundled_scenario("zigbee-active"), trials=2)
+    assert [tuple(sorted((t, d) for d, t in log.items())) for log in one_pass(cfg)] == [
+        lone_trial(cfg, trial) for trial in range(cfg.trials)
+    ]
+    for probes in (cfg.channels + cfg.channels[:1], cfg.channels[:1] + BLE[:1]):
+        with pytest.raises(ParameterError, match="distinct channels"):
+            one_pass(cfg, scanning.ScanPlan(((),), probes=probes))
 
 
 def test_no_window_within_the_budget_hears_nobody():
-    cfg = load_bundled_scenario("zigbee-passive")
-    testbed = simulation.Testbed(cfg.devices)
-    streams = stream_seeds(cfg.seed, range(2), len(cfg.devices))
-    seen = scanning.rotation_first_seen(testbed, streams, 0.0, cfg.sdr, cfg.plan(), 1.0, -1.0)
-    assert seen == [{}, {}]
+    cfg = dataclasses.replace(load_bundled_scenario("zigbee-passive"), trials=2)
+    assert one_pass(cfg, budget=-1.0) == [{}, {}]
 
 
 # -- the parts of the pass ------------------------------------------------------
@@ -223,7 +402,7 @@ def test_draws_do_not_depend_on_chunking():
     at a time equal an array of them, and a scalar uniform is the first of
     an array. ``SimDevice`` draws scalars and small chunks, and
     ``EmissionDraws`` arrays, so both see the same numbers."""
-    words = stream_seeds(7, range(1), 1)[0, 0, 0]
+    words = stream_seeds(7, range(1), 1)[0, 0]["times"]
     whole = _stream(words).exponential(3.5, _FIRST_CHUNK + _EXP_CHUNK)
     rng = _stream(words)
     pieces = np.concatenate([rng.exponential(3.5, _FIRST_CHUNK), rng.exponential(3.5, _EXP_CHUNK)])
@@ -260,7 +439,7 @@ def test_emission_draws_equal_generate_until(loss):
         DeviceSpec("t", Protocol.ZIGBEE, Role.ROUTER, (ZIGBEE[2],), 5e-324, ZigbeeShort(0x1A62, 3)),
     ]
     streams = stream_seeds(11, range(1), len(specs))[0]
-    draws = EmissionDraws(specs, list(streams), loss)
+    draws = EmissionDraws(specs, streams, loss)
     rows = np.arange(len(specs))
     times, kept = zip(*(draws.draw(rows) for _ in range(3)))
     times, kept = np.concatenate(times, axis=1), np.concatenate(kept, axis=1)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from iotsweep import experiment, frames
 from iotsweep.channels import Protocol, zigbee_channel
 from iotsweep.scenario import parse_scenario
-from iotsweep.simulation import _seed_state, _stream, _StreamSeed, stream_seeds
+from iotsweep.simulation import _STREAM_TAGS, _seed_state, _stream, _StreamSeed, stream_seeds
 
 SEEDING = settings(max_examples=60, deadline=None, database=None)
 
@@ -29,26 +29,38 @@ def reference(key):
     return np.random.SeedSequence(key)
 
 
+#: The tag sets an experiment hashes: times always, loss and probe when read.
+TAG_SETS = [_STREAM_TAGS, ("times",), ("times", "loss"), ("times", "probe")]
+
+
 @SEEDING
-@given(seed=SEEDS, trials=TRIALS, n_devices=st.integers(0, 3))
-@example(seed=0, trials=[0, 1], n_devices=2)
-@example(seed=2**32 - 1, trials=[3], n_devices=1)
-@example(seed=2**32, trials=[0], n_devices=1)
-@example(seed=2**64, trials=[1], n_devices=1)
-@example(seed=7, trials=[], n_devices=3)  # no trials
-@example(seed=7, trials=[0, 1], n_devices=0)  # no devices
-@example(seed=7, trials=[0, 2**32, 5, 2**64], n_devices=2)  # keys of 4, 5 and 6 words
-def test_stream_seeds_are_seed_sequence_words(seed, trials, n_devices):
-    """Every row is SeedSequence([seed, trial, device, tag])'s PCG64 state
-    words, and the Generator built on it starts in default_rng's state."""
-    words = stream_seeds(seed, trials, n_devices)
-    assert words.shape == (len(trials), n_devices, 3, 4) and words.dtype == np.uint64
+@given(
+    seed=SEEDS, trials=TRIALS, n_devices=st.integers(0, 3), tags=st.sampled_from(TAG_SETS)
+)
+@example(seed=0, trials=[0, 1], n_devices=2, tags=_STREAM_TAGS)
+@example(seed=2**32 - 1, trials=[3], n_devices=1, tags=_STREAM_TAGS)
+@example(seed=2**32, trials=[0], n_devices=1, tags=_STREAM_TAGS)
+@example(seed=2**64, trials=[1], n_devices=1, tags=_STREAM_TAGS)
+@example(seed=7, trials=[], n_devices=3, tags=_STREAM_TAGS)  # no trials
+@example(seed=7, trials=[0, 1], n_devices=0, tags=_STREAM_TAGS)  # no devices
+@example(seed=7, trials=[0, 2**32, 5, 2**64], n_devices=2, tags=_STREAM_TAGS)  # 4, 5, 6 words
+@example(seed=7, trials=[0, 2**32], n_devices=2, tags=("times", "probe"))
+def test_stream_seeds_are_seed_sequence_words(seed, trials, n_devices, tags):
+    """Every hashed row is SeedSequence([seed, trial, device, tag])'s PCG64
+    state words, and the Generator built on it starts in default_rng's
+    state; a tag that was not hashed cannot be read."""
+    words = stream_seeds(seed, trials, n_devices, tags)
+    assert words.shape == (len(trials), n_devices) and words.dtype.names == tuple(tags)
     for m, trial in enumerate(trials):
         for i in range(n_devices):
-            for tag in range(3):
+            for tag, name in enumerate(_STREAM_TAGS):
+                if name not in tags:
+                    with pytest.raises(ValueError):
+                        words[m, i][name]
+                    continue
                 key = [seed, trial, i, tag]
-                row = words[m, i, tag]
-                assert row.flags.c_contiguous
+                row = words[m, i][name]
+                assert row.flags.c_contiguous and row.dtype == np.uint64
                 assert row.tolist() == reference(key).generate_state(4, np.uint64).tolist(), key
                 expected = np.random.default_rng(reference(key)).bit_generator.state
                 assert _stream(row).bit_generator.state == expected, key
@@ -70,7 +82,7 @@ def test_seed_state_of_any_word_count(keys):
 
 
 def test_stream_seed_refuses_other_requests():
-    seed = _StreamSeed(stream_seeds(1, [0], 1)[0, 0, 0])
+    seed = _StreamSeed(stream_seeds(1, [0], 1)[0, 0]["times"])
     with pytest.raises(ValueError):
         seed.generate_state(8, np.uint32)
     with pytest.raises(ValueError):
@@ -82,7 +94,7 @@ def test_exponential_draws_do_not_depend_on_chunking(first, second):
     """A Poisson device draws a small first chunk of gaps at set-up and
     larger chunks later. Its stream then gives the same gaps, and ends in
     the same state, as one draw of the total would."""
-    for state in stream_seeds(11, [0, 1], 3).reshape(-1, 4):
+    for state in stream_seeds(11, [0, 1], 3).view(np.uint64).reshape(-1, 4):
         for scale in (0.05, 3.0, 3600.0):
             split, whole = _stream(state), _stream(state)
             drawn = [*split.exponential(scale, first), *split.exponential(scale, second)]

@@ -145,7 +145,7 @@ class TestEmissionProcess:
         times are still the running sum of one draw of its times stream."""
         env = build_environment([zigbee_device("a", 1, mu=2.0)], seed=29)
         times = [t for t, _, _ in env.devices[0].generate_until(600.0)][:200]
-        gaps = _stream(stream_seeds(29, [0], 1)[0, 0, 0]).exponential(2.0, 200)
+        gaps = _stream(stream_seeds(29, [0], 1)[0, 0]["times"]).exponential(2.0, 200)
         assert times == list(itertools.accumulate(gaps.tolist()))
 
     def test_periodic_emitter(self):

@@ -51,7 +51,8 @@ def test_each_trial_equals_a_trial_run_alone(case):
 
 def test_run_experiment_shares_one_testbed(monkeypatch):
     """Every trial's environment comes through ``build_environment`` with the
-    same testbed, built from the scenario's devices."""
+    same testbed, built from the scenario's devices. A plan of several
+    phases runs one ``Scanner.scan`` per trial; any other, one array pass."""
     seen = []
     build = experiment.build_environment
 
@@ -61,7 +62,7 @@ def test_run_experiment_shares_one_testbed(monkeypatch):
         return env
 
     monkeypatch.setattr(experiment, "build_environment", spy)
-    cfg = load_bundled_scenario("zigbee-ble-active-multi")
+    cfg = load_bundled_scenario("zigbee-ble-sequential")
     experiment.run_experiment(cfg)
     assert len(seen) == cfg.trials
     testbed = seen[0][0]
