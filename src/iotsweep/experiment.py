@@ -12,13 +12,13 @@ Trial m always draws its randomness from streams derived from (seed, m), so
 a rerun of the same scenario file reproduces every CSV byte for byte, and
 two algorithms run on the same scenario see identical device traffic.
 
-A plan of several phases runs one ``Scanner.scan`` per trial. Any other is
-its probes, if any, then one rotation, from a fresh environment, where a
-device's first-seen time depends only on its own streams, the window
-schedule and which probed channels answered; so every trial runs in one
-array pass that draws the same streams (``scanning.rotation_first_seen``)
-and gives the same times bit for bit. Only the streams a run reads are
-seeded: times always, loss coins under loss, probe behavior if it probes.
+Every plan is its probes, if any, then one rotation per phase, from a
+fresh environment, where a device's first-seen time depends only on its
+own streams, the window schedule, which probed channels answered and the
+window each phase starts at; so every trial runs in one array pass that
+draws the same streams (``scanning.rotation_first_seen``) and gives the
+same times bit for bit. Only the streams a run reads are seeded: times
+always, loss coins under loss, probe behavior if it probes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .analytics import OrderStatSummary, discretize, expected_order_statistics, summarize
 from .errors import ScenarioError
-from .scanning import Scanner, rotation_first_seen
+from .scanning import rotation_first_seen
 from .scenario import ScenarioConfig
 from .simulation import EmitterKind, Environment, Testbed, build_environment, stream_seeds
 
@@ -79,15 +79,10 @@ class ComparisonReport:
 
 
 def trial_environment(
-    cfg: ScenarioConfig,
-    trial: int,
-    streams: np.ndarray | None = None,
-    testbed: Testbed | None = None,
+    cfg: ScenarioConfig, trial: int, streams: np.ndarray | None = None
 ) -> Environment:
     """Trial ``trial``'s environment; ``streams`` is its block of the
-    experiment's ``stream_seeds``, or None to seed this trial alone, and
-    ``testbed`` is the experiment's ``Testbed(cfg.devices)``, or None to
-    build one for this trial alone."""
+    experiment's ``stream_seeds``, or None to seed this trial alone."""
     return build_environment(
         cfg.devices,
         seed=cfg.seed,
@@ -95,7 +90,6 @@ def trial_environment(
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,
         streams=streams,
-        testbed=testbed,
     )
 
 
@@ -103,31 +97,20 @@ def run_experiment(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> Ex
     """Run all trials of a scenario; optionally write the CSV outputs.
 
     ``out_dir`` is made before the first trial, so a directory that cannot
-    be made fails the run at once. Trials differ only in their RNG streams,
-    so what depends on the device list alone (the ``Testbed``) is built
-    once and shared by every trial."""
+    be made fails the run at once. Every trial runs in one array pass
+    (``rotation_first_seen``), so no trial builds an ``Environment``."""
     out = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    targets = frozenset(d.name for d in cfg.devices)
     plan = cfg.plan()
     tags = ["times"] + ["loss"] * (cfg.loss_prob > 0) + ["probe"] * bool(plan.probes)
     streams = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices), tags)
-    testbed = Testbed(cfg.devices)
-    if len(plan.phases) > 1:
-        logs = []
-        for trial in range(cfg.trials):
-            env = trial_environment(cfg, trial, streams[trial], testbed)
-            scanner = Scanner(env, cfg.sdr, probe_dwell_time_s=cfg.probe_dwell_time_s)
-            scanner.scan(plan, cfg.dwell_time_s, cfg.scan_time_s, until_complete=targets)
-            logs.append(scanner.log.first_seen)
-    else:
-        logs = rotation_first_seen(
-            testbed, streams, cfg.loss_prob, cfg.sdr, plan, cfg.dwell_time_s, cfg.scan_time_s,
-            cfg.probe_dwell_time_s, cfg.probe_response_delay_max_s,
-        )
+    logs = rotation_first_seen(
+        Testbed(cfg.devices), streams, cfg.loss_prob, cfg.sdr, plan, cfg.dwell_time_s,
+        cfg.scan_time_s, cfg.probe_dwell_time_s, cfg.probe_response_delay_max_s,
+    )
     records = [
         TrialRecord(trial=trial, first_seen=tuple(sorted((t, name) for name, t in log.items())))
         for trial, log in enumerate(logs)

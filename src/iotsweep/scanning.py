@@ -42,15 +42,18 @@ rotation walks each device's stream on its own, through the windows whose
 group hears it, to its first audible frame: the walks of the stop set fix
 where the phase ends, and every other walk stops there.
 
-With one phase and a fresh environment, a device is first seen at its
-first event within the budget that lands in a window that hears it and
-whose frame decodes to an address: a probe window on its channel, or a
-rotation window whose group holds a channel the event survived loss on.
-Its own streams, the window schedule and the channels that answered the
-probes fix it. So ``rotation_first_seen`` gives every trial's first-seen
-times in one array pass, the reference being ``Scanner.scan``, which also
-leaves the whole log and the clock; only plans of several phases and
-direct ``Scanner.scan`` calls run per trial.
+From a fresh environment, a device is first seen at its first event
+within the budget that lands in a window that hears it and whose frame
+decodes to an address: a probe window on its channel, or a rotation window
+whose group holds a channel the event survived loss on. Its own streams,
+the window schedule, the channels that answered the probes and the window
+each phase starts at fix it. A phase after the first starts on the same
+fold of windows, one past the latest in which the phase before it first
+heard a device it waited for, or at the budget if one of them is never
+heard. So ``rotation_first_seen`` gives every trial's first-seen times in
+one array pass, the reference being ``Scanner.scan``, which also leaves
+the whole log and the clock; only direct ``Scanner.scan`` calls run per
+trial.
 """
 
 from __future__ import annotations
@@ -479,26 +482,36 @@ def rotation_first_seen(
     testbed, streams, loss_prob, sdr, plan, dwell_time_s, scan_time_s, probe_dwell_time_s,
     probe_response_delay_max_s,
 ) -> list[dict[str, float]]:
-    """Each trial's ``log.first_seen`` after ``Scanner.scan`` of ``plan`` (one
-    phase) from a fresh environment, ``streams`` being the trials'
-    ``stream_seeds``. Each (trial, device) pair's events are drawn a chunk at
-    a time (``EmissionDraws``), and it is heard at the earliest that lands in
-    a window that hears it and whose frame decodes, as in ``_walk``. First
+    """Each trial's ``log.first_seen`` after ``Scanner.scan`` of ``plan`` from
+    a fresh environment, ``streams`` being the trials' ``stream_seeds``.
+    Each (trial, device) pair's events are drawn a chunk at a time
+    (``EmissionDraws``), and it is heard at the earliest that lands in a
+    window that hears it and whose frame decodes, as in ``_walk``. First
     the probe windows that start within the budget. Probe channels are
     distinct Zigbee channels, so a device sits in at most one, having sent
     nothing before it: its beacon is index -256, sent at the window's start
     plus a uniform delay from its probe stream unless the stream's next draw
     is a lost coin. A channel answered if any frame in its window decodes,
-    and a trial's answered channels give its groups. Then the rotation from
-    c_n, where the probes end: a response that lands after its probe window
-    is a candidate there too, an event before c_n is not, and a pair draws
-    more while it is unheard and its last chunk ended within the budget."""
-    probes = plan.probes
-    if len(plan.phases) != 1:
-        raise ParameterError("one array pass runs a plan of one phase")
+    and a trial's answered channels give its groups. Then the rotations
+    from c_n, where the probes end: a response that lands after its probe
+    window is a candidate there too, an event before c_n is not, and a pair
+    draws more while it is unheard and its last chunk ended within the
+    budget.
+
+    A phase continues the one fold of windows from c_n, so phase p of a
+    trial holds windows J_p .. count-1, window j under its group
+    (j - J_p) mod G_p, with J_0 = 0. Each pair that phase p hears and the
+    log lacks is heard in it or never, and J_(p+1) is one past the latest
+    window that heard one of them (``count`` if one is never heard, J_p if
+    there is none), as ``_rotate``'s stop set ends the phase. So a pair
+    left for a later phase has drawn only its first chunk. A plan that
+    probes has one phase."""
+    probes, phases = plan.probes, plan.phases
+    if probes and len(phases) > 1:
+        raise ParameterError("one array pass runs a plan that probes in one phase")
     if len(set(probes)) < len(probes) or {ch.protocol for ch in probes} - PROBEABLE_PROTOCOLS:
         raise ParameterError("one array pass probes distinct channels that have a broadcast probe")
-    retune, devices, phase = sdr.retune_latency_s, testbed.devices, plan.phases[0]
+    retune, devices = sdr.retune_latency_s, testbed.devices
     opens = []  # the edges of the probe windows run
     if probes:
         probe_windows = _plan(0.0, probe_dwell_time_s, retune, 0.0, scan_time_s)
@@ -506,7 +519,7 @@ def rotation_first_seen(
     probed = probes[: len(opens)]
     start = probe_windows.edges(len(opens))[0] if opens else 0.0  # c_n
     windows = _plan(start, dwell_time_s, retune, 0.0, scan_time_s)
-    scope = testbed.scope(frozenset(phase).union(probed))
+    scope = testbed.scope(frozenset(probed).union(*phases))
     seen: list[dict[str, float]] = [{} for _ in streams]
     n = len(scope)
     if not n or not (probed or windows.count):
@@ -514,7 +527,7 @@ def rotation_first_seen(
     window_of = {pos: k for k, ch in enumerate(probed) for pos in testbed.by_channel.get(ch, ())}
     responding = {pos for ch in probed for pos in testbed.responders.get(ch, ())}
     scope, edges = np.array(scope), np.array(opens + [(0.0, 0.0)])  # [0, 0): no probe window
-    tables = {}  # answered channels -> per device and group, the bits of its channels there
+    tables = {}  # (phase, answered channels) -> per device and group, its channels' bits there
     per = max(1, _PASS_BLOCK // n)  # trials per block
     for b in range(0, len(streams), per):
         rows = np.arange(min(per, len(streams) - b) * n)
@@ -548,33 +561,44 @@ def rotation_first_seen(
                 chunks.append(draws.draw(rows))
             hits = np.where(heard < np.inf, window, -1).reshape(-1, n)
             answered = [tuple(probed[k] for k in sorted(set(hit.tolist()) - {-1})) for hit in hits]
-        for a in set(answered) - tables.keys():
-            groups = plan.groups(phase, a, sdr.instantaneous_bandwidth_hz)
-            table = np.zeros((len(devices), max(len(groups), 1)), np.int64)
-            for g, group in enumerate(groups):
-                for ch in group:
-                    for pos in testbed.by_channel.get(ch, ()):
-                        table[pos, g] |= 1 << devices[pos].channels.index(ch)
-            tables[a] = table[scope]
-        width = np.array([tables[a].shape[1] for a in answered]).repeat(n)[:, None]
-        tab = np.zeros((len(rows), width.max()), np.int64)
-        for k, a in enumerate(answered):
-            tab[k * n : (k + 1) * n, : width[k * n, 0]] = tables[a]
-        live = np.flatnonzero((heard == np.inf) & tab.any(axis=1)) if windows.count else rows[:0]
-        t, kept = (np.concatenate(chunk, axis=1)[live] for chunk in zip(*chunks))
-        first = 0
-        if probed and len(live):  # a response that lands after its probe window
-            j, inside = windows.holding(response[live, None])
-            _hear(specs, logs, heard, live, -256, response[live, None],
-                  np.where(inside, tab[live[:, None], j % width[live]] & 1, 0))
-        while len(live):
-            j, inside = windows.holding(t)
-            bits = np.where(inside, tab[live[:, None], j % width[live]] & kept, 0)
-            _hear(specs, logs, heard, live, first, t, bits)
-            live = live[draws.last[live] < np.minimum(heard[live], windows.end)]
-            if len(live):
-                first = int(draws.drawn[live[0]])
-                t, kept = draws.draw(live)
+        done = np.zeros(len(answered), np.int64)  # J_p of each trial: the windows before phase p
+        for p, phase in enumerate(phases):
+            keys = [(p, a) for a in answered]
+            for key in set(keys) - tables.keys():
+                groups = plan.groups(phase, key[1], sdr.instantaneous_bandwidth_hz)
+                table = np.zeros((len(devices), max(len(groups), 1)), np.int64)
+                for g, group in enumerate(groups):
+                    for ch in group:
+                        for pos in testbed.by_channel.get(ch, ()):
+                            table[pos, g] |= 1 << devices[pos].channels.index(ch)
+                tables[key] = table[scope]
+            width = np.array([tables[key].shape[1] for key in keys]).repeat(n)[:, None]
+            tab = np.zeros((len(rows), width.max()), np.int64)
+            for k, key in enumerate(keys):
+                tab[k * n : (k + 1) * n, : width[k * n, 0]] = tables[key]
+            shift, shifted = done.repeat(n), done.any()  # each pair's J_p
+            live = np.flatnonzero((heard == np.inf) & tab.any(axis=1) & (shift < windows.count))
+            pairs = live  # the pairs this phase waits for
+            t, kept = (np.concatenate(chunk, axis=1)[live] for chunk in zip(*chunks))
+            first = 0
+            if probed and len(live):  # a response that lands after its probe window
+                j, inside = windows.holding(response[live, None])
+                _hear(specs, logs, heard, live, -256, response[live, None],
+                      np.where(inside, tab[live[:, None], j % width[live]] & 1, 0))
+            while len(live):
+                j, inside = windows.holding(t)
+                if shifted:
+                    j = j - shift[live, None]
+                    inside &= j >= 0
+                bits = np.where(inside, tab[live[:, None], j % width[live]] & kept, 0)
+                _hear(specs, logs, heard, live, first, t, bits)
+                live = live[draws.last[live] < np.minimum(heard[live], windows.end)]
+                if len(live):
+                    first = int(draws.drawn[live[0]])
+                    t, kept = draws.draw(live)
+            if p + 1 < len(phases):
+                j, _ = windows.holding(heard[pairs])
+                np.maximum.at(done, pairs // n, np.minimum(j + 1, windows.count))
         del draws  # its streams, before the next block builds its own
     return seen
 

@@ -42,13 +42,13 @@ open windows here: it walks each device's stream on its own
 from the testbed (``Testbed.rotation``) and the frame of each entry it
 hears from the device (``SimDevice.frame``).
 
-The trials of an experiment differ only in their RNG streams. What depends
-on the device list alone, the ``Testbed`` (the positions of the devices on
-each channel and on each channel set; building one checks that names and
-addresses are unique), is built once per experiment and read by every
-trial. Each trial's ``Environment`` owns what
-it changes: its SimDevices (streams, next emission times, pending probe
-responses), held at the testbed's positions, and its clock.
+What depends on the device list alone, the ``Testbed`` (the positions of
+the devices on each channel and on each channel set; building one checks
+that names and addresses are unique), is built once per experiment and
+read by the array pass that runs every trial, and once per
+``Environment``. An environment owns what it changes: its SimDevices
+(streams, next emission times, pending probe responses), held at its
+testbed's positions, and its clock.
 """
 
 from __future__ import annotations
@@ -569,15 +569,15 @@ class EmissionDraws:
 
 
 class Testbed:
-    """What every trial of one experiment shares: the device specs, which
+    """What depends on the device list alone: the device specs, which
     devices listen on each channel, and the caches built from those.
 
-    Every field is a function of the device list alone and is never
-    changed once filled, so ``run_experiment`` builds one Testbed and hands
-    it to each trial's Environment; a trial owns only its SimDevices and
-    clock. Devices appear by their position in ``devices``, which is also
-    the position of each trial's SimDevice of the spec. Building one checks
-    that names and addresses are unique.
+    Every field is a function of the device list and is never changed once
+    filled, so ``run_experiment`` builds one Testbed for its array pass,
+    and each Environment builds its own. Devices appear by their position
+    in ``devices``, which is also the position of an Environment's
+    SimDevice of the spec. Building one checks that names and addresses
+    are unique.
     """
 
     def __init__(self, devices: Sequence[DeviceSpec]):
@@ -632,13 +632,10 @@ class Testbed:
 class Environment:
     """One trial's radio world: devices, a clock, and probe plumbing.
 
-    A trial owns what it changes: its SimDevices (RNG streams, next
-    emission times, pending probe responses), one per testbed position,
-    and its clock. What only depends on the device list, the ``Testbed``
-    (which names devices by position), is shared: pass the
-    experiment's to every trial, or leave it out and the environment
-    builds its own. Single-threaded by design; run one Environment per
-    trial and as many trials in parallel as you like.
+    It owns its SimDevices (RNG streams, next emission times, pending probe
+    responses), one per position of its ``Testbed``, which it builds from
+    the device list, and its clock. Single-threaded by design; run one
+    Environment per trial and as many trials in parallel as you like.
     """
 
     def __init__(
@@ -648,25 +645,16 @@ class Environment:
         streams: np.ndarray,
         loss_prob: float = 0.0,
         probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
-        testbed: Testbed | None = None,
     ):
         """``streams`` is this trial's block of ``stream_seeds``, one entry
-        per device; ``testbed`` must have been built from these very
-        ``DeviceSpec`` objects, in this order, since it names devices by
-        position."""
-        if testbed is None:
-            testbed = Testbed(devices)
-        elif len(testbed.devices) != len(devices) or any(
-            a is not b for a, b in zip(testbed.devices, devices)
-        ):
-            raise SimulationError("testbed was built for other devices")
+        per device."""
+        self.testbed = Testbed(devices)  # checks that names and addresses are unique
         if len(streams) != len(devices):
             raise SimulationError(f"{len(streams)} stream blocks for {len(devices)} devices")
         if not 0.0 <= loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {loss_prob}")
         if not 0.0 <= probe_response_delay_max_s < math.inf:
             raise ScenarioError("probe response delay must be finite and >= 0")
-        self.testbed = testbed
         self.clock = 0.0
         self.loss_prob = loss_prob
         self.probe_response_delay_max_s = probe_response_delay_max_s
@@ -764,15 +752,12 @@ def build_environment(
     loss_prob: float = 0.0,
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
     streams: np.ndarray | None = None,
-    testbed: Testbed | None = None,
 ) -> Environment:
     """Deterministic environment factory: same inputs, same event sequence.
 
     ``streams`` is the trial's block of ``stream_seeds(seed, ..., len(devices))``
     when the caller seeds many trials at once; without it the trial is
-    seeded alone, as a batch of one, with the same words. ``testbed`` is
-    the experiment's ``Testbed(devices)`` when many trials share one;
-    without it the environment builds its own."""
+    seeded alone, as a batch of one, with the same words."""
     if seed < 0 or trial < 0:
         raise ScenarioError("seed and trial index must be non-negative")
     if streams is None:
@@ -782,5 +767,4 @@ def build_environment(
         streams=streams,
         loss_prob=loss_prob,
         probe_response_delay_max_s=probe_response_delay_max_s,
-        testbed=testbed,
     )

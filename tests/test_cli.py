@@ -9,7 +9,6 @@ import iotsweep
 from iotsweep import experiment
 from iotsweep.cli import main
 from iotsweep.frames import BleAdvPdu, BlePduType, ZWaveFrame, beacon_request, encode
-from iotsweep.scanning import Scanner
 
 TINY = """
 scenario cli-tiny
@@ -187,17 +186,15 @@ class TestScenarioErrors:
     @pytest.mark.parametrize("command", ["scan", "model", "compare"])
     def test_out_under_a_regular_file_exit_1(self, tmp_path, capsys, command, monkeypatch):
         """The output directory is made before any trial, so a scan or
-        compare that cannot make it runs no trial. Trials run one
-        ``Scanner.scan`` each, or all at once in one array pass (the tiny
-        scenario is passive), so both are counted."""
+        compare that cannot make it runs no trial. Every trial runs in one
+        array pass, which is handed the streams of each."""
         scans = []
-        scan, one_pass = Scanner.scan, experiment.rotation_first_seen
+        one_pass = experiment.rotation_first_seen
 
         def counted_pass(testbed, streams, *args):
             scans.extend(streams)
             return one_pass(testbed, streams, *args)
 
-        monkeypatch.setattr(Scanner, "scan", lambda *a, **kw: scans.append(a) or scan(*a, **kw))
         monkeypatch.setattr(experiment, "rotation_first_seen", counted_pass)
         scn = write_tiny(tmp_path)
         blocker = tmp_path / "blocker"

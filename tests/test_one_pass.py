@@ -1,12 +1,13 @@
-"""A scan of one phase, with or without probes, runs every trial of an
-experiment in one array pass (``scanning.rotation_first_seen``). Each
-trial's first-seen times must be exactly those of ``Scanner.scan`` on an
-environment built for that trial alone, under frame loss, retune latency,
-budgets that censor rows or end inside the probes, periodic emitters,
-groups that hold several of a device's channels, frames that fail to
-decode, probe responses that land after their probe window, trials whose
-probes are answered on different channels, and crowds larger than one
-block of pairs.
+"""Every scan plan runs every trial of an experiment in one array pass
+(``scanning.rotation_first_seen``). Each trial's first-seen times must be
+exactly those of ``Scanner.scan`` on an environment built for that trial
+alone, under frame loss, retune latency, budgets that censor rows or end
+inside the probes, periodic emitters, groups that hold several of a
+device's channels, frames that fail to decode, probe responses that land
+after their probe window, trials whose probes are answered on different
+channels, sequential phases that a device is audible in twice, that no
+device is audible in or that overlap, and crowds larger than one block of
+pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from iotsweep.scenario import (
     ScenarioConfig,
     bundled_scenario_names,
     load_bundled_scenario,
+    resolve_channel_list,
 )
 from iotsweep.simulation import (
     _EXP_CHUNK,
@@ -46,10 +48,8 @@ BLE = tuple(ble_advertising_channels())
 ZIGBEE = tuple(zigbee_channel(k) for k in range(11, 27))
 
 
-ONE_PHASE = [
-    name for name in bundled_scenario_names() if len(load_bundled_scenario(name).plan().phases) == 1
-]
-ACTIVE = [name for name in ONE_PHASE if load_bundled_scenario(name).plan().probes]
+SCENARIOS = bundled_scenario_names()
+ACTIVE = [name for name in SCENARIOS if load_bundled_scenario(name).plan().probes]
 
 
 def assert_each_trial_runs_alone(cfg):
@@ -61,42 +61,59 @@ def assert_each_trial_runs_alone(cfg):
     return result
 
 
-def test_bundled_one_phase_scenarios():
-    assert ONE_PHASE == [
-        "ble-passive", "zigbee-active", "zigbee-ble-active-multi", "zigbee-dwell",
-        "zigbee-passive", "zwave-lora-multi", "zwave-lora-passive",
-    ]
-    assert ACTIVE == ["zigbee-active", "zigbee-ble-active-multi"]
-
-
-@pytest.mark.parametrize("name", ONE_PHASE)
-@pytest.mark.parametrize("loss", [0.0, 0.25])
-@pytest.mark.parametrize("retune", [0.0, 0.3])
-def test_one_phase_variants_equal_trials_run_alone(name, loss, retune):
-    """With a budget that lets every device be found and one that censors
-    rows, with no periodic emitter and with every other device periodic,
-    on two seeds."""
-    base = load_bundled_scenario(name)
-    censored = 0
-    for budget in (base.scan_time_s, max(base.dwell_time_s, base.scan_time_s / 50)):
+def variants(base, loss, retune, budgets, trials, **fields):
+    """``base`` under ``loss`` and ``retune``, with each of ``budgets``, with
+    no periodic emitter and with every other device periodic, on seeds 1
+    and 2, each running ``trials`` trials with ``fields`` replaced."""
+    for budget in budgets:
         for periodic in (False, True):
             devices = tuple(
                 dataclasses.replace(d, emitter=EmitterKind.PERIODIC) if periodic and i % 2 else d
                 for i, d in enumerate(base.devices)
             )
             for seed in (1, 2):
-                cfg = dataclasses.replace(
+                yield dataclasses.replace(
                     base,
                     devices=devices,
                     loss_prob=loss,
                     sdr=dataclasses.replace(base.sdr, retune_latency_s=retune),
                     scan_time_s=budget,
                     seed=seed,
-                    trials=3,
+                    trials=trials,
+                    **fields,
                 )
-                result = assert_each_trial_runs_alone(cfg)
-                if budget < base.scan_time_s:
-                    censored += sum(row.censored_count for row in result.summary.rows)
+
+
+def censored_rows(cfg, result, base):
+    """The censored rows of ``result`` when ``cfg`` cuts ``base``'s budget."""
+    if cfg.scan_time_s < base.scan_time_s:
+        return sum(row.censored_count for row in result.summary.rows)
+    return 0
+
+
+def test_bundled_one_phase_scenarios():
+    """Every bundled plan has one phase but the sequential baseline's."""
+    assert SCENARIOS == [
+        "ble-passive", "zigbee-active", "zigbee-ble-active-multi", "zigbee-ble-sequential",
+        "zigbee-dwell", "zigbee-passive", "zwave-lora-multi", "zwave-lora-passive",
+    ]
+    several = [name for name in SCENARIOS if len(load_bundled_scenario(name).plan().phases) > 1]
+    assert several == ["zigbee-ble-sequential"]
+    assert ACTIVE == ["zigbee-active", "zigbee-ble-active-multi"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("loss", [0.0, 0.25])
+@pytest.mark.parametrize("retune", [0.0, 0.3])
+def test_one_phase_variants_equal_trials_run_alone(name, loss, retune):
+    """Every bundled scenario, the sequential one included, with a budget
+    that lets every device be found and one that censors rows, with no
+    periodic emitter and with every other device periodic, on two seeds."""
+    base = load_bundled_scenario(name)
+    censored = 0
+    budgets = (base.scan_time_s, max(base.dwell_time_s, base.scan_time_s / 50))
+    for cfg in variants(base, loss, retune, budgets, 3):
+        censored += censored_rows(cfg, assert_each_trial_runs_alone(cfg), base)
     assert censored > 0  # the short budget does censor rows
 
 
@@ -201,6 +218,44 @@ def test_crowd_larger_than_a_block():
     assert all(0 < n < len(devices) for n in heard)
 
 
+# -- plans of several phases -----------------------------------------------------
+
+#: Sequential layouts no bundled scenario has: (devices from, phases).
+LAYOUTS = {
+    "audible-twice": ("zigbee-ble-sequential", "ble-adv:37..38 | zigbee:11..26 | ble-adv:39"),
+    "first-phase-deaf": ("zigbee-ble-sequential", "zigbee:21..26 | zigbee:11..20 | ble-adv:37..39"),
+    "overlapping": ("zigbee-ble-sequential", "zigbee:11..15 | zigbee:15..26 | ble-adv:37..39"),
+    "zwave-then-lora": ("zwave-lora-multi", "zwave:R2, zwave:R3 | yolink:up"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("retune", [0.0, 0.3])
+def test_phase_layouts_equal_trials_run_alone(layout, loss, retune):
+    """A device audible in two phases, a first phase that hears no device,
+    phases that overlap, and a Z-Wave phase then a LoRa one, each over
+    more trials than one block of pairs holds, with a budget that lets the
+    later phases run and one that censors rows, with no periodic emitter
+    and with every other device periodic, on two seeds."""
+    name, text = LAYOUTS[layout]
+    base = load_bundled_scenario(name)
+    phases = tuple(tuple(resolve_channel_list(part)) for part in text.split("|"))
+    if layout == "first-phase-deaf":
+        assert not any(set(d.channels) & set(phases[0]) for d in base.devices)
+    trials = scanning._PASS_BLOCK // len(base.devices) + 2  # two blocks
+    first = {d.name for d in base.devices if set(d.channels) & set(phases[0])}
+    later = censored = 0
+    budgets = (base.scan_time_s, base.scan_time_s / 50)
+    fields = dict(algorithm=Algorithm.SEQUENTIAL_PASSIVE, phases=phases)
+    for cfg in variants(base, loss, retune, budgets, trials, **fields):
+        result = assert_each_trial_runs_alone(cfg)
+        later += sum(d not in first for r in result.trials for _, d in r.first_seen)
+        censored += censored_rows(cfg, result, base)
+    assert later > 0  # some device is found in a later phase
+    assert censored > 0
+
+
 # -- plans that probe ------------------------------------------------------------
 
 
@@ -224,28 +279,10 @@ def test_probing_variants_equal_trials_run_alone(name, loss, retune):
     base = load_bundled_scenario(name)
     inside_the_probes = 2.0
     censored = 0
+    budgets = (base.scan_time_s, base.scan_time_s / 50, inside_the_probes)
     for delay in (0.1, 0.5, 40.0):
-        for budget in (base.scan_time_s, base.scan_time_s / 50, inside_the_probes):
-            for periodic in (False, True):
-                devices = tuple(
-                    dataclasses.replace(d, emitter=EmitterKind.PERIODIC)
-                    if periodic and i % 2 else d
-                    for i, d in enumerate(base.devices)
-                )
-                for seed in (1, 2):
-                    cfg = dataclasses.replace(
-                        base,
-                        devices=devices,
-                        loss_prob=loss,
-                        sdr=dataclasses.replace(base.sdr, retune_latency_s=retune),
-                        scan_time_s=budget,
-                        probe_response_delay_max_s=delay,
-                        seed=seed,
-                        trials=2,
-                    )
-                    result = assert_each_trial_runs_alone(cfg)
-                    if budget < base.scan_time_s:
-                        censored += sum(row.censored_count for row in result.summary.rows)
+        for cfg in variants(base, loss, retune, budgets, 2, probe_response_delay_max_s=delay):
+            censored += censored_rows(cfg, assert_each_trial_runs_alone(cfg), base)
     assert censored > 0
     short = dataclasses.replace(
         base, scan_time_s=inside_the_probes, sdr=SdrConfig(retune_latency_s=retune)
@@ -373,9 +410,10 @@ def one_pass(cfg, plan=None, budget=None):
     )
 
 
-def test_a_plan_of_several_phases_is_refused():
-    with pytest.raises(ParameterError, match="one phase"):
-        one_pass(load_bundled_scenario("zigbee-ble-sequential"))
+def test_a_plan_that_probes_in_several_phases_is_refused():
+    cfg = load_bundled_scenario("zigbee-ble-sequential")
+    with pytest.raises(ParameterError, match="probes in one phase"):
+        one_pass(cfg, scanning.ScanPlan(cfg.phases, probes=ZIGBEE[:2]))
 
 
 def test_a_plan_that_probes_is_accepted_unless_it_repeats_or_cannot_probe_a_channel():

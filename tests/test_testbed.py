@@ -1,8 +1,8 @@
-"""State an experiment builds once and shares with every trial: the testbed
+"""State an experiment builds once and reads in every trial: the testbed
 (address table, channel index, listener scopes) and the rotation's window
 plans. Trials own only their devices' RNG streams and pending probe
-responses, their clocks and their logs, so a trial run on shared state
-must equal the same trial run on state built for it alone.
+responses, their clocks and their logs, so each trial of an experiment
+must equal the same trial run on an environment built for it alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from iotsweep import experiment, simulation
 from iotsweep.address import ZigbeeShort
 from iotsweep.channels import Protocol, zigbee_channel
-from iotsweep.errors import ParameterError, ScenarioError, SimulationError
+from iotsweep.errors import ParameterError, ScenarioError
 from iotsweep.scanning import Scanner, _plan, _Windows
 from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
 from iotsweep.simulation import DeviceSpec, Role, build_environment
@@ -49,28 +49,19 @@ def test_each_trial_equals_a_trial_run_alone(case):
         assert record.first_seen == lone_trial(cfg, record.trial), (case, record.trial)
 
 
-def test_run_experiment_shares_one_testbed(monkeypatch):
-    """Every trial's environment comes through ``build_environment`` with the
-    same testbed, built from the scenario's devices. A plan of several
-    phases runs one ``Scanner.scan`` per trial; any other, one array pass."""
-    seen = []
-    build = experiment.build_environment
+def test_run_experiment_builds_no_environment(monkeypatch):
+    """Every plan runs in the one array pass: no trial of a bundled
+    scenario builds an environment or runs a scanner."""
 
-    def spy(*args, **kwargs):
-        env = build(*args, **kwargs)
-        seen.append((kwargs["testbed"], env))
-        return env
+    def refused(*args, **kwargs):
+        raise AssertionError("run_experiment built a per-trial environment")
 
-    monkeypatch.setattr(experiment, "build_environment", spy)
-    cfg = load_bundled_scenario("zigbee-ble-sequential")
-    experiment.run_experiment(cfg)
-    assert len(seen) == cfg.trials
-    testbed = seen[0][0]
-    assert testbed.devices == cfg.devices
-    for shared, env in seen:
-        assert shared is testbed and env.testbed is testbed
-    devices = [id(dev) for _, env in seen for dev in env.devices]
-    assert len(set(devices)) == len(devices)  # no trial reuses another's SimDevice
+    monkeypatch.setattr(experiment, "build_environment", refused)
+    monkeypatch.setattr(simulation.Environment, "__init__", refused)
+    monkeypatch.setattr(Scanner, "scan", refused)
+    for name in bundled_scenario_names():
+        cfg = load_bundled_scenario(name)
+        assert len(experiment.run_experiment(cfg).trials) == cfg.trials, name
 
 
 def zigbee(name, addr):
@@ -91,16 +82,6 @@ def test_duplicates_refused_with_or_without_a_testbed(devices, match):
         build_environment(devices, seed=1)
     with pytest.raises(ScenarioError, match=match):
         simulation.Testbed(devices)
-
-
-def test_testbed_of_other_devices_refused():
-    a, b = zigbee("a", 1), zigbee("b", 2)
-    with pytest.raises(SimulationError, match="other devices"):
-        build_environment((a, b), seed=1, testbed=simulation.Testbed((b, a)))
-    with pytest.raises(SimulationError, match="other devices"):
-        build_environment((a,), seed=1, testbed=simulation.Testbed((a, b)))
-    env = build_environment((a, b), seed=1, testbed=simulation.Testbed((a, b)))
-    assert simulation.address_table(env.testbed.devices)[ZigbeeShort(0x1A62, 2)] == "b"
 
 
 # Dwell/retune pairs whose window period is not exact in binary, as in
