@@ -472,10 +472,10 @@ class Scanner:
 _TIME = operator.itemgetter(0)
 
 #: (trial, device) pairs ``rotation_first_seen`` draws and places together:
-#: as many whole trials as fit, and at least one. A stream is four objects the
-#: garbage collector tracks; a block kept below its threshold of 700 triggers no
-#: collection that would promote them, and so no full collection's pause.
-_PASS_BLOCK = 128
+#: as many whole trials as fit, and at least one. Only a bound on the memory
+#: of the pass's arrays: a block holds no RNG stream, since each lives for one
+#: ``EmissionDraws.draw``, so every bundled scenario runs in one block.
+_PASS_BLOCK = 4096
 
 
 def rotation_first_seen(
@@ -599,7 +599,6 @@ def rotation_first_seen(
             if p + 1 < len(phases):
                 j, _ = windows.holding(heard[pairs])
                 np.maximum.at(done, pairs // n, np.minimum(j + 1, windows.count))
-        del draws  # its streams, before the next block builds its own
     return seen
 
 

@@ -16,8 +16,12 @@ set-up and more in larger chunks as it runs: most devices are heard, and
 then skipped, or reach the end of the scan within their first few gaps, and
 a generator's draws do not depend on how they are chunked
 (``tests/test_one_pass.py::test_draws_do_not_depend_on_chunking``), which
-``EmissionDraws`` relies on to draw many fresh devices at once. A stream is
-PCG64 seeded with the words
+``EmissionDraws`` relies on to draw many fresh devices at once. It keeps
+seed words, not generators: each of its streams lives for one draw, and a
+row that draws again rebuilds its streams and redraws what it drew before
+with the new chunk. A ``SimDevice`` keeps its generators.
+
+A stream is PCG64 seeded with the words
 ``np.random.SeedSequence([seed, trial, device, tag])`` would give it;
 ``stream_seeds`` computes those words for every key of an experiment in
 one numpy pass, since building a SeedSequence per stream cost more than
@@ -76,6 +80,9 @@ _STREAM_TAGS = ("times", "loss", "probe")
 #: call. Over the 24 scenario seeds of the dense-2g4 and sparse-900
 #: benchmarks, 93% and 95% of a trial's devices use at most 8 gaps and 99%
 #: at most 16; a generator's draws do not depend on how they are chunked.
+#: ``EmissionDraws`` draws events of a row in chunks of the same first size,
+#: then of ``max(_EXP_CHUNK, events drawn so far)``, since it redraws a row's
+#: earlier events with each later chunk from a stream built for that call.
 _FIRST_CHUNK = 8
 _EXP_CHUNK = 64
 
@@ -521,18 +528,26 @@ class SimDevice:
 class EmissionDraws:
     """The emissions of many fresh devices, a chunk at a time for all at
     once: row i emits what ``SimDevice(specs[i], streams[i], loss_prob)``
-    would, from the same streams in the same chunks, with the same clamp of
-    a Poisson gap, a periodic phase then period steps, and one loss coin
-    per channel per emission in channel order. ``np.add.accumulate`` is the
-    same left fold as ``t = t + gap``, so every time is bit for bit.
-    ``streams`` holds one ``stream_seeds`` entry per row."""
+    would, from the same streams, with the same clamp of a Poisson gap, a
+    periodic phase then period steps, and one loss coin per channel per
+    emission in channel order. ``np.add.accumulate`` is the same left fold
+    as ``t = t + gap``, so every time is bit for bit.
+
+    It holds each row's seed words (its ``stream_seeds`` entry), not its
+    generators: a draw builds the streams it reads and drops them when it
+    returns, so no stream outlives a call. A row that draws again rebuilds
+    its streams and draws what it drew before with the new chunk, keeping
+    the chunk, which a generator's draws not depending on their chunking
+    makes exact. A later chunk is at least as long as what the row has
+    drawn, so a row draws about twice the values it keeps at most."""
 
     def __init__(self, specs: Sequence[DeviceSpec], streams: np.ndarray, loss_prob: float):
         self._specs = specs
-        self._times = [_stream(words) for words in streams["times"]]
-        self._loss = [_stream(words) for words in streams["loss"]] if loss_prob > 0 else None
+        self._times = streams["times"]
+        self._loss = streams["loss"] if loss_prob > 0 else None
         self._loss_prob = loss_prob
         self._poisson = np.array([spec.emitter is EmitterKind.POISSON for spec in specs])
+        self._means = np.array([spec.mean_interarrival_s for spec in specs])
         self._width = max((len(spec.channels) for spec in specs), default=1)
         self.last = np.zeros(len(specs))  # each row's last event time; the fold starts at 0
         self.drawn = np.zeros(len(specs), np.int64)  # events each row has drawn
@@ -540,26 +555,35 @@ class EmissionDraws:
     def draw(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The next chunk of ``rows``, which have drawn equally often: event
         times (one row each) and, per event, the bits of the channels whose
-        loss coin it survived; its first event is number ``drawn[row]``."""
-        fresh = not self.drawn[rows[0]]
-        n = _FIRST_CHUNK if fresh else _EXP_CHUNK
+        loss coin it survived; its first event is number ``drawn[row]``.
+
+        A Poisson gap is ``exponential(mean)``, which is ``mean *
+        standard_exponential()``, and a periodic phase ``uniform(0, mean)``,
+        which is ``0.0 + mean * random()``: one IEEE product each, so the
+        rows' standard draws and period steps of 1 are scaled by their means
+        in one multiply. Only a periodic row's phase reads its times stream."""
+        drawn = int(self.drawn[rows[0]])
+        n = max(_EXP_CHUNK, drawn) if drawn else _FIRST_CHUNK
+        poisson = self._poisson[rows]
         steps = np.empty((len(rows), n + 1))
         steps[:, 0] = self.last[rows]
+        gaps = steps[:, 1:]
+        gaps[~poisson] = 1.0  # period steps, in units of the period
         coins = None if self._loss is None else np.ones((len(rows), n, self._width))  # pads survive
         for k, i in enumerate(rows.tolist()):
-            spec = self._specs[i]
-            mean = spec.mean_interarrival_s
-            if spec.emitter is EmitterKind.POISSON:
-                steps[k, 1:] = self._times[i].exponential(mean, n)
-            else:
-                steps[k, 1:] = mean
-                if fresh:
-                    steps[k, 1] = self._times[i].uniform(0.0, mean)
+            if poisson[k]:
+                if drawn:
+                    gaps[k] = _stream(self._times[i]).standard_exponential(drawn + n)[drawn:]
+                else:
+                    _stream(self._times[i]).standard_exponential(out=gaps[k])
+            elif not drawn:
+                gaps[k, 0] = _stream(self._times[i]).random()
             if coins is not None:
-                coins[k, :, : len(spec.channels)] = self._loss[i].random((n, len(spec.channels)))
-        gaps = steps[:, 1:]
+                width = len(self._specs[i].channels)
+                coins[k, :, :width] = _stream(self._loss[i]).random((drawn + n, width))[drawn:]
+        gaps *= self._means[rows, None]
         # generate_until's clamp: times stay non-decreasing, so a row's events ascend
-        gaps[(gaps <= 0.0) & self._poisson[rows, None]] = 1e-12
+        gaps[(gaps <= 0.0) & poisson[:, None]] = 1e-12
         times = np.add.accumulate(steps, axis=1)[:, 1:]
         self.last[rows] = times[:, -1]
         self.drawn[rows] += n

@@ -6,13 +6,19 @@ inside the probes, periodic emitters, groups that hold several of a
 device's channels, frames that fail to decode, probe responses that land
 after their probe window, trials whose probes are answered on different
 channels, sequential phases that a device is audible in twice, that no
-device is audible in or that overlap, and crowds larger than one block of
-pairs.
+device is audible in or that overlap, devices first heard after more
+than 1,000 of their events, and crowds larger than one block of pairs
+(``scanning._PASS_BLOCK`` set to 128 for them).
+
+``EmissionDraws`` holds seed words, not generators: each stream lives for
+one draw, and a row that draws again redraws its earlier events with the
+new chunk, so the tests at the end check it draws what ``SimDevice`` does.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 
 import numpy as np
@@ -196,9 +202,10 @@ def crowd(n_zigbee, n_ble, seed):
     return tuple(devices)
 
 
-def test_crowd_larger_than_a_block():
+def test_crowd_larger_than_a_block(monkeypatch):
     """A crowd of 1,100 Zigbee and BLE devices over two trials spans
-    several blocks of pairs, with loss and a budget that censors rows."""
+    several blocks of 128 pairs, with loss and a budget that censors rows."""
+    monkeypatch.setattr(scanning, "_PASS_BLOCK", 128)
     devices = crowd(600, 500, seed=28)
     cfg = ScenarioConfig(
         name="crowd",
@@ -218,6 +225,43 @@ def test_crowd_larger_than_a_block():
     assert all(0 < n < len(devices) for n in heard)
 
 
+def test_devices_heard_after_a_thousand_events():
+    """Under a loss of 0.998, Poisson and periodic devices that send 20
+    times a second are first heard after more than 1,000 of their events,
+    so their rows draw several growing chunks, each redrawing the last."""
+    z11 = zigbee_channel(11)
+    devices = (
+        DeviceSpec("poisson", Protocol.ZIGBEE, Role.ROUTER, (z11,), 0.05, ZigbeeShort(0x1A62, 1)),
+        DeviceSpec(
+            "periodic", Protocol.ZIGBEE, Role.ROUTER, (z11,), 0.05, ZigbeeShort(0x1A62, 2),
+            emitter=EmitterKind.PERIODIC,
+        ),
+        DeviceSpec("ble", Protocol.BLE_ADVERTISING, Role.PERIPHERAL, BLE, 0.05, BleAdvA(0xC0FFEE)),
+    )
+    cfg = ScenarioConfig(
+        name="late",
+        algorithm=Algorithm.MULTIPROTOCOL,
+        devices=devices,
+        channels=tuple(sort_channels((z11,) + BLE)),
+        sdr=SdrConfig(8 * MHZ),
+        dwell_time_s=1.0,
+        scan_time_s=600.0,
+        trials=4,
+        seed=1,
+        loss_prob=0.998,
+    )
+    result = assert_each_trial_runs_alone(cfg)
+    late = set()
+    for record in result.trials:
+        env = experiment.trial_environment(cfg, record.trial)
+        for t, name in record.first_seen:
+            dev = next(d for d in env.devices if d.name == name)
+            idx = next(i for when, _, i in dev.generate_until(np.nextafter(t, np.inf)) if when == t)
+            if idx > 1000:
+                late.add(name)
+    assert late == {"poisson", "periodic"}
+
+
 # -- plans of several phases -----------------------------------------------------
 
 #: Sequential layouts no bundled scenario has: (devices from, phases).
@@ -232,12 +276,13 @@ LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("loss", [0.0, 0.3])
 @pytest.mark.parametrize("retune", [0.0, 0.3])
-def test_phase_layouts_equal_trials_run_alone(layout, loss, retune):
+def test_phase_layouts_equal_trials_run_alone(monkeypatch, layout, loss, retune):
     """A device audible in two phases, a first phase that hears no device,
     phases that overlap, and a Z-Wave phase then a LoRa one, each over
-    more trials than one block of pairs holds, with a budget that lets the
-    later phases run and one that censors rows, with no periodic emitter
-    and with every other device periodic, on two seeds."""
+    more trials than one block of 128 pairs holds, with a budget that lets
+    the later phases run and one that censors rows, with no periodic
+    emitter and with every other device periodic, on two seeds."""
+    monkeypatch.setattr(scanning, "_PASS_BLOCK", 128)
     name, text = LAYOUTS[layout]
     base = load_bundled_scenario(name)
     phases = tuple(tuple(resolve_channel_list(part)) for part in text.split("|"))
@@ -374,10 +419,11 @@ def test_active_scan_with_no_answer_opens_no_rotation():
     assert any(record.first_seen for record in experiment.run_experiment(passive).trials)
 
 
-def test_probing_crowd_larger_than_a_block():
+def test_probing_crowd_larger_than_a_block(monkeypatch):
     """An active multiprotocol scan of 1,100 devices, one trial of which is
-    more than a block of pairs: it probes every Zigbee channel and always
-    listens on the BLE advertising channels."""
+    more than a block of 128 pairs: it probes every Zigbee channel and
+    always listens on the BLE advertising channels."""
+    monkeypatch.setattr(scanning, "_PASS_BLOCK", 128)
     devices = crowd(600, 500, seed=29)
     cfg = ScenarioConfig(
         name="probing-crowd",
@@ -439,16 +485,21 @@ def test_draws_do_not_depend_on_chunking():
     drawn 8 then 64 at a time equal 72 drawn at once, loss coins drawn one
     at a time equal an array of them, and a scalar uniform is the first of
     an array. ``SimDevice`` draws scalars and small chunks, and
-    ``EmissionDraws`` arrays, so both see the same numbers."""
+    ``EmissionDraws`` arrays, so both see the same numbers. It draws
+    standard exponentials and uniforms and scales them by the mean, which
+    gives ``exponential`` and ``uniform`` bit for bit."""
     words = stream_seeds(7, range(1), 1)[0, 0]["times"]
     whole = _stream(words).exponential(3.5, _FIRST_CHUNK + _EXP_CHUNK)
     rng = _stream(words)
     pieces = np.concatenate([rng.exponential(3.5, _FIRST_CHUNK), rng.exponential(3.5, _EXP_CHUNK)])
     assert pieces.tobytes() == whole.tobytes()
+    scaled = 3.5 * _stream(words).standard_exponential(_FIRST_CHUNK + _EXP_CHUNK)
+    assert scaled.tobytes() == whole.tobytes()
     rng = _stream(words)
     one_by_one = [rng.random() for _ in range(3 * 20)]
     assert _stream(words).random((20, 3)).ravel().tolist() == one_by_one
     assert _stream(words).uniform(0.0, 9.0) == _stream(words).uniform(0.0, 9.0, 4)[0]
+    assert _stream(words).uniform(0.0, 9.0) == 9.0 * _stream(words).random()
 
 
 def emitted(spec, streams, loss, horizon, n):
@@ -464,9 +515,11 @@ def emitted(spec, streams, loss, horizon, n):
 
 @pytest.mark.parametrize("loss", [0.0, 0.4])
 def test_emission_draws_equal_generate_until(loss):
-    """Chunk by chunk, every row draws the times and loss coins its
+    """Over four chunks, every row draws the times and loss coins its
     SimDevice generates, for Poisson and periodic Zigbee and BLE devices;
-    the smallest double as a mean makes many gaps 0, which the clamp lifts."""
+    the smallest double as a mean makes many gaps 0, which the clamp lifts.
+    After the first, each chunk is as long as what the rows drew before
+    it, and at least ``_EXP_CHUNK``."""
     specs = [
         DeviceSpec("z", Protocol.ZIGBEE, Role.ROUTER, (ZIGBEE[0],), 0.7, ZigbeeShort(0x1A62, 1)),
         DeviceSpec("b", Protocol.BLE_ADVERTISING, Role.PERIPHERAL, BLE, 1.3, BleAdvA(0xC0FFEE)),
@@ -479,9 +532,10 @@ def test_emission_draws_equal_generate_until(loss):
     streams = stream_seeds(11, range(1), len(specs))[0]
     draws = EmissionDraws(specs, streams, loss)
     rows = np.arange(len(specs))
-    times, kept = zip(*(draws.draw(rows) for _ in range(3)))
+    times, kept = zip(*(draws.draw(rows) for _ in range(4)))
+    sizes = [_FIRST_CHUNK, _EXP_CHUNK, _FIRST_CHUNK + _EXP_CHUNK, 2 * (_FIRST_CHUNK + _EXP_CHUNK)]
+    assert [chunk.shape for chunk in times] == [(len(specs), n) for n in sizes]
     times, kept = np.concatenate(times, axis=1), np.concatenate(kept, axis=1)
-    assert times.shape == (len(specs), _FIRST_CHUNK + 2 * _EXP_CHUNK)
     assert draws.drawn.tolist() == [times.shape[1]] * len(specs)
     for i, spec in enumerate(specs):
         horizon = np.nextafter(times[i, -1], np.inf)
@@ -492,6 +546,24 @@ def test_emission_draws_equal_generate_until(loss):
             if mask & (1 << len(spec.channels)) - 1
         ]
         assert got == want, spec.name
+
+
+def live_streams():
+    return sum(isinstance(obj, np.random.PCG64) for obj in gc.get_objects())
+
+
+def test_no_stream_outlives_a_draw():
+    """``EmissionDraws`` holds no generator, and its draws, first and later,
+    with and without loss coins, leave no stream behind."""
+    devices = crowd(12, 4, seed=31)
+    streams = stream_seeds(3, range(1), len(devices))[0]
+    before = live_streams()
+    for loss in (0.0, 0.3):
+        draws = EmissionDraws(devices, streams, loss)
+        assert live_streams() == before
+        for _ in range(3):
+            draws.draw(np.arange(len(devices)))
+            assert live_streams() == before
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT + [(1.0, 0.0)])
