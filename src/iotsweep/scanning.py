@@ -35,12 +35,10 @@ frame in its window carried an address. Each distinct frame is decoded once
 per process, and every probe window is one listen.
 
 Every scan counts its budget from its own start: each window, probe or
-rotation, starts within it. Each phase is run by ``Scanner._rotate``. Given
-the window schedule, the devices of a trial do not interact: there is no
-airtime and no collision, and every stream belongs to one device. So the
-rotation walks each device's stream on its own, through the windows whose
-group hears it, to its first audible frame: the walks of the stop set fix
-where the phase ends, and every other walk stops there.
+rotation, starts within it. Each phase is run by ``Scanner._rotate``, which
+hears a window as a listen does, and queries only the windows whose group
+hears the next event of a device the log does not yet hold every address
+of: no other window can add to the log.
 
 From a fresh environment, a device is first seen at its first event
 within the budget that lands in a window that hears it and whose frame
@@ -60,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -332,8 +329,7 @@ class Scanner:
             groups = plan.groups(phase, responders, sdr.instantaneous_bandwidth_hz)
             stop = until_complete
             if i < last:
-                _, offsets = env.testbed.rotation(groups)
-                audible = frozenset(env.devices[pos].name for pos in offsets)
+                audible = frozenset(env.devices[pos].name for pos in env.testbed.rotation(groups))
                 stop = audible if stop is None else audible & stop
             if groups:
                 self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=stop)
@@ -386,90 +382,38 @@ class Scanner:
         c_{j+1} = e_j + retune; ``_Windows`` gives these edges bit for bit
         as stepping the clock one window at a time does.
 
-        Every log, address set and final clock is the same as when each
-        window is queried with every device, because the devices are
-        independent given the schedule: a window hears a device's frames
-        that land in it on the group's channels, whatever the other devices
-        do. So each device not yet fully logged is walked on its own
-        (``_walk``) through the windows whose group hears it.
-
-        - The stop set's unlogged devices are walked first, each to the
-          window that first hears it. The rotation stops after the latest
-          of those windows, or at the budget if one of them is not heard
-          within it (or no group hears it); a stop set of none leaves it
-          at the budget.
-        - Every device is then walked up to that end and no further,
-          logging each address it is heard under, until every address of
-          it is in the log. No stream is generated past the clock the
-          rotation leaves, so later phases, probes and listens hear the
-          same traffic as after querying every window.
-        """
+        Each window is heard as a listen hears it, but only the windows
+        that can add to the log are queried. The next is the earliest, from
+        the one after the last queried, whose group hears the next event of
+        a device some address of which the log lacks (``first_from`` over
+        the device's residue offsets, ``Testbed.rotation``). No window
+        before it holds an event of such a device on its group's channels,
+        and the frames of a fully logged device add nothing, so skipping
+        those windows changes neither the log nor what a later window
+        hears: every query drops the events before its start."""
         env, log = self.env, self.log
         windows = _plan(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
-        if not windows.count or stop is not None and log.covers(stop):
+        if not windows.count:
             return
         addresses, logged = env.testbed.addresses, log.addresses
-        sets, offsets = env.testbed.rotation(groups)
-        walks = []  # (device, its residue offsets, its addresses) of each device not fully logged
-        c0 = env.clock
-        for pos, steps in offsets.items():
-            dev = env.devices[pos]
-            mine = addresses[dev.name]
-            if not mine <= logged:
-                if dev.next_time < c0:
-                    dev.generate_until(c0)  # no window of the rotation hears these
-                walks.append((dev, steps, mine))
-        end = windows.count
-        if stop is not None:
-            missing = stop - log.first_seen.keys()
-            first = [walk for walk in walks if walk[0].name in missing]
-            if len(first) == len(missing):  # else one is never heard: the phase runs out
-                last = max(self._walk(*walk, sets, windows, end, True) for walk in first)
-                end = min(last + 1, end)
-        for walk in walks:
-            if not walk[2] <= logged:  # a stop walk may have logged it
-                self._walk(*walk, sets, windows, end, False)
-        env.clock = windows.edges(end)[0]
+        devices = [
+            (env.devices[pos], steps, addresses[env.devices[pos].name])
+            for pos, steps in env.testbed.rotation(groups).items()
+        ]
+        c0, j = env.clock, 0
+        while stop is None or not log.covers(stop):
+            j = min(
+                (windows.first_from(max(dev.next_time, c0), j, steps)[0]
+                 for dev, steps, mine in devices if not mine <= logged),
+                default=windows.count,
+            )
+            if j == windows.count:
+                break
+            c, e = windows.edges(j)
+            self._ingest(env.emissions_in_parallel(groups[j % len(groups)], c, e))
+            j += 1
+        env.clock = windows.edges(j)[0]
 
-    def _walk(self, dev, steps, mine, sets, windows, end, first) -> int:
-        """Walk ``dev`` through the windows below ``end`` whose group hears
-        it, from its next event on: log every address it is heard under
-        until ``mine``, its addresses, are all in the log, or, if ``first``,
-        until the first window that hears it. Returns that window, or
-        ``end``. ``steps`` are its residue offsets (``Testbed.rotation``).
-
-        Each step generates the device to the end e_j of the next window j
-        that can hear it, dropping what lies before c_j, and takes its
-        entries in [c_j, e_j) on the group's channels in time order
-        (``generate_until`` lists responses after emissions). After a window
-        that hears none, the walk goes on from the window of the device's
-        next event, or the next window."""
-        log, logged, t0, name = self.log, self.log.addresses, self._t0, dev.name
-        lo = 0
-        while True:
-            j, c, e = windows.first_from(dev.next_time, lo, steps)
-            if j >= end:
-                return end
-            if dev.next_time < e:
-                channels = sets[j % len(steps)]
-                hits = [x for x in dev.generate_until(e) if x[0] >= c and x[1] in channels]
-                if len(hits) > 1:
-                    hits.sort(key=_TIME)
-                heard = False
-                for t, ch, idx in hits:
-                    addr = _frame_address(ch, dev.frame(idx))
-                    if addr is not None:
-                        heard = True
-                        log.record(name, t - t0, addr)
-                        if mine <= logged:
-                            return j
-                if heard and first:
-                    return j
-            lo = j + 1
-
-
-#: The time of a ``generate_until`` entry.
-_TIME = operator.itemgetter(0)
 
 #: (trial, device) pairs ``rotation_first_seen`` draws and places together:
 #: as many whole trials as fit, and at least one. Only a bound on the memory
@@ -486,7 +430,7 @@ def rotation_first_seen(
     a fresh environment, ``streams`` being the trials' ``stream_seeds``.
     Each (trial, device) pair's events are drawn a chunk at a time
     (``EmissionDraws``), and it is heard at the earliest that lands in a
-    window that hears it and whose frame decodes, as in ``_walk``. First
+    window that hears it and whose frame decodes, as in ``_rotate``. First
     the probe windows that start within the budget. Probe channels are
     distinct Zigbee channels, so a device sits in at most one, having sent
     nothing before it: its beacon is index -256, sent at the window's start
@@ -605,7 +549,7 @@ def rotation_first_seen(
 def _hear(specs, logs, heard, live, first, t, bits) -> None:
     """Log in ``heard[i]`` and ``logs[i]``, for each row ``live[r]`` = i, the
     time of its earliest event before ``heard[i]`` whose frame decodes on a
-    channel that ``bits[r]`` marks, tried in channel order as a walk does.
+    channel that ``bits[r]`` marks, tried in channel order.
     A row's events are in time order, and event k is number ``first + k``."""
     audible = (bits != 0) & (t < heard[live, None])
     while audible.any():

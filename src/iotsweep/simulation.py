@@ -40,11 +40,9 @@ address slot, so a delivered frame is encoded once per ``DeviceSpec``,
 which keeps it for every trial, and the scanner decodes each distinct
 frame once per process.
 The clock forbids a window that starts before the last one ended, so
-nothing a window dropped can be asked for again. A scan's rotation does not
-open windows here: it walks each device's stream on its own
-(``Scanner._rotate``), reading which groups of the rotation hear the device
-from the testbed (``Testbed.rotation``) and the frame of each entry it
-hears from the device (``SimDevice.frame``).
+nothing a window dropped can be asked for again. A scan's rotation reads
+which of its groups hear each device from the testbed (``Testbed.rotation``)
+to choose the windows it opens.
 
 What depends on the device list alone, the ``Testbed`` (the positions of
 the devices on each channel and on each channel set; building one checks
@@ -515,14 +513,10 @@ class SimDevice:
         self.next_time = min(t, responses[0][0]) if responses else t
         return entries
 
-    def frame(self, idx: int) -> bytes:
-        """The wire bytes of the ``generate_until`` entry with index ``idx``."""
-        return self.spec.frame(idx)
-
     def emission(self, entry: tuple[float, Channel, int]) -> Emission:
         """One entry returned by ``generate_until``, with its frame."""
         t, ch, idx = entry
-        return Emission(t, ch, self.frame(idx), self.name)
+        return Emission(t, ch, self.spec.frame(idx), self.name)
 
 
 class EmissionDraws:
@@ -620,7 +614,7 @@ class Testbed:
             for ch, positions in self.by_channel.items()
         }
         self._scopes: dict[frozenset[Channel], list[int]] = {}
-        self._rotations: dict[tuple[tuple[Channel, ...], ...], tuple] = {}
+        self._rotations: dict[tuple[tuple[Channel, ...], ...], dict[int, tuple[int, ...]]] = {}
 
     def scope(self, channels: frozenset[Channel]) -> list[int]:
         """The positions of the devices on any of ``channels``, ascending."""
@@ -630,18 +624,16 @@ class Testbed:
             positions = self._scopes[channels] = sorted(heard)
         return positions
 
-    def rotation(
-        self, groups: tuple[tuple[Channel, ...], ...]
-    ) -> tuple[tuple[frozenset[Channel], ...], dict[int, tuple[int, ...]]]:
-        """A rotation over ``groups``: each group's channel set, and the
-        residue offsets of every device some group hears, by position in
-        ascending order. Entry r of a device's offsets is the k >= 0 for
-        which group (r + k) mod G is the first from group r on that holds
-        one of the device's channels, so window j + offsets[j % G] is the
-        first from window j on that can hear the device."""
-        table = self._rotations.get(groups)
-        if table is None:
-            sets = tuple(frozenset(group) for group in groups)
+    def rotation(self, groups: tuple[tuple[Channel, ...], ...]) -> dict[int, tuple[int, ...]]:
+        """The residue offsets over ``groups`` of every device some group
+        hears, by position in ascending order. Entry r of a device's offsets
+        is the k >= 0 for which group (r + k) mod G is the first from group
+        r on that holds one of the device's channels, so window
+        j + offsets[j % G] is the first from window j on that can hear the
+        device."""
+        offsets = self._rotations.get(groups)
+        if offsets is None:
+            sets = [frozenset(group) for group in groups]
             n = len(sets)
             offsets = {}
             for pos in self.scope(frozenset().union(*sets)):
@@ -649,8 +641,8 @@ class Testbed:
                 offsets[pos] = tuple(
                     next(k for k in range(n) if hears[(r + k) % n]) for r in range(n)
                 )
-            table = self._rotations[groups] = sets, offsets
-        return table
+            self._rotations[groups] = offsets
+        return offsets
 
 
 class Environment:

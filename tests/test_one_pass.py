@@ -148,14 +148,14 @@ def test_group_holding_every_advertising_channel_under_loss(retune):
 
 def test_frame_that_does_not_decode_is_skipped(monkeypatch):
     """When the frame a device is first heard with yields no address, the
-    device is found at its next audible frame, as a walk finds it."""
+    device is found at its next audible frame, as a scan finds it."""
     cfg = dataclasses.replace(load_bundled_scenario("zigbee-passive"), trials=3)
     t0, name = experiment.run_experiment(cfg).trials[0].first_seen[0]
     env = experiment.trial_environment(cfg, 0)
     dev = next(d for d in env.devices if d.name == name)
     entries = dev.generate_until(t0 + 10_000.0)  # one per emission: one channel, no loss
     first = next(i for i, (t, _, _) in enumerate(entries) if t == t0)
-    blocked = dev.frame(entries[first][2])
+    blocked = dev.spec.frame(entries[first][2])
     groups = cfg.plan().groups(cfg.channels, (), cfg.sdr.instantaneous_bandwidth_hz)
     mine = next(g for g, group in enumerate(groups) if dev.spec.channels[0] in group)
     windows = scanning._plan(0.0, cfg.dwell_time_s, 0.0, 0.0, cfg.scan_time_s)
@@ -166,7 +166,7 @@ def test_frame_that_does_not_decode_is_skipped(monkeypatch):
 
     assert audible(t0)
     later = entries[first + 1 :]
-    after = next(t for t, _, idx in later if audible(t) and dev.frame(idx) != blocked)
+    after = next(t for t, _, idx in later if audible(t) and dev.spec.frame(idx) != blocked)
     real = scanning._frame_address
 
     def deaf(channel, data):

@@ -1,6 +1,6 @@
-"""The shared rotation loop walks each device on its own to the windows
-that hear it, and stops generating a device once every address of it is
-logged or the rotation's end is reached.
+"""The shared rotation loop queries only the windows that can add to the
+log: the next is the earliest whose group hears the next event of a device
+some address of which the log lacks. A fully logged device drives no query.
 
 A naive reference loop queries the environment for every window, with every
 device. Each scan must leave the same discovery log (first-seen times and
@@ -39,6 +39,7 @@ from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
 from iotsweep.simulation import (
     DeviceSpec,
     EmitterKind,
+    Environment,
     Role,
     SimDevice,
     build_environment,
@@ -453,25 +454,27 @@ def lone_rotation(scanner_cls, devices, channel, dwell, retune, budget):
 @pytest.mark.parametrize("budget", [50.5, 777.7, 2000.25])
 @pytest.mark.parametrize("dwell,retune", INEXACT)
 def test_device_logged_in_one_window_is_queried_once(dwell, retune, budget, monkeypatch):
-    """The rotation queries no window. It generates the keypad up to the end
-    of the first window that hears it and no further: there is no loss, and
-    its one address then leaves the rotation nothing to hear. A keypad the
-    budget ends before is generated no further than the rotation's end.
-    The log and clock are the naive loop's."""
+    """The keypad is the only device on R2 and its first frame lands inside
+    a window for each period here, so the rotation queries that window and
+    no other: it hears the keypad, and with no loss its one address then
+    leaves no device to drive a query. The keypad is generated up to that
+    window's end and no further. A keypad the budget ends before drives no
+    query and is generated no further than the rotation's end. The log and
+    clock are the naive loop's."""
     ends = generated_to(monkeypatch, {"keypad"})
     fast, env, sizes = lone_rotation(Scanner, DEVICES, R2, dwell, retune, budget)
     monkeypatch.undo()
     naive, naive_env, naive_sizes = lone_rotation(NaiveScanner, DEVICES, R2, dwell, retune, budget)
-    assert sizes == []
     assert fast.log.first_seen == naive.log.first_seen
     assert fast.log.addresses == naive.log.addresses
     assert env.clock == naive_env.clock
     windows = _Windows(START, dwell, retune, START, budget)
     if "keypad" in fast.log.first_seen:
+        assert sizes == [1]
         _, _, e_j = windows.first_from(START + fast.log.first_seen["keypad"], 0, (0,))
         assert ends["keypad"] == e_j
     else:
-        assert not any(naive_sizes) and ends.get("keypad", START) < env.clock
+        assert sizes == [] and not any(naive_sizes) and ends.get("keypad", START) < env.clock
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
@@ -489,8 +492,8 @@ def test_rotation_over_a_channel_nobody_uses_makes_no_query(dwell, retune):
 def test_sequential_phase_nobody_uses_opens_no_window():
     """A phase that no device is audible in has an empty stop set, so it
     ends before its first window and the next phase starts at once: the
-    scan leaves the log and clock of the scan without that phase, as does
-    the naive loop, which queries no window for it either."""
+    scan leaves the log and clock of the scan without that phase and makes
+    the same window queries, as does the naive loop."""
     lamps = (zigbee("a", 1, CH11, 2.0), zigbee("b", 2, CH15, 2.0))
     outcomes = {}
     for scanner_cls in (Scanner, NaiveScanner):
@@ -499,11 +502,11 @@ def test_sequential_phase_nobody_uses_opens_no_window():
             sizes = record_queries(env)
             scanner = scanner_cls(env, SdrConfig(8 * MHZ))
             scanner.sequential_passive_scan(phases, 1.0, 200.0)
-            outcomes[scanner_cls, len(phases)] = scanner.log, env.clock, len(sizes)
-    (log, clock, queries), *others = outcomes.values()
+            outcomes[scanner_cls, len(phases)] = scanner.log, env.clock, sizes
+    (log, clock, _), *others = outcomes.values()
     assert set(log.first_seen) == {"a", "b"} and clock == 201.0
-    assert queries == 0
-    assert outcomes[NaiveScanner, 3] == outcomes[NaiveScanner, 2]
+    for scanner_cls in (Scanner, NaiveScanner):
+        assert outcomes[scanner_cls, 3] == outcomes[scanner_cls, 2]
     for other_log, other_clock, _ in others:
         assert other_log == log and other_clock == clock
 
@@ -583,25 +586,55 @@ def test_alias_keeps_a_device_in_scope():
     assert fast.log.first_seen == naive.log.first_seen
 
 
-@pytest.mark.parametrize("scan", ["passive", "multiprotocol", "sequential"])
-def test_fully_logged_device_is_not_generated_again(scan, monkeypatch):
-    """After the window that logs a device's last address, no window of the
-    rotation generates that device: every later window ends more than one
-    dwell after that address was logged."""
-    logged: dict = {}  # address -> time it was first logged
-    generated: list[tuple[str, float]] = []
-    record, generate = DiscoveryLog.record, SimDevice.generate_until
+def watch_queries(monkeypatch):
+    """Every address logged, with the time it was first logged, and every
+    window query of any environment, as (its channels, the addresses logged
+    when it opened, its emissions, the (name, end) of each generation it
+    made), in a dict and a list that fill while the patch holds."""
+    logged: dict = {}
+    queries: list = []
+    record, query = DiscoveryLog.record, Environment.emissions_in_parallel
+    generate = SimDevice.generate_until
 
     def spy_record(log, device, t, addr):
         logged.setdefault(addr, t)
         record(log, device, t, addr)
 
+    def spy_query(env, channels, t0, t1):
+        queries.append((frozenset(channels), set(logged), [], []))
+        queries[-1][2].extend(query(env, channels, t0, t1))
+        return queries[-1][2]
+
     def spy_generate(dev, t_end):
-        generated.append((dev.name, t_end))
+        if queries:
+            queries[-1][3].append((dev.name, t_end))
         return generate(dev, t_end)
 
     monkeypatch.setattr(DiscoveryLog, "record", spy_record)
+    monkeypatch.setattr(Environment, "emissions_in_parallel", spy_query)
     monkeypatch.setattr(SimDevice, "generate_until", spy_generate)
+    return logged, queries
+
+
+def assert_driven(queries):
+    """Each query's channels hear a device some address of which was not
+    logged when it opened: a fully logged device drives no query."""
+    for channels, logged, *_ in queries:
+        assert any(
+            not channels.isdisjoint(d.channels) and not set(d.all_addresses()) <= logged
+            for d in DEVICES
+        ), channels
+
+
+@pytest.mark.parametrize("scan", ["passive", "multiprotocol", "sequential"])
+def test_fully_logged_device_is_not_generated_again(scan, monkeypatch):
+    """After the window that logs a device's last address, the device
+    drives no query: every later window it is generated in is one that
+    hears a device still lacking an address. In the passive and sequential
+    scans no other device shares a group with it, so no later window
+    generates it: every later window ends more than one dwell after that
+    address was logged. The log and clock are the naive loop's."""
+    logged, queries = watch_queries(monkeypatch)
     fast, fast_clock, *_ = run(Scanner, SCANS[scan][0], 12, None)
     monkeypatch.undo()
     retired_at = {
@@ -609,9 +642,11 @@ def test_fully_logged_device_is_not_generated_again(scan, monkeypatch):
         for d in DEVICES if set(d.all_addresses()) <= logged.keys()
     }
     assert len(retired_at) >= 3
-    for name, t in retired_at.items():
-        last = max((t_end for dev, t_end in generated if dev == name), default=0.0)
-        assert last <= t + 1.0, name
+    assert_driven(queries)
+    if scan != "multiprotocol":
+        for name, t in retired_at.items():
+            ends = [t_end for *_, made in queries for dev, t_end in made if dev == name]
+            assert max(ends, default=0.0) <= t + 1.0, name
     naive, naive_clock, *_ = run(NaiveScanner, SCANS[scan][0], 12, None)
     assert fast.log == naive.log
     assert fast_clock == naive_clock
@@ -697,8 +732,8 @@ class PhaseRecordingScanner(Scanner):
 def test_phases_sharing_an_aliased_device_match_naive_loop():
     """Two phases share the channel of a slow lamp seen under two
     addresses. The first phase ends once it has heard the lamp and a
-    sensor, often with one lamp address logged, so the second phase walks
-    a device already seen but not fully logged. Every scan leaves the naive
+    sensor, often with one lamp address logged, so in the second phase a
+    device already seen but not fully logged drives queries. Every scan leaves the naive
     loop's log and clock, with and without a stop set."""
     lamp = dataclasses.replace(LAMP, mean_interarrival_s=200.0)
     devices = (lamp, dataclasses.replace(SLOW, mean_interarrival_s=50.0), DEVICES[0])
@@ -746,19 +781,23 @@ def test_listen_after_an_early_stop():
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_every_rotation_query_hears_a_frame_without_loss(scan, monkeypatch):
-    """Without loss, every device of this one-address testbed is generated
-    up to the end of the window that first hears it and no further: the
-    walk stops at its first audible frame. A device no window hears is
-    generated no further than the scan's final clock."""
-    ends = generated_to(monkeypatch)
+    """Without loss, every device of this one-address testbed is first seen
+    at the first frame of it that a window query delivers, and then drives
+    no query: every rotation query hears a device the log lacks when it
+    opens. A device no query hears is generated no further than the scan's
+    final clock. The log and clock are the naive loop's."""
+    _, queries = watch_queries(monkeypatch)
     do_scan, _ = SCANS[scan]
-    scanner, clock, queries, _ = run(
-        Scanner, do_scan, 12, None, delay=RESPONSE_DELAY_S.get(scan, 40.0), loss=0.0)
+    delay = RESPONSE_DELAY_S.get(scan, 40.0)
+    scanner, clock, *_ = run(Scanner, do_scan, 12, None, delay=delay, loss=0.0)
+    monkeypatch.undo()
     seen = scanner.log.first_seen
     assert seen or scan == "active"  # its answers land after its probe windows
-    for name, end in ends.items():
-        if name in seen:
-            assert seen[name] < end <= seen[name] + 1.0, name
-        else:
-            assert end <= clock, name
-    assert queries <= (len(ZIGBEE) if scan.startswith("active") else 0)  # probe windows only
+    delivered = [em for _, _, out, _ in queries for em in out]
+    assert seen == {name: min(em.time_s for em in delivered if em.device == name) for name in seen}
+    assert_driven(queries[len(ZIGBEE) if scan.startswith("active") else 0 :])  # after the probes
+    for name in NAMES - seen.keys():
+        assert all(t_end <= clock for *_, made in queries for dev, t_end in made if dev == name)
+    naive, naive_clock, *_ = run(NaiveScanner, do_scan, 12, None, delay=delay, loss=0.0)
+    assert scanner.log == naive.log
+    assert clock == naive_clock

@@ -436,8 +436,8 @@ class TestOtherProtocolFrames:
 class TestLazyEncoding:
     @pytest.mark.parametrize("name", bundled_scenario_names())
     def test_scan_encodes_only_delivered_frames(self, name, monkeypatch):
-        """Spontaneous frames are encoded when a listen or a rotation's walk
-        decodes them, never before; a probe response is encoded when it is
+        """Spontaneous frames are encoded when a scan decodes them, never
+        before; a probe response is encoded when it is
         scheduled."""
         counts = Counter()
 
@@ -512,9 +512,9 @@ class TestEncodedFrames:
             n = len(addresses)
             for idx in range(256 * n):  # every (sequence byte, address slot) an index reaches
                 seq, slot = idx & 0xFF, idx % n
-                first = dev.frame(idx)
+                first = spec.frame(idx)
                 assert first == _encode_frame(twin, seq, slot)
-                assert dev.frame(idx + 256 * n) is first  # same sequence byte and slot
+                assert spec.frame(idx + 256 * n) is first  # same sequence byte and slot
                 assert dev.emission((1.0, ch, idx)).frame is first
                 frame = decode(spec.protocol, first, zwave_crc16=hint)
                 assert extract_address(frame) == addresses[slot]
@@ -548,11 +548,9 @@ class TestEncodedFrames:
         spec = zigbee_device("a", 0x0001, aliases=(ZigbeeShort(0x1A62, 0x0101),))
         rebuilt = dataclasses.replace(spec, aliases=(ZigbeeShort(0x1A62, 0x0202),))
         assert spec == dataclasses.replace(spec) and spec != rebuilt
-        old = self.device(spec)
-        new = self.device(rebuilt)
         for idx in range(1, 256, 2):  # the alias's frames
-            assert old.frame(idx) != new.frame(idx)
-            assert extract_address(decode(Protocol.ZIGBEE, new.frame(idx))) == ZigbeeShort(
+            assert spec.frame(idx) != rebuilt.frame(idx)
+            assert extract_address(decode(Protocol.ZIGBEE, rebuilt.frame(idx))) == ZigbeeShort(
                 0x1A62, 0x0202
             )
         assert spec._encoded is not rebuilt._encoded
