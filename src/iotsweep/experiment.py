@@ -78,18 +78,15 @@ class ComparisonReport:
     passed: bool  # expected value inside the CI for >= 75% of usable rows
 
 
-def trial_environment(
-    cfg: ScenarioConfig, trial: int, streams: np.ndarray | None = None
-) -> Environment:
-    """Trial ``trial``'s environment; ``streams`` is its block of the
-    experiment's ``stream_seeds``, or None to seed this trial alone."""
+def trial_environment(cfg: ScenarioConfig, trial: int) -> Environment:
+    """Trial ``trial``'s environment, seeded alone with the words the
+    experiment's ``stream_seeds`` give it."""
     return build_environment(
         cfg.devices,
         seed=cfg.seed,
         trial=trial,
         loss_prob=cfg.loss_prob,
         probe_response_delay_max_s=cfg.probe_response_delay_max_s,
-        streams=streams,
     )
 
 

@@ -38,7 +38,9 @@ Every scan counts its budget from its own start: each window, probe or
 rotation, starts within it. Each phase is run by ``Scanner._rotate``, which
 hears a window as a listen does, and queries only the windows whose group
 hears the next event of a device the log does not yet hold every address
-of: no other window can add to the log.
+of: no other window can add to the log. Which groups hear a device, and on
+which of its channels, is its row of ``Testbed.hearing``, which the stop set
+of a phase and the array pass read too.
 
 From a fresh environment, a device is first seen at its first event
 within the budget that lands in a window that hears it and whose frame
@@ -329,7 +331,8 @@ class Scanner:
             groups = plan.groups(phase, responders, sdr.instantaneous_bandwidth_hz)
             stop = until_complete
             if i < last:
-                audible = frozenset(env.devices[pos].name for pos in env.testbed.rotation(groups))
+                hears = env.testbed.hearing(groups).any(axis=1)
+                audible = frozenset(env.devices[pos].name for pos in np.flatnonzero(hears).tolist())
                 stop = audible if stop is None else audible & stop
             if groups:
                 self._rotate(groups, dwell_time_s, scan_time_s, t_start, stop=stop)
@@ -385,32 +388,39 @@ class Scanner:
         Each window is heard as a listen hears it, but only the windows
         that can add to the log are queried. The next is the earliest, from
         the one after the last queried, whose group hears the next event of
-        a device some address of which the log lacks (``first_from`` over
-        the device's residue offsets, ``Testbed.rotation``). No window
-        before it holds an event of such a device on its group's channels,
-        and the frames of a fully logged device add nothing, so skipping
-        those windows changes neither the log nor what a later window
-        hears: every query drops the events before its start."""
+        a device some address of which the log lacks. A device's row of
+        ``Testbed.hearing`` gives its residue offsets: offsets[r] is the
+        k >= 0 for which group (r + k) mod G is the first from group r on
+        that hears it, so from window i = max(index of its next event, j)
+        the first that can hear it is i + offsets[i % G]. No window before
+        the earliest holds an event of such a device on its group's
+        channels, and the frames of a fully logged device add nothing, so
+        skipping those windows changes neither the log nor what a later
+        window hears: every query drops the events before its start."""
         env, log = self.env, self.log
         windows = _plan(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
         if not windows.count:
             return
         addresses, logged = env.testbed.addresses, log.addresses
-        devices = [
-            (env.devices[pos], steps, addresses[env.devices[pos].name])
-            for pos, steps in env.testbed.rotation(groups).items()
-        ]
+        count, G = windows.count, len(groups)
+        devices = []
+        for pos, row in enumerate(env.testbed.hearing(groups).tolist()):
+            if any(row):
+                dev = env.devices[pos]
+                offsets = [next(k for k in range(G) if row[(r + k) % G]) for r in range(G)]
+                devices.append((dev, offsets, addresses[dev.name]))
         c0, j = env.clock, 0
         while stop is None or not log.covers(stop):
-            j = min(
-                (windows.first_from(max(dev.next_time, c0), j, steps)[0]
-                 for dev, steps, mine in devices if not mine <= logged),
-                default=windows.count,
-            )
-            if j == windows.count:
+            nxt = count
+            for dev, offsets, mine in devices:
+                if not mine <= logged:
+                    i = max(windows.index(max(dev.next_time, c0)), j)
+                    nxt = min(nxt, i + offsets[i % G])
+            j = min(nxt, count)
+            if j == count:
                 break
             c, e = windows.edges(j)
-            self._ingest(env.emissions_in_parallel(groups[j % len(groups)], c, e))
+            self._ingest(env.emissions_in_parallel(groups[j % G], c, e))
             j += 1
         env.clock = windows.edges(j)[0]
 
@@ -430,7 +440,9 @@ def rotation_first_seen(
     a fresh environment, ``streams`` being the trials' ``stream_seeds``.
     Each (trial, device) pair's events are drawn a chunk at a time
     (``EmissionDraws``), and it is heard at the earliest that lands in a
-    window that hears it and whose frame decodes, as in ``_rotate``. First
+    window that hears it and whose frame decodes on a channel the window's
+    group holds, as in ``_rotate``: the pair's row of ``Testbed.hearing``
+    marks those channels per group. First
     the probe windows that start within the budget. Probe channels are
     distinct Zigbee channels, so a device sits in at most one, having sent
     nothing before it: its beacon is index -256, sent at the window's start
@@ -471,7 +483,7 @@ def rotation_first_seen(
     window_of = {pos: k for k, ch in enumerate(probed) for pos in testbed.by_channel.get(ch, ())}
     responding = {pos for ch in probed for pos in testbed.responders.get(ch, ())}
     scope, edges = np.array(scope), np.array(opens + [(0.0, 0.0)])  # [0, 0): no probe window
-    tables = {}  # (phase, answered channels) -> per device and group, its channels' bits there
+    tables = {}  # (phase, answered channels) -> the scope's rows of its groups' hearing table
     per = max(1, _PASS_BLOCK // n)  # trials per block
     for b in range(0, len(streams), per):
         rows = np.arange(min(per, len(streams) - b) * n)
@@ -510,12 +522,7 @@ def rotation_first_seen(
             keys = [(p, a) for a in answered]
             for key in set(keys) - tables.keys():
                 groups = plan.groups(phase, key[1], sdr.instantaneous_bandwidth_hz)
-                table = np.zeros((len(devices), max(len(groups), 1)), np.int64)
-                for g, group in enumerate(groups):
-                    for ch in group:
-                        for pos in testbed.by_channel.get(ch, ()):
-                            table[pos, g] |= 1 << devices[pos].channels.index(ch)
-                tables[key] = table[scope]
+                tables[key] = testbed.hearing(groups)[scope]
             width = np.array([tables[key].shape[1] for key in keys]).repeat(n)[:, None]
             tab = np.zeros((len(rows), width.max()), np.int64)
             for k, key in enumerate(keys):
@@ -630,7 +637,14 @@ class _Windows:
         self._first, self._starts, self._runs = (
             tuple(self._first), tuple(self._starts), tuple(self._runs)
         )
-        self._arrays = tuple(map(np.array, (self._first, self._starts, *zip(*self._runs))))
+        # per run: its first window's index, start and end, the period and its last step
+        self._arrays = (
+            np.array(self._first),
+            np.array(self._starts),
+            np.array([float(x + D) * u for x, u, D, _ in self._runs]),
+            np.array([P * u for _, u, _, P in self._runs]),
+            np.diff(self._first + (j,)) - 1,
+        )
 
     def edges(self, j: int) -> tuple[float, float]:
         """(c_j, e_j) for 0 <= j < count; for j = count only c_j holds."""
@@ -639,43 +653,32 @@ class _Windows:
         y = x + (j - self._first[i]) * P
         return float(y) * u, float(y + D) * u
 
-    def first_from(self, t: float, lo: int, offsets: Sequence[int]) -> tuple[int, float, float]:
-        """(j, c_j, e_j) of the first window from the later of window ``lo``
-        and the window i holding t (c_i <= t < c_{i+1}) whose residue
-        ``offsets`` allow: j = i + offsets[i % len(offsets)], with i raised
-        to ``lo`` first. Past the last window j is ``count`` and both edges
-        are c_count. With offsets (0,) and ``lo`` 0, j is the window holding
-        t. t must be at least c_0."""
-        if t < self.end:
-            first, runs = self._first, self._runs
-            r = bisect_right(self._starts, t) - 1
-            x, u, D, P = runs[r]
-            j = first[r] + (int(t / u) - x) // P
-            if j < lo:
-                j = lo
-            j += offsets[j % len(offsets)]
-            if j < self.count:
-                if r + 1 < len(first) and j >= first[r + 1]:
-                    r = bisect_right(first, j) - 1
-                    x, u, D, P = runs[r]
-                y = x + (j - first[r]) * P
-                return j, float(y) * u, float(y + D) * u
-        return self.count, self.end, self.end
+    def index(self, t: float) -> int:
+        """The window j whose span holds t, c_j <= t < c_{j+1}; before c_0
+        and past the last window, ``count``. ``holding``'s scalar twin."""
+        if not self._starts[0] <= t < self.end:
+            return self.count
+        r = bisect_right(self._starts, t) - 1
+        x, u, _, P = self._runs[r]
+        return self._first[r] + (int(t / u) - x) // P
 
     def holding(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The window j holding each time of ``t``, by ``first_from``'s
-        closed form with offsets (0,) and ``lo`` 0, in one array pass, and
-        whether the time lies in it: c_j <= t < e_j, not in the retune after
-        it. Before c_0 and past the last window j is ``count``."""
-        first, starts, x, u, d, p = self._arrays
+        """The window j holding each time of ``t``, as ``index`` places it,
+        in one array pass, and whether the time lies in it: c_j <= t < e_j,
+        not in the retune after it. Before c_0 and past the last window j is
+        ``count``. Within a run, c_j and e_j are its first window's edges
+        plus a whole number of periods, each sum exact as the run's edges
+        are multiples of its ulp below 2^53 of them. In a run of one window
+        the period may pass 2^53 ulps, and a time less the run's start may
+        then round up to the period, so each step count is clamped to the
+        run's last."""
+        first, starts, ends, period, last = self._arrays
         inside = (starts[0] <= t) & (t < self.end)
         t = np.where(inside, t, starts[0])
         r = np.searchsorted(starts, t, side="right") - 1
-        j = first[r] + ((t / u[r]).astype(np.int64) - x[r]) // p[r]
-        r = np.searchsorted(first, j, side="right") - 1
-        y = x[r] + (j - first[r]) * p[r]
-        inside &= j < self.count
-        return np.where(inside, j, self.count), inside & (y * u[r] <= t) & (t < (y + d[r]) * u[r])
+        k = np.minimum((t - starts[r]) // period[r], last[r])
+        j = np.where(inside, first[r] + k.astype(np.int64), self.count)
+        return j, inside & (t < ends[r] + k * period[r])
 
 
 #: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few

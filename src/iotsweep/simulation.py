@@ -41,12 +41,14 @@ which keeps it for every trial, and the scanner decodes each distinct
 frame once per process.
 The clock forbids a window that starts before the last one ended, so
 nothing a window dropped can be asked for again. A scan's rotation reads
-which of its groups hear each device from the testbed (``Testbed.rotation``)
-to choose the windows it opens.
+which of its groups hear each device, and on which of its channels, from
+the testbed (``Testbed.hearing``) to choose the windows it opens, and the
+array pass that runs every trial reads the same table.
 
 What depends on the device list alone, the ``Testbed`` (the positions of
-the devices on each channel and on each channel set; building one checks
-that names and addresses are unique), is built once per experiment and
+the devices on each channel and on each channel set, and the hearing
+table of each tuple of groups; building one checks that names and
+addresses are unique), is built once per experiment and
 read by the array pass that runs every trial, and once per
 ``Environment``. An environment owns what it changes: its SimDevices
 (streams, next emission times, pending probe responses), held at its
@@ -588,7 +590,8 @@ class EmissionDraws:
 
 class Testbed:
     """What depends on the device list alone: the device specs, which
-    devices listen on each channel, and the caches built from those.
+    devices listen on each channel, and the caches built from those, such
+    as which of a rotation's groups hear each device (``hearing``).
 
     Every field is a function of the device list and is never changed once
     filled, so ``run_experiment`` builds one Testbed for its array pass,
@@ -614,7 +617,7 @@ class Testbed:
             for ch, positions in self.by_channel.items()
         }
         self._scopes: dict[frozenset[Channel], list[int]] = {}
-        self._rotations: dict[tuple[tuple[Channel, ...], ...], dict[int, tuple[int, ...]]] = {}
+        self._hearing: dict[tuple[tuple[Channel, ...], ...], np.ndarray] = {}
 
     def scope(self, channels: frozenset[Channel]) -> list[int]:
         """The positions of the devices on any of ``channels``, ascending."""
@@ -624,25 +627,22 @@ class Testbed:
             positions = self._scopes[channels] = sorted(heard)
         return positions
 
-    def rotation(self, groups: tuple[tuple[Channel, ...], ...]) -> dict[int, tuple[int, ...]]:
-        """The residue offsets over ``groups`` of every device some group
-        hears, by position in ascending order. Entry r of a device's offsets
-        is the k >= 0 for which group (r + k) mod G is the first from group
-        r on that holds one of the device's channels, so window
-        j + offsets[j % G] is the first from window j on that can hear the
-        device."""
-        offsets = self._rotations.get(groups)
-        if offsets is None:
-            sets = [frozenset(group) for group in groups]
-            n = len(sets)
-            offsets = {}
-            for pos in self.scope(frozenset().union(*sets)):
-                hears = [not sets[r].isdisjoint(self.devices[pos].channels) for r in range(n)]
-                offsets[pos] = tuple(
-                    next(k for k in range(n) if hears[(r + k) % n]) for r in range(n)
-                )
-            self._rotations[groups] = offsets
-        return offsets
+    def hearing(self, groups: tuple[tuple[Channel, ...], ...]) -> np.ndarray:
+        """Which of ``groups`` hear each device: an int64 array with one row
+        per device, by position, and one column per group (one zero column
+        when there are none), in which bit k of row pos, column g is set when
+        group g holds the device's k-th channel. Built once per distinct
+        groups and read-only."""
+        table = self._hearing.get(groups)
+        if table is None:
+            table = np.zeros((len(self.devices), max(len(groups), 1)), np.int64)
+            for g, group in enumerate(groups):
+                for ch in group:
+                    for pos in self.by_channel.get(ch, ()):
+                        table[pos, g] |= 1 << self.devices[pos].channels.index(ch)
+            table.flags.writeable = False
+            self._hearing[groups] = table
+        return table
 
 
 class Environment:
@@ -767,20 +767,15 @@ def build_environment(
     trial: int = 0,
     loss_prob: float = 0.0,
     probe_response_delay_max_s: float = DEFAULT_PROBE_RESPONSE_DELAY_MAX_S,
-    streams: np.ndarray | None = None,
 ) -> Environment:
     """Deterministic environment factory: same inputs, same event sequence.
-
-    ``streams`` is the trial's block of ``stream_seeds(seed, ..., len(devices))``
-    when the caller seeds many trials at once; without it the trial is
-    seeded alone, as a batch of one, with the same words."""
+    The trial is seeded alone, as a batch of one, with the words
+    ``stream_seeds`` gives it in a batch of many."""
     if seed < 0 or trial < 0:
         raise ScenarioError("seed and trial index must be non-negative")
-    if streams is None:
-        streams = stream_seeds(seed, (trial,), len(devices))[0]
     return Environment(
         devices,
-        streams=streams,
+        streams=stream_seeds(seed, (trial,), len(devices))[0],
         loss_prob=loss_prob,
         probe_response_delay_max_s=probe_response_delay_max_s,
     )

@@ -1,3 +1,4 @@
+import importlib.resources
 import os
 import subprocess
 import sys
@@ -81,6 +82,17 @@ class TestScan:
         assert main(["scan", str(scn), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cannot advance" in err
+
+    def test_probe_dwell_far_below_the_dwell(self, tmp_path, capsys):
+        """After 16 probes of 30 us the rotation starts at 0.48 ms, a clock
+        whose first 1 s window is more than 2^63 of its ulps: exit 0."""
+        scenarios = importlib.resources.files("iotsweep") / "scenarios"
+        text = (scenarios / "zigbee-ble-active-multi.scn").read_text()
+        assert "probe-dwell-time 0.2\n" in text
+        scn = tmp_path / "short-probes.scn"
+        scn.write_text(text.replace("probe-dwell-time 0.2\n", "probe-dwell-time 0.00003\n"))
+        assert main(["scan", str(scn), "--trials", "2", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "trials.csv").exists()
 
     def test_validation_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

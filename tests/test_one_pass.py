@@ -161,8 +161,9 @@ def test_frame_that_does_not_decode_is_skipped(monkeypatch):
     windows = scanning._plan(0.0, cfg.dwell_time_s, 0.0, 0.0, cfg.scan_time_s)
 
     def audible(t):
-        j, c, e = windows.first_from(t, 0, (0,))
-        return c <= t < e and j % len(groups) == mine
+        j = windows.index(t)
+        c, e = windows.edges(j)
+        return j < windows.count and c <= t < e and j % len(groups) == mine
 
     assert audible(t0)
     later = entries[first + 1 :]
@@ -567,20 +568,27 @@ def test_no_stream_outlives_a_draw():
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT + [(1.0, 0.0)])
-def test_holding_is_first_from(dwell, retune):
-    """``_Windows.holding`` places every time where ``first_from`` does,
-    at and around each window edge and at random times, past the last
-    window too."""
+def test_holding_is_index(dwell, retune):
+    """``_Windows.holding`` places every time where ``index`` does, at and
+    around each window edge and at random times, past the last window too,
+    also from clocks so small that the first window's period is more than
+    2^63 of their ulps. From some of those (3 * 2^-55 for a 0.3 s dwell and
+    0.1 s retune, 3 * 2^-54 and 3 * 2^-53 for the next two pairs), the time
+    just before the second window's start, less the clock, rounds up to the
+    first window's period."""
     rng = random.Random(f"{dwell}/{retune}")
-    for clock, budget in ((0.0, 500.0), (0.0, 70_000.0), (1023.9, 900.0)):
+    tiny = [(clock, 900.0) for clock in (1e-9, 1.6e-5, 3 * 2.0**-55, 3 * 2.0**-54, 3 * 2.0**-53)]
+    for clock, budget in [(0.0, 500.0), (0.0, 70_000.0), (1023.9, 900.0)] + tiny:
         windows = _Windows(clock, dwell, retune, clock, budget)
         end = windows.edges(windows.count)[0]
         times = [rng.uniform(clock, end + 5.0) for _ in range(400)] + [end, 2 * end + 1.0]
-        for j in rng.sample(range(windows.count), 50) + [0, windows.count - 1]:
+        for j in rng.sample(range(windows.count), 50) + [0, 1, windows.count - 1]:
             for edge in windows.edges(j):
                 times += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
         times = [t for t in times if t >= clock]
         j, inside = windows.holding(np.array(times).reshape(1, -1))
         for t, got_j, got_inside in zip(times, j[0].tolist(), inside[0].tolist()):
-            want_j, c, e = windows.first_from(t, 0, (0,))
-            assert (got_j, got_inside) == (want_j, c <= t < e), (t, clock, budget)
+            want_j = windows.index(t)
+            c, e = windows.edges(want_j)
+            want_inside = want_j < windows.count and c <= t < e
+            assert (got_j, got_inside) == (want_j, want_inside), (t, clock, budget)

@@ -358,9 +358,10 @@ def residue_offsets(rng):
 def check_edges(clock, dwell, retune, budget, rng):
     """``_Windows`` from ``clock`` matches the fold in every edge (each
     window's start and end, also where a window starts a new run), in the
-    first window past the budget, in the window of random times, and in the
-    first window from a random later one that a device with random residue
-    offsets can be heard in."""
+    first window past the budget, in the window of random times, by
+    ``index`` and by ``holding``, and in the edges of the first window from
+    a random later one that a device with random residue offsets can be
+    heard in, as ``Scanner._rotate`` picks it."""
     starts, ends = fold(clock, dwell, retune, budget)
     count = len(ends)
     windows = _Windows(clock, dwell, retune, clock, budget)
@@ -368,21 +369,30 @@ def check_edges(clock, dwell, retune, budget, rng):
     assert [windows.edges(j) for j in range(count)] == list(zip(starts, ends))
     assert windows.edges(count)[0] == starts[-1]
     randoms = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)]
-    for t in randoms + starts + ends:
-        assert windows.first_from(t, 0, (0,))[0] == min(bisect_right(starts, t) - 1, count), t
+    times = randoms + starts + ends
+    held, inside = windows.holding(np.array(times))
+    for t, got_j, got_inside in zip(times, held.tolist(), inside.tolist()):
+        want = min(bisect_right(starts, t) - 1, count)
+        assert windows.index(t) == want, t
+        assert (got_j, got_inside) == (want, want < count and t < ends[want]), t
     # the windows just before each run's first, so that the offsets cross runs
     for t in randoms + [starts[max(j - 1, 0)] for j in windows._first]:
         i = min(bisect_right(starts, t) - 1, count)
         offsets, lo = residue_offsets(rng), i + rng.choice([0, 0, 1, 2, 40])
         j = count if i == count else min(max(i, lo) + offsets[max(i, lo) % len(offsets)], count)
-        expected = (j, starts[j], ends[j]) if j < count else (count, starts[-1], starts[-1])
-        assert windows.first_from(t, lo, offsets) == expected, (t, lo, offsets)
+        i = max(windows.index(t), lo)
+        assert min(i + offsets[i % len(offsets)], count) == j, (t, lo, offsets)
+        if j < count:
+            assert windows.edges(j) == (starts[j], ends[j]), (t, lo, offsets)
+        else:
+            assert windows.edges(j)[0] == starts[-1], (t, lo, offsets)
     return starts, ends
 
 
-# Rotation starts: fractional, zero, tiny, inexact, and just below a binade
-# edge, so that runs of windows cross binades.
-CLOCKS = [START, 0.0, 1e-9, 3.2000000000000006, 1023.9, 2.0**20 - 0.05]
+# Rotation starts: fractional, zero, tiny (a first window whose period is
+# more than 2^63 of its ulps), inexact, and just below a binade edge, so that
+# runs of windows cross binades.
+CLOCKS = [START, 0.0, 1e-9, 1.6e-5, 3.2000000000000006, 1023.9, 2.0**20 - 0.05]
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
@@ -471,7 +481,7 @@ def test_device_logged_in_one_window_is_queried_once(dwell, retune, budget, monk
     windows = _Windows(START, dwell, retune, START, budget)
     if "keypad" in fast.log.first_seen:
         assert sizes == [1]
-        _, _, e_j = windows.first_from(START + fast.log.first_seen["keypad"], 0, (0,))
+        _, e_j = windows.edges(windows.index(START + fast.log.first_seen["keypad"]))
         assert ends["keypad"] == e_j
     else:
         assert sizes == [] and not any(naive_sizes) and ends.get("keypad", START) < env.clock

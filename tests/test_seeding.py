@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iotsweep import experiment, frames
+from iotsweep import experiment, frames, simulation
 from iotsweep.channels import Protocol, zigbee_channel
 from iotsweep.scenario import parse_scenario
 from iotsweep.simulation import _STREAM_TAGS, _seed_state, _stream, _StreamSeed, stream_seeds
@@ -153,7 +153,10 @@ def test_lone_environment_matches_the_experiment_batch(trial):
     cfg = parse_scenario(LOSSY_ACTIVE)
     batch = stream_seeds(cfg.seed, range(cfg.trials), len(cfg.devices))
     alone = probed_events(experiment.trial_environment(cfg, trial))
-    batched = probed_events(experiment.trial_environment(cfg, trial, batch[trial]))
+    batched = probed_events(simulation.Environment(
+        cfg.devices, streams=batch[trial], loss_prob=cfg.loss_prob,
+        probe_response_delay_max_s=cfg.probe_response_delay_max_s,
+    ))
     assert alone == batched
     assert {dev for *_, dev in alone} == {"hub", "relay", "sensor"}
     beacon = frames.ZigbeeFrameType.BEACON

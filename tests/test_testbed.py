@@ -11,11 +11,12 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from iotsweep import experiment, simulation
-from iotsweep.address import ZigbeeShort
-from iotsweep.channels import Protocol, zigbee_channel
+from iotsweep.address import BleAdvA, ZigbeeShort
+from iotsweep.channels import Protocol, ble_advertising_channels, zigbee_channel
 from iotsweep.errors import ParameterError, ScenarioError
 from iotsweep.scanning import Scanner, _plan, _Windows
 from iotsweep.scenario import bundled_scenario_names, load_bundled_scenario
@@ -49,6 +50,22 @@ def test_each_trial_equals_a_trial_run_alone(case):
         assert record.first_seen == lone_trial(cfg, record.trial), (case, record.trial)
 
 
+@pytest.mark.parametrize("probe_dwell", [1e-6, 3e-5])
+@pytest.mark.parametrize("name", ["zigbee-active", "zigbee-ble-active-multi"])
+def test_probe_dwell_far_below_the_dwell(name, probe_dwell):
+    """The rotation starts where the probes end, at a clock so small that
+    its first window's period is more than 2^63 of the clock's ulps; every
+    trial of the pass still equals the trial run alone. No beacon lands in
+    so short a probe window, so only the scan that always listens on the
+    advertising channels finds devices."""
+    cfg = dataclasses.replace(load_bundled_scenario(name), probe_dwell_time_s=probe_dwell)
+    result = experiment.run_experiment(cfg)
+    found = any(record.first_seen for record in result.trials)
+    assert found == (name == "zigbee-ble-active-multi")
+    for record in result.trials:
+        assert record.first_seen == lone_trial(cfg, record.trial), (name, record.trial)
+
+
 def test_run_experiment_builds_no_environment(monkeypatch):
     """Every plan runs in the one array pass: no trial of a bundled
     scenario builds an environment or runs a scanner."""
@@ -64,8 +81,7 @@ def test_run_experiment_builds_no_environment(monkeypatch):
         assert len(experiment.run_experiment(cfg).trials) == cfg.trials, name
 
 
-def zigbee(name, addr):
-    ch = zigbee_channel(11)
+def zigbee(name, addr, ch=zigbee_channel(11)):
     return DeviceSpec(name, Protocol.ZIGBEE, Role.ROUTER, (ch,), 5.0, ZigbeeShort(0x1A62, addr))
 
 
@@ -84,6 +100,33 @@ def test_duplicates_refused_with_or_without_a_testbed(devices, match):
         simulation.Testbed(devices)
 
 
+def test_hearing_marks_each_device_channel_a_group_holds():
+    """Bit k of a device's row is set in the column of each group that holds
+    its k-th channel: a BLE advertiser has one, two and three bits where a
+    group holds that many of its advertising channels, and a device on no
+    group's channel has a zero row."""
+    adv = tuple(ble_advertising_channels())
+    tag = DeviceSpec("tag", Protocol.BLE_ADVERTISING, Role.PERIPHERAL, adv, 4.0, BleAdvA(0xC01122))
+    testbed = simulation.Testbed((zigbee("lamp", 1), tag, zigbee("far", 2, zigbee_channel(15))))
+    ch11 = zigbee_channel(11)
+    groups = ((adv[1],), (ch11, adv[0], adv[2]), (adv[2], adv[0], adv[1]))
+    table = testbed.hearing(groups)
+    assert table.dtype == np.int64 and table.shape == (3, 3)
+    assert table.tolist() == [[0, 1, 0], [0b010, 0b101, 0b111], [0, 0, 0]]
+    assert [bin(bits).count("1") for bits in table[1].tolist()] == [1, 2, 3]
+
+
+def test_hearing_is_built_once_and_read_only():
+    testbed = simulation.Testbed((zigbee("lamp", 1),))
+    groups = ((zigbee_channel(11),),)
+    table = testbed.hearing(groups)
+    assert testbed.hearing(groups) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+    none = testbed.hearing(())
+    assert none.shape == (1, 1) and not none.any() and testbed.hearing(()) is none
+
+
 # Dwell/retune pairs whose window period is not exact in binary, as in
 # test_rotation.py.
 INEXACT = [(0.3, 0.1), (0.7, 0.0), (1.0, 0.25)]
@@ -96,8 +139,11 @@ def assert_same_plan(plan, fresh, rng):
     ]
     assert plan.edges(plan.count)[0] == fresh.edges(fresh.count)[0]
     end = fresh.edges(fresh.count)[0]
-    for t in [rng.uniform(fresh.edges(0)[0], end + 1.0) for _ in range(50)] + [end]:
-        assert plan.first_from(t, 0, (0,)) == fresh.first_from(t, 0, (0,))
+    times = [rng.uniform(fresh.edges(0)[0], end + 1.0) for _ in range(50)] + [end]
+    for t in times:
+        assert plan.index(t) == fresh.index(t)
+    held, fresh_held = plan.holding(np.array(times)), fresh.holding(np.array(times))
+    assert all((a == b).all() for a, b in zip(held, fresh_held))
 
 
 @pytest.mark.parametrize("dwell,retune", INEXACT)
