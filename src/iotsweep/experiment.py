@@ -24,6 +24,7 @@ always, loss coins under loss, probe behavior if it probes.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import time
@@ -242,13 +243,27 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=4096)
+def _csv_field(text: str) -> str:
+    """``text`` as ``_csv_text`` writes it in a field after the first:
+    quoted by the ``csv`` module where its dialect needs quotes, once per
+    distinct text while it stays among the last 4096 asked for."""
+    return _csv_text(["", text], [])[1:-1]
+
+
 def trials_csv(result: ExperimentResult) -> str:
-    rows = [
-        [rec.trial, n, f"{t:.6f}", device]
-        for rec in result.trials
-        for n, (t, device) in enumerate(rec.first_seen, start=1)
-    ]
-    return _csv_text(["trial", "n", "first_seen_s", "device"], rows)
+    """``_csv_text`` of the trials' rows, one f-string each: trial and n are
+    ints, and each distinct device name is quoted once by ``_csv_field``."""
+    names = {device for rec in result.trials for _, device in rec.first_seen}
+    quoted = {device: _csv_field(device) for device in names}
+    lines = ["trial,n,first_seen_s,device\n"]
+    for rec in result.trials:
+        trial = rec.trial
+        lines += [
+            f"{trial},{n},{t:.6f},{quoted[device]}\n"
+            for n, (t, device) in enumerate(rec.first_seen, start=1)
+        ]
+    return "".join(lines)
 
 
 def summary_csv(summary: OrderStatSummary) -> str:

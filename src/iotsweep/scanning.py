@@ -59,6 +59,7 @@ trial.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -396,7 +397,15 @@ class Scanner:
         the earliest holds an event of such a device on its group's
         channels, and the frames of a fully logged device add nothing, so
         skipping those windows changes neither the log nor what a later
-        window hears: every query drops the events before its start."""
+        window hears: every query drops the events before its start.
+
+        Each device's first window is kept in a heap and recomputed only
+        once it is behind j. It stays right while it is j or later: no
+        window between j and it hears the device, and its next event is
+        unchanged, as a query generates only the devices on its group's
+        channels whose next event is before its end, and such a device's
+        first window is the one queried. A device the log holds every
+        address of leaves the heap when it comes to the top."""
         env, log = self.env, self.log
         windows = _plan(env.clock, dwell_time_s, self.sdr.retune_latency_s, t_start, scan_time_s)
         if not windows.count:
@@ -410,13 +419,25 @@ class Scanner:
                 offsets = [next(k for k in range(G) if row[(r + k) % G]) for r in range(G)]
                 devices.append((dev, offsets, addresses[dev.name]))
         c0, j = env.clock, 0
+
+        def first_window(k: int) -> int:
+            """The first window from j on that can hear device k's next event."""
+            dev, offsets, _ = devices[k]
+            i = max(windows.index(max(dev.next_time, c0)), j)
+            return i + offsets[i % G]
+
+        queue = [(first_window(k), k) for k in range(len(devices))]
+        heapq.heapify(queue)
         while stop is None or not log.covers(stop):
-            nxt = count
-            for dev, offsets, mine in devices:
-                if not mine <= logged:
-                    i = max(windows.index(max(dev.next_time, c0)), j)
-                    nxt = min(nxt, i + offsets[i % G])
-            j = min(nxt, count)
+            while queue:
+                nxt, k = queue[0]
+                if devices[k][2] <= logged:
+                    heapq.heappop(queue)
+                elif nxt < j:
+                    heapq.heapreplace(queue, (first_window(k), k))
+                else:
+                    break
+            j = min(queue[0][0], count) if queue else count
             if j == count:
                 break
             c, e = windows.edges(j)
@@ -482,67 +503,77 @@ def rotation_first_seen(
         return seen
     window_of = {pos: k for k, ch in enumerate(probed) for pos in testbed.by_channel.get(ch, ())}
     responding = {pos for ch in probed for pos in testbed.responders.get(ch, ())}
+    # per scope device: its spec and name, its probe window (-1: none) and whether it answers
+    specs = [devices[pos] for pos in scope]
+    names = [spec.name for spec in specs]
+    window = np.array([window_of.get(pos, -1) for pos in scope])
+    responds = np.array([pos in responding for pos in scope], bool)
     scope, edges = np.array(scope), np.array(opens + [(0.0, 0.0)])  # [0, 0): no probe window
     tables = {}  # (phase, answered channels) -> the scope's rows of its groups' hearing table
     per = max(1, _PASS_BLOCK // n)  # trials per block
     for b in range(0, len(streams), per):
-        rows = np.arange(min(per, len(streams) - b) * n)
-        trial_of, pos_of = b + rows // n, scope[rows % n]
-        specs = [devices[pos] for pos in pos_of.tolist()]
-        logs = [seen[m] for m in trial_of.tolist()]
-        draws = EmissionDraws(specs, streams[trial_of, pos_of], loss_prob)
+        m = min(per, len(streams) - b)  # pair i is trial b + i // n and device scope[i % n]
+        rows = np.arange(m * n)
+        device = rows % n  # each pair's index in the scope
+        block = streams[b : b + m][:, scope].reshape(-1)
+        draws = EmissionDraws(specs, block, loss_prob)
+        pair_specs = specs * m
         heard = np.full(len(rows), np.inf)
         chunks = [draws.draw(rows)]  # every pair's first chunk, and more while a probe needs it
-        answered = [()] * (len(rows) // n)
+        answered = [()] * m
         if probed:
-            window = np.array([window_of.get(pos, -1) for pos in pos_of.tolist()])
-            c, e = edges[window].T  # each pair's probe window
+            c, e = edges[window[device]].T  # each pair's probe window
             response = np.full(len(rows), np.inf)
-            for i, pos in enumerate(pos_of.tolist()):
-                if pos in responding:
-                    rng = _stream(streams["probe"][trial_of[i], pos])
-                    delay = rng.uniform(0.0, probe_response_delay_max_s)
-                    if not rng.random() < loss_prob:
-                        response[i] = c[i] + delay
+            # a responder's probe stream: its delay, as uniform(0, max) is 0.0 + max *
+            # random(), then its loss coin
+            answers = np.flatnonzero(responds[device])
+            coins = np.empty((len(answers), 2))
+            for out, words in zip(coins, block["probe"][answers]):
+                _stream(words).random(out=out)
+            sent = coins[:, 1] >= loss_prob
+            response[answers[sent]] = c[answers[sent]] + probe_response_delay_max_s * coins[sent, 0]
             # a probed device has emitted nothing before its probe: sequence byte 0
-            _hear(specs, logs, heard, rows, -256, response[:, None],
-                  ((c <= response) & (response < e))[:, None])
+            _hear(pair_specs, heard, rows, -256, response[:, None],
+                  np.where((c <= response) & (response < e), 1, 0)[:, None])
             while True:
                 t, kept = chunks[-1]
                 inside = (c[:, None] <= t) & (t < e[:, None])
                 first = int(draws.drawn[0]) - t.shape[1]
-                _hear(specs, logs, heard, rows, first, t, np.where(inside, kept & 1, 0))
+                _hear(pair_specs, heard, rows, first, t, np.where(inside, kept & 1, 0))
                 if not (draws.last < np.minimum(e, heard)).any():
                     break
                 chunks.append(draws.draw(rows))
-            hits = np.where(heard < np.inf, window, -1).reshape(-1, n)
+            hits = np.where(heard < np.inf, window[device], -1).reshape(m, n)
             answered = [tuple(probed[k] for k in sorted(set(hit.tolist()) - {-1})) for hit in hits]
-        done = np.zeros(len(answered), np.int64)  # J_p of each trial: the windows before phase p
+        done = np.zeros(m, np.int64)  # J_p of each trial: the windows before phase p
         for p, phase in enumerate(phases):
             keys = [(p, a) for a in answered]
             for key in set(keys) - tables.keys():
                 groups = plan.groups(phase, key[1], sdr.instantaneous_bandwidth_hz)
                 tables[key] = testbed.hearing(groups)[scope]
-            width = np.array([tables[key].shape[1] for key in keys]).repeat(n)[:, None]
-            tab = np.zeros((len(rows), width.max()), np.int64)
-            for k, key in enumerate(keys):
-                tab[k * n : (k + 1) * n, : width[k * n, 0]] = tables[key]
+            widths = [tables[key].shape[1] for key in keys]
+            tab = np.zeros((m, n, max(widths)), np.int64)
+            for key in set(keys):
+                trials = [k for k, other in enumerate(keys) if other == key]
+                tab[trials, :, : tables[key].shape[1]] = tables[key]
+            tab, width = tab.reshape(m * n, -1), np.repeat(widths, n)[:, None]
             shift, shifted = done.repeat(n), done.any()  # each pair's J_p
             live = np.flatnonzero((heard == np.inf) & tab.any(axis=1) & (shift < windows.count))
             pairs = live  # the pairs this phase waits for
             t, kept = (np.concatenate(chunk, axis=1)[live] for chunk in zip(*chunks))
             first = 0
-            if probed and len(live):  # a response that lands after its probe window
-                j, inside = windows.holding(response[live, None])
-                _hear(specs, logs, heard, live, -256, response[live, None],
-                      np.where(inside, tab[live[:, None], j % width[live]] & 1, 0))
+            late = live[response[live] < np.inf] if probed else live[:0]
+            if len(late):  # a response that lands after its probe window
+                j, inside = windows.holding(response[late, None])
+                _hear(pair_specs, heard, late, -256, response[late, None],
+                      np.where(inside, tab[late[:, None], j % width[late]] & 1, 0))
             while len(live):
                 j, inside = windows.holding(t)
                 if shifted:
                     j = j - shift[live, None]
                     inside &= j >= 0
                 bits = np.where(inside, tab[live[:, None], j % width[live]] & kept, 0)
-                _hear(specs, logs, heard, live, first, t, bits)
+                _hear(pair_specs, heard, live, first, t, bits)
                 live = live[draws.last[live] < np.minimum(heard[live], windows.end)]
                 if len(live):
                     first = int(draws.drawn[live[0]])
@@ -550,31 +581,46 @@ def rotation_first_seen(
             if p + 1 < len(phases):
                 j, _ = windows.holding(heard[pairs])
                 np.maximum.at(done, pairs // n, np.minimum(j + 1, windows.count))
+        for k, times in enumerate(heard.reshape(m, n).tolist()):
+            seen[b + k] = {name: t for name, t in zip(names, times) if t < math.inf}
     return seen
 
 
-def _hear(specs, logs, heard, live, first, t, bits) -> None:
-    """Log in ``heard[i]`` and ``logs[i]``, for each row ``live[r]`` = i, the
-    time of its earliest event before ``heard[i]`` whose frame decodes on a
-    channel that ``bits[r]`` marks, tried in channel order.
-    A row's events are in time order, and event k is number ``first + k``."""
+def _hear(specs, heard, live, first, t, bits) -> None:
+    """Set ``heard[i]``, for each row ``live[r]`` = i, to the time of its
+    earliest event before ``heard[i]`` whose frame decodes on a channel
+    that ``bits[r]`` marks, tried in channel order. A row's events are in
+    time order, and event k is number ``first + k``. Each round tries the
+    earliest event left of every row not yet heard; nearly every frame
+    decodes, so a call nearly always ends after one round."""
     audible = (bits != 0) & (t < heard[live, None])
-    while audible.any():
-        rows = np.flatnonzero(audible.any(axis=1))
+    rows = np.flatnonzero(audible.any(axis=1))
+    while len(rows):
         ks = audible[rows].argmax(axis=1)
-        audible[rows, ks] = False
-        done = []
-        for row, i, idx, tk, mask in zip(
-            rows.tolist(), live[rows].tolist(), (first + ks).tolist(),
-            t[rows, ks].tolist(), bits[rows, ks].tolist(),
+        failed = []
+        for r, i, idx, mask in zip(
+            range(len(rows)), live[rows].tolist(), (first + ks).tolist(), bits[rows, ks].tolist()
         ):
-            spec, frame = specs[i], specs[i].frame(idx)
-            for n, ch in enumerate(spec.channels):
-                if mask >> n & 1 and _frame_address(ch, frame) is not None:
-                    heard[i] = logs[i][spec.name] = tk
-                    done.append(row)
-                    break
-        audible[done] = False
+            spec = specs[i]
+            frame, channels = spec.frame(idx), spec.channels
+            if mask & mask - 1:  # several channels
+                decodes = any(
+                    mask >> n & 1 and _frame_address(ch, frame) is not None
+                    for n, ch in enumerate(channels)
+                )
+            else:
+                decodes = _frame_address(channels[mask.bit_length() - 1], frame) is not None
+            if not decodes:
+                failed.append(r)
+        if not failed:
+            heard[live[rows]] = t[rows, ks]
+            return
+        hit = np.ones(len(rows), bool)
+        hit[failed] = False
+        heard[live[rows[hit]]] = t[rows[hit], ks[hit]]
+        audible[rows, ks] = False
+        audible[rows[hit]] = False
+        rows = np.flatnonzero(audible.any(axis=1))
 
 
 class _Windows:
@@ -668,17 +714,27 @@ class _Windows:
         not in the retune after it. Before c_0 and past the last window j is
         ``count``. Within a run, c_j and e_j are its first window's edges
         plus a whole number of periods, each sum exact as the run's edges
-        are multiples of its ulp below 2^53 of them. In a run of one window
-        the period may pass 2^53 ulps, and a time less the run's start may
-        then round up to the period, so each step count is clamped to the
-        run's last."""
+        are multiples of its ulp below 2^53 of them.
+
+        The step count is floor((t - c) / p) for the run's start c and
+        period p, by a true quotient, which is exact in a run of several
+        windows. There c = X*u and p = P*u with 2^52 <= X and
+        X + K*P < 2^53 for its K windows, and t lies in the run, in c's
+        binade: t = T*u, so t - c = M*u exactly with M < K*P. For
+        q = M // P < K, fl(M / P) >= q as q is a double, and it stays below
+        q + 1: it would round up only if 1/P, its least distance from
+        q + 1, were at most half an ulp of q + 1, at most (q + 1) * 2^-53,
+        but P * (q + 1) <= K*P < 2^52. In a run of one window the period
+        may pass 2^53 ulps, and a time less the run's start may then round
+        up to the period, so each step count is clamped to the run's last."""
         first, starts, ends, period, last = self._arrays
         inside = (starts[0] <= t) & (t < self.end)
         t = np.where(inside, t, starts[0])
         r = np.searchsorted(starts, t, side="right") - 1
-        k = np.minimum((t - starts[r]) // period[r], last[r])
+        step = period[r]
+        k = np.minimum(np.floor((t - starts[r]) / step), last[r])
         j = np.where(inside, first[r] + k.astype(np.int64), self.count)
-        return j, inside & (t < ends[r] + k * period[r])
+        return j, inside & (t < ends[r] + k * step)
 
 
 #: Plans ``_plan`` keeps. Every trial of an experiment asks for the same few

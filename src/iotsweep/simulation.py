@@ -523,11 +523,13 @@ class SimDevice:
 
 class EmissionDraws:
     """The emissions of many fresh devices, a chunk at a time for all at
-    once: row i emits what ``SimDevice(specs[i], streams[i], loss_prob)``
-    would, from the same streams, with the same clamp of a Poisson gap, a
-    periodic phase then period steps, and one loss coin per channel per
-    emission in channel order. ``np.add.accumulate`` is the same left fold
-    as ``t = t + gap``, so every time is bit for bit.
+    once: row i emits what ``SimDevice(specs[i % len(specs)], streams[i],
+    loss_prob)`` would, from the same streams, with the same clamp of a
+    Poisson gap, a periodic phase then period steps, and one loss coin per
+    channel per emission in channel order. ``np.add.accumulate`` is the
+    same left fold as ``t = t + gap``, so every time is bit for bit. The
+    specs repeat over the rows, so trials of one device list read each
+    spec's fields once.
 
     It holds each row's seed words (its ``stream_seeds`` entry), not its
     generators: a draw builds the streams it reads and drops them when it
@@ -538,15 +540,18 @@ class EmissionDraws:
     drawn, so a row draws about twice the values it keeps at most."""
 
     def __init__(self, specs: Sequence[DeviceSpec], streams: np.ndarray, loss_prob: float):
-        self._specs = specs
+        if not specs or len(streams) % len(specs):
+            raise SimulationError(f"{len(streams)} stream rows do not repeat {len(specs)} devices")
         self._times = streams["times"]
         self._loss = streams["loss"] if loss_prob > 0 else None
         self._loss_prob = loss_prob
+        # per spec: whether it draws Poisson gaps, its mean and its number of channels
         self._poisson = np.array([spec.emitter is EmitterKind.POISSON for spec in specs])
         self._means = np.array([spec.mean_interarrival_s for spec in specs])
-        self._width = max((len(spec.channels) for spec in specs), default=1)
-        self.last = np.zeros(len(specs))  # each row's last event time; the fold starts at 0
-        self.drawn = np.zeros(len(specs), np.int64)  # events each row has drawn
+        self._widths = np.array([len(spec.channels) for spec in specs])
+        self._width = int(self._widths.max())
+        self.last = np.zeros(len(streams))  # each row's last event time; the fold starts at 0
+        self.drawn = np.zeros(len(streams), np.int64)  # events each row has drawn
 
     def draw(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The next chunk of ``rows``, which have drawn equally often: event
@@ -560,24 +565,26 @@ class EmissionDraws:
         in one multiply. Only a periodic row's phase reads its times stream."""
         drawn = int(self.drawn[rows[0]])
         n = max(_EXP_CHUNK, drawn) if drawn else _FIRST_CHUNK
-        poisson = self._poisson[rows]
+        spec = rows % len(self._means)
+        poisson = self._poisson[spec]
         steps = np.empty((len(rows), n + 1))
         steps[:, 0] = self.last[rows]
         gaps = steps[:, 1:]
         gaps[~poisson] = 1.0  # period steps, in units of the period
-        coins = None if self._loss is None else np.ones((len(rows), n, self._width))  # pads survive
-        for k, i in enumerate(rows.tolist()):
-            if poisson[k]:
+        for out, words, is_poisson in zip(gaps, self._times[rows], poisson.tolist()):
+            if is_poisson:
                 if drawn:
-                    gaps[k] = _stream(self._times[i]).standard_exponential(drawn + n)[drawn:]
+                    out[:] = _stream(words).standard_exponential(drawn + n)[drawn:]
                 else:
-                    _stream(self._times[i]).standard_exponential(out=gaps[k])
+                    _stream(words).standard_exponential(out=out)
             elif not drawn:
-                gaps[k, 0] = _stream(self._times[i]).random()
-            if coins is not None:
-                width = len(self._specs[i].channels)
-                coins[k, :, :width] = _stream(self._loss[i]).random((drawn + n, width))[drawn:]
-        gaps *= self._means[rows, None]
+                out[0] = _stream(words).random()
+        coins = None
+        if self._loss is not None:
+            coins = np.ones((len(rows), n, self._width))  # pads survive
+            for out, words, width in zip(coins, self._loss[rows], self._widths[spec].tolist()):
+                out[:, :width] = _stream(words).random((drawn + n, width))[drawn:]
+        gaps *= self._means[spec, None]
         # generate_until's clamp: times stay non-decreasing, so a row's events ascend
         gaps[(gaps <= 0.0) & poisson[:, None]] = 1e-12
         times = np.add.accumulate(steps, axis=1)[:, 1:]

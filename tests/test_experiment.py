@@ -1,10 +1,14 @@
+import csv
 import dataclasses
+import io
 import math
 
 import pytest
 
 from iotsweep.errors import ScenarioError
 from iotsweep.experiment import (
+    ExperimentResult,
+    TrialRecord,
     compare,
     config_digest,
     device_channel_divisors,
@@ -72,6 +76,25 @@ class TestRunExperiment:
         assert lines[0] == "trial,n,first_seen_s,device"
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1" and first[3] == "solo"
+
+    def test_trials_csv_quotes_names_as_the_csv_module_does(self):
+        """Each row is one f-string and each name is quoted once, yet the
+        text is what ``csv.writer`` writes for the same rows, for names that
+        need quotes (a comma, a double quote, LF) and names that may not
+        (CR, spaces at either end, an empty name), repeated across trials."""
+        names = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " lead", "trail ", "", "plain"]
+        records = tuple(
+            TrialRecord(trial, tuple((t + 0.25 * k, name) for k, name in enumerate(names)))
+            for trial, t in enumerate([0.0, 1.0000005, 123456.789])
+        )
+        result = ExperimentResult(config=None, trials=records, summary=None, wall_clock_s=0.0)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["trial", "n", "first_seen_s", "device"])
+        for rec in records:
+            for n, (t, name) in enumerate(rec.first_seen, start=1):
+                writer.writerow([rec.trial, n, f"{t:.6f}", name])
+        assert trials_csv(result) == buf.getvalue()
 
     def test_summary_csv_schema(self):
         cfg = one_device_cfg(trials=3)

@@ -361,7 +361,11 @@ def check_edges(clock, dwell, retune, budget, rng):
     first window past the budget, in the window of random times, by
     ``index`` and by ``holding``, and in the edges of the first window from
     a random later one that a device with random residue offsets can be
-    heard in, as ``Scanner._rotate`` picks it."""
+    heard in, as ``Scanner._rotate`` picks it. ``holding`` and ``index``
+    also place c_j, e_j and c_{j+1}, and one ulp either side of each, for
+    the last three windows of every run: a run that ends where its binade
+    does ends within a period of 2^53 of its ulps, where ``holding``'s true
+    quotient is closest to rounding up to the next step."""
     starts, ends = fold(clock, dwell, retune, budget)
     count = len(ends)
     windows = _Windows(clock, dwell, retune, clock, budget)
@@ -369,10 +373,18 @@ def check_edges(clock, dwell, retune, budget, rng):
     assert [windows.edges(j) for j in range(count)] == list(zip(starts, ends))
     assert windows.edges(count)[0] == starts[-1]
     randoms = [rng.uniform(starts[0], starts[-1] + dwell) for _ in range(300)]
-    times = randoms + starts + ends
+    last_steps = {j for nxt in windows._first[1:] + (count,) for j in range(max(nxt - 3, 0), nxt)}
+    near = [
+        np.nextafter(edge, side)
+        for j in sorted(last_steps)
+        for edge in (starts[j], ends[j], starts[j + 1])
+        for side in (-np.inf, edge, np.inf)
+    ]
+    times = randoms + starts + ends + near
     held, inside = windows.holding(np.array(times))
     for t, got_j, got_inside in zip(times, held.tolist(), inside.tolist()):
-        want = min(bisect_right(starts, t) - 1, count)
+        want = bisect_right(starts, t) - 1
+        want = count if want < 0 else min(want, count)
         assert windows.index(t) == want, t
         assert (got_j, got_inside) == (want, want < count and t < ends[want]), t
     # the windows just before each run's first, so that the offsets cross runs
@@ -406,6 +418,14 @@ def test_window_edges_are_the_fold(dwell, retune):
             check_edges(clock, dwell, retune, budget, rng)
     starts, _ = check_edges(START, dwell, retune, 5000 * period, rng)
     assert any(c != START + k * period for k, c in enumerate(starts))  # k * period would not pass
+    # runs of several windows that end within a period of 2^53 of their ulps
+    windows = _Windows(START, dwell, retune, START, 5000 * period)
+    top = [
+        x + (nxt - first + 1) * P >= 2**53
+        for first, nxt, (x, _, _, P) in zip(windows._first, windows._first[1:], windows._runs)
+        if nxt - first > 1
+    ]
+    assert sum(top) >= 5
 
 
 def test_window_edges_on_random_settings():
