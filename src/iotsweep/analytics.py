@@ -189,13 +189,21 @@ def _quadrature(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
     One panel covers the head, where almost nothing has been heard, and
     equal panels no wider than min(1, _BODY_WIDTH_SCALE / sqrt(N)) the
-    body."""
+    body. A vector whose t_hi overflows a double is refused; t_hi is the
+    largest bound, as p.min() <= p.sum()."""
     n_dev = p.size
     total = p.sum()
+    p_min = float(p.min())
+    t_hi = (math.log(n_dev) + _TAIL_EXPONENT) / p_min
+    if t_hi == math.inf:
+        raise DegenerateVectorError(
+            f"a transmit probability of {p_min:.3g} per timestep puts the model's "
+            "horizon past the largest double; a mean interval or delta_t is too extreme"
+        )
     t_lo = _HEAD_MASS / total
     u_lo = math.log(t_lo)
     u_body = math.log(_BODY_MASS / total)
-    u_hi = math.log((math.log(n_dev) + _TAIL_EXPONENT) / p.min())
+    u_hi = math.log(t_hi)
     bodies = math.ceil((u_hi - u_body) / min(1.0, _BODY_WIDTH_SCALE / math.sqrt(n_dev)))
     body_width = (u_hi - u_body) / bodies
     edges = np.array([u_lo] + [u_body + body_width * j for j in range(bodies)] + [u_hi])

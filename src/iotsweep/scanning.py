@@ -42,18 +42,21 @@ of: no other window can add to the log. Which groups hear a device, and on
 which of its channels, is its row of ``Testbed.hearing``, which the stop set
 of a phase and the array pass read too.
 
-From a fresh environment, a device is first seen at its first event
-within the budget that lands in a window that hears it and whose frame
-decodes to an address: a probe window on its channel, or a rotation window
+Every frame a valid device emits decodes to the address it was sent from
+on each of its channels (a property the tests check for every protocol,
+sequence byte, address slot and beacon), so from a fresh environment a
+device is first seen at its first event within the budget that lands in a
+window that hears it: a probe window on its channel, or a rotation window
 whose group holds a channel the event survived loss on. Its own streams,
 the window schedule, the channels that answered the probes and the window
 each phase starts at fix it. A phase after the first starts on the same
 fold of windows, one past the latest in which the phase before it first
 heard a device it waited for, or at the budget if one of them is never
 heard. So ``rotation_first_seen`` gives every trial's first-seen times in
-one array pass, the reference being ``Scanner.scan``, which also leaves
-the whole log and the clock; only direct ``Scanner.scan`` calls run per
-trial.
+one array pass that neither encodes nor decodes a frame, the reference
+being ``Scanner.scan``, whose listens decode every frame they hear and
+which also leaves the whole log and the clock; only direct
+``Scanner.scan`` calls run per trial.
 """
 
 from __future__ import annotations
@@ -461,19 +464,18 @@ def rotation_first_seen(
     a fresh environment, ``streams`` being the trials' ``stream_seeds``.
     Each (trial, device) pair's events are drawn a chunk at a time
     (``EmissionDraws``), and it is heard at the earliest that lands in a
-    window that hears it and whose frame decodes on a channel the window's
-    group holds, as in ``_rotate``: the pair's row of ``Testbed.hearing``
-    marks those channels per group. First
-    the probe windows that start within the budget. Probe channels are
-    distinct Zigbee channels, so a device sits in at most one, having sent
-    nothing before it: its beacon is index -256, sent at the window's start
-    plus a uniform delay from its probe stream unless the stream's next draw
-    is a lost coin. A channel answered if any frame in its window decodes,
-    and a trial's answered channels give its groups. Then the rotations
-    from c_n, where the probes end: a response that lands after its probe
-    window is a candidate there too, an event before c_n is not, and a pair
-    draws more while it is unheard and its last chunk ended within the
-    budget.
+    window that hears it on a channel the event survived loss on, as in
+    ``_rotate``: the pair's row of ``Testbed.hearing`` marks those channels
+    per group. Every such frame decodes to an address, so the pass neither
+    encodes nor decodes one. First the probe windows that start within the
+    budget. Probe channels are distinct Zigbee channels, so a device sits in
+    at most one: its beacon is sent at the window's start plus a uniform
+    delay from its probe stream unless the stream's next draw is a lost
+    coin. A channel answered if any event lands in its window, and a trial's
+    answered channels give its groups. Then the rotations from c_n, where
+    the probes end: a response that lands after its probe window is a
+    candidate there too, an event before c_n is not, and a pair draws more
+    while it is unheard and its last chunk ended within the budget.
 
     A phase continues the one fold of windows from c_n, so phase p of a
     trial holds windows J_p .. count-1, window j under its group
@@ -517,7 +519,6 @@ def rotation_first_seen(
         device = rows % n  # each pair's index in the scope
         block = streams[b : b + m][:, scope].reshape(-1)
         draws = EmissionDraws(specs, block, loss_prob)
-        pair_specs = specs * m
         heard = np.full(len(rows), np.inf)
         chunks = [draws.draw(rows)]  # every pair's first chunk, and more while a probe needs it
         answered = [()] * m
@@ -532,14 +533,11 @@ def rotation_first_seen(
                 _stream(words).random(out=out)
             sent = coins[:, 1] >= loss_prob
             response[answers[sent]] = c[answers[sent]] + probe_response_delay_max_s * coins[sent, 0]
-            # a probed device has emitted nothing before its probe: sequence byte 0
-            _hear(pair_specs, heard, rows, -256, response[:, None],
-                  np.where((c <= response) & (response < e), 1, 0)[:, None])
+            _hear(heard, rows, response[:, None], ((c <= response) & (response < e))[:, None])
             while True:
                 t, kept = chunks[-1]
                 inside = (c[:, None] <= t) & (t < e[:, None])
-                first = int(draws.drawn[0]) - t.shape[1]
-                _hear(pair_specs, heard, rows, first, t, np.where(inside, kept & 1, 0))
+                _hear(heard, rows, t, inside & (kept & 1 != 0))
                 if not (draws.last < np.minimum(e, heard)).any():
                     break
                 chunks.append(draws.draw(rows))
@@ -561,22 +559,19 @@ def rotation_first_seen(
             live = np.flatnonzero((heard == np.inf) & tab.any(axis=1) & (shift < windows.count))
             pairs = live  # the pairs this phase waits for
             t, kept = (np.concatenate(chunk, axis=1)[live] for chunk in zip(*chunks))
-            first = 0
             late = live[response[live] < np.inf] if probed else live[:0]
             if len(late):  # a response that lands after its probe window
                 j, inside = windows.holding(response[late, None])
-                _hear(pair_specs, heard, late, -256, response[late, None],
-                      np.where(inside, tab[late[:, None], j % width[late]] & 1, 0))
+                _hear(heard, late, response[late, None],
+                      inside & (tab[late[:, None], j % width[late]] & 1 != 0))
             while len(live):
                 j, inside = windows.holding(t)
                 if shifted:
                     j = j - shift[live, None]
                     inside &= j >= 0
-                bits = np.where(inside, tab[live[:, None], j % width[live]] & kept, 0)
-                _hear(pair_specs, heard, live, first, t, bits)
+                _hear(heard, live, t, inside & (tab[live[:, None], j % width[live]] & kept != 0))
                 live = live[draws.last[live] < np.minimum(heard[live], windows.end)]
                 if len(live):
-                    first = int(draws.drawn[live[0]])
                     t, kept = draws.draw(live)
             if p + 1 < len(phases):
                 j, _ = windows.holding(heard[pairs])
@@ -586,41 +581,14 @@ def rotation_first_seen(
     return seen
 
 
-def _hear(specs, heard, live, first, t, bits) -> None:
+def _hear(heard, live, t, audible) -> None:
     """Set ``heard[i]``, for each row ``live[r]`` = i, to the time of its
-    earliest event before ``heard[i]`` whose frame decodes on a channel
-    that ``bits[r]`` marks, tried in channel order. A row's events are in
-    time order, and event k is number ``first + k``. Each round tries the
-    earliest event left of every row not yet heard; nearly every frame
-    decodes, so a call nearly always ends after one round."""
-    audible = (bits != 0) & (t < heard[live, None])
-    rows = np.flatnonzero(audible.any(axis=1))
-    while len(rows):
-        ks = audible[rows].argmax(axis=1)
-        failed = []
-        for r, i, idx, mask in zip(
-            range(len(rows)), live[rows].tolist(), (first + ks).tolist(), bits[rows, ks].tolist()
-        ):
-            spec = specs[i]
-            frame, channels = spec.frame(idx), spec.channels
-            if mask & mask - 1:  # several channels
-                decodes = any(
-                    mask >> n & 1 and _frame_address(ch, frame) is not None
-                    for n, ch in enumerate(channels)
-                )
-            else:
-                decodes = _frame_address(channels[mask.bit_length() - 1], frame) is not None
-            if not decodes:
-                failed.append(r)
-        if not failed:
-            heard[live[rows]] = t[rows, ks]
-            return
-        hit = np.ones(len(rows), bool)
-        hit[failed] = False
-        heard[live[rows[hit]]] = t[rows[hit], ks[hit]]
-        audible[rows, ks] = False
-        audible[rows[hit]] = False
-        rows = np.flatnonzero(audible.any(axis=1))
+    earliest event that ``audible[r]`` marks, if that is before ``heard[i]``.
+    A row's events are in time order, so that is its first marked one."""
+    k = audible.argmax(axis=1)
+    r = np.arange(len(live))
+    first = np.where(audible[r, k], t[r, k], np.inf)
+    heard[live] = np.minimum(heard[live], first)
 
 
 class _Windows:

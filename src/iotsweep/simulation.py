@@ -271,6 +271,8 @@ class DeviceSpec:
     emitter: EmitterKind = EmitterKind.POISSON
 
     def __post_init__(self):
+        if "\r" in self.name or "\n" in self.name:
+            raise ScenarioError(f"device {self.name!r}: a name cannot hold a line break")
         if not 0.0 < self.mean_interarrival_s < math.inf:
             raise ScenarioError(f"device {self.name}: mean-interval: must be positive and finite")
         if not self.channels:

@@ -113,6 +113,19 @@ class TestModelAndCompare:
         assert main(["model", str(scn), "--delta-t", delta_t]) == 1
         assert "error: delta_t must be positive and finite" in capsys.readouterr().err
 
+    def test_model_horizon_past_the_largest_double_exit_1(self, tmp_path, capsys):
+        """A transmit probability so small that the model's integration range
+        overflows a double is refused, not a traceback: a device that sends
+        once in 1e308 s, or a timestep of 1e-308 s."""
+        bundled = importlib.resources.files("iotsweep") / "scenarios" / "zwave-lora-passive.scn"
+        scn = tmp_path / "rare.scn"
+        scn.write_text(bundled.read_text().replace("mean-interval 1900", "mean-interval 1e308", 1))
+        assert "1e308" in scn.read_text()
+        for argv in (["model", str(scn)], ["model", "zwave-lora-multi", "--delta-t", "1e-308"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "largest double" in err and err.count("\n") == 1
+
     def test_compare_pass_exit_0(self, tmp_path, capsys):
         scn = tmp_path / "c.scn"
         scn.write_text(TINY.replace("trials 2", "trials 10").replace("scan-time 120", "scan-time 400"))

@@ -227,6 +227,16 @@ end
         with pytest.raises(ScenarioError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("name", ["cr\rhere", "lf\nhere", "crlf\r\n"])
+    def test_line_break_in_a_device_name(self, name):
+        """A scenario file splits on line breaks, so only a hand-built config
+        can name a device with one, and it is refused: its trials.csv could
+        not be read back. The message names the device on one line."""
+        cfg = parse_scenario(MINIMAL)
+        with pytest.raises(ScenarioError, match=re.escape(repr(name))) as exc:
+            dataclasses.replace(cfg, devices=(dataclasses.replace(cfg.devices[0], name=name),))
+        assert "\r" not in str(exc.value) and "\n" not in str(exc.value)
+
     def test_bad_trials(self):
         with pytest.raises(ScenarioError, match="trials"):
             parse_scenario(MINIMAL.replace("trials 3", "trials 0"))

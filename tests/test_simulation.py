@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from test_testbed import lone_trial
 
 from iotsweep import experiment, frames, scanning, simulation
 from iotsweep.address import BleAdvA, LoRaId, ZigbeeExtended, ZigbeeShort, ZWaveId
@@ -434,30 +435,50 @@ class TestOtherProtocolFrames:
 
 
 class TestLazyEncoding:
-    @pytest.mark.parametrize("name", bundled_scenario_names())
-    def test_scan_encodes_only_delivered_frames(self, name, monkeypatch):
-        """Spontaneous frames are encoded when a scan decodes them, never
-        before; a probe response is encoded when it is
-        scheduled."""
+    """Frames are encoded only where a receiver decodes them: the listens of
+    a scan run alone. ``run_experiment``'s array pass hears each device at
+    its first audible event and encodes and decodes nothing."""
+
+    @staticmethod
+    def count_codec(monkeypatch):
+        """Count encodes, frame builds, decodes and probe responses."""
         counts = Counter()
 
-        def counted(key, fn, size=len):
+        def counted(owner, attr, key, size=lambda _: 1):
+            fn = getattr(owner, attr)
+
             def wrapper(*args, **kwargs):
                 result = fn(*args, **kwargs)
                 counts[key] += size(result)
                 return result
-            return wrapper
+
+            monkeypatch.setattr(owner, attr, wrapper)
 
         for encoder in ("encode_zigbee", "encode_ble", "encode_lora", "encode_zwave"):
-            fn = getattr(frames, encoder)
-            monkeypatch.setattr(frames, encoder, counted("encoded", fn, size=lambda _: 1))
-        heard, probe = scanning._frame_address, Environment.inject_probe
-        monkeypatch.setattr(scanning, "_frame_address", counted("decoded", heard, size=lambda _: 1))
-        monkeypatch.setattr(Environment, "inject_probe", counted("responses", probe))
-        cfg = dataclasses.replace(load_bundled_scenario(name), trials=2, loss_prob=0.2)
+            counted(frames, encoder, "encoded")
+        counted(frames, "decode", "decoded")
+        counted(DeviceSpec, "frame", "built")
+        counted(scanning, "_frame_address", "heard")
+        counted(Environment, "inject_probe", "responses", size=len)
+        return counts
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_experiment_encodes_and_decodes_nothing(self, name, monkeypatch):
+        counts = self.count_codec(monkeypatch)
+        cfg = dataclasses.replace(load_bundled_scenario(name), loss_prob=0.2)
         experiment.run_experiment(cfg)
-        assert counts["decoded"] > 0
-        assert counts["encoded"] <= counts["decoded"] + counts["responses"]
+        assert counts == {}
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_scan_encodes_only_delivered_frames(self, name, monkeypatch):
+        """Spontaneous frames are encoded when a scan decodes them, never
+        before; a probe response is encoded when it is scheduled."""
+        counts = self.count_codec(monkeypatch)
+        cfg = dataclasses.replace(load_bundled_scenario(name), trials=2, loss_prob=0.2)
+        for trial in range(cfg.trials):
+            lone_trial(cfg, trial)
+        assert counts["heard"] > 0
+        assert counts["encoded"] <= counts["heard"] + counts["responses"]
 
 
 class TestEncodedFrames:
